@@ -10,6 +10,21 @@ ever goes negative. After each pass the Gini coefficient of all
 balances is recorded, and the run stops early once an entire pass
 changes no balance.
 
+Dead nodes: a zero balance is absorbing under both semantics. A node at
+zero never plays, and a game that samples it is skipped, so nothing can
+pay it again. The engine therefore drops nodes at zero from the turn
+order (rebuilt once about an eighth of it has been drained) and counts
+them as skipped turns. Skipped turns draw nothing, so the draw order and
+every output are unchanged while a pass costs O(live nodes); once at
+most half the nodes are alive, the Gini is taken over the live balances
+with the dead ones as implicit zeros.
+
+Convergence stays an end-of-pass comparison of all balances with the
+pass's start, not a "some game changed a balance" flag: a pass can move
+capital (a penalty paid to the bank, a payout, transfers back and forth)
+and still leave every balance where it began, and then the run has
+converged although games changed balances along the way.
+
 Determinism contract: one seeded generator per run, consumed in a fixed
 order:
   1. the node-order shuffle (one randrange per Fisher-Yates step),
@@ -202,12 +217,13 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
     gini_series: list[float] = []
     stats: list[IterationStats] = []
     converged_at = None
+    drained = 0  # payers left at zero since order was last rebuilt
 
     for iteration in range(1, cfg.iterations + 1):
         start = balances[:]
         effective = balances if live else start
         played = 0
-        skipped = 0
+        skipped = n - len(order)  # dead nodes dropped from the order
         inflow = 0
         outflow = 0
 
@@ -256,6 +272,8 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
                     else:
                         balances[o] = start[o] - t
                         balances[v] = start[v] + t
+                    if not balances[o]:
+                        drained += 1
                 else:  # v silent, o betrays: v pays o
                     t = min(transfer, effective[v])
                     if live:
@@ -264,6 +282,8 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
                     else:
                         balances[v] = start[v] - t
                         balances[o] = start[o] + t
+                    if not balances[v]:
+                        drained += 1
             elif act_v == 0:  # both silent: bank pays both or neither
                 if bank_infinite or bank_balance >= reward_cost:
                     if live:
@@ -283,6 +303,10 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
                 else:
                     balances[v] = start[v] - t1
                     balances[o] = start[o] - t2
+                if not balances[v]:
+                    drained += 1
+                if not balances[o]:
+                    drained += 1
                 bank_balance += t1 + t2
                 inflow += t1 + t2
 
@@ -290,7 +314,13 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
             last[o] = act_o
             played += 1
 
-        gini_series.append(gini(balances))
+        if drained * 8 > len(order):
+            order = [v for v in order if balances[v]]
+            drained = 0
+        # Every node outside order is at zero, so below half alive it is
+        # cheaper to gather the rest than to convert all n balances.
+        held = [balances[v] for v in order] if 2 * len(order) <= n else balances
+        gini_series.append(gini(held, n))
         reported_bank = None if bank_infinite else bank_balance
         stats.append(
             IterationStats(
@@ -299,7 +329,7 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
                 bank_inflow=inflow,
                 bank_outflow=outflow,
                 bank_balance=reported_bank,
-                total_balance=sum(balances),
+                total_balance=sum(held),
             )
         )
         if iteration_hook is not None:

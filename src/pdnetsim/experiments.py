@@ -296,7 +296,11 @@ def _cached_graph(path: str, fmt: str) -> Graph:
 
 
 def execute_task(task: RunTask) -> SuiteRow:
-    """Run one suite task, trapping per-run input errors into the row status."""
+    """Run one suite task, trapping any per-run failure into the row status.
+
+    Input and I/O errors read `error: <message>`; any other exception reads
+    `error: <Type>: <message>`.
+    """
     try:
         graph = _cached_graph(task.path, task.fmt)
         rng = random.Random(task.assign_seed)
@@ -319,7 +323,8 @@ def execute_task(task: RunTask) -> SuiteRow:
             from .output import write_gini_series_csv
 
             write_gini_series_csv(task.series_path, result)
-    except (PDNetSimError, OSError) as exc:
+    except Exception as exc:  # a failed run must not lose its siblings
+        known = isinstance(exc, (PDNetSimError, OSError))
         return SuiteRow(
             network=task.network,
             group=task.group_label,
@@ -327,7 +332,7 @@ def execute_task(task: RunTask) -> SuiteRow:
             replicate=task.replicate,
             final_gini=None,
             converged_at=None,
-            status=f"error: {exc}",
+            status=f"error: {exc}" if known else f"error: {type(exc).__name__}: {exc}",
         )
     return SuiteRow(
         network=task.network,
@@ -347,8 +352,8 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
     series_path_for(network, group_label, bank_label, replicate), when
     given, names the per-run Gini series CSV each worker writes. Rows come
     back in task order regardless of worker completion order, so repeated
-    invocations produce identical summaries. Per-run input errors land in
-    the row's status; sibling runs proceed.
+    invocations produce identical summaries. A failed run lands in its
+    row's status; sibling runs proceed.
     """
     tasks = suite_tasks(spec, series_path_for)
     rows: list[SuiteRow] = []

@@ -120,6 +120,37 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     assert "missing required" in err
 
 
+def test_run_with_balances_beyond_int64(tmp_path):
+    # 10**19 does not fit a 64-bit integer. On a triangle of two defectors
+    # and a cooperator, a defector takes the cooperator's whole balance,
+    # leaving balances near (0, B, 2B), whose Gini is 4/9.
+    graph_path = tmp_path / "triangle.txt"
+    graph_path.write_text("0 1\n1 2\n0 2\n")
+    out_dir = tmp_path / "out"
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        textwrap.dedent(
+            f"""\
+            graph = {graph_path}
+            graph_format = snap
+            experiment = 1
+            group = 4:4:0:0
+            bank = 0
+            iterations = 10
+            initial_balance = 10000000000000000000
+            betrayal_transfer = 10000000000000000000
+            seed = 3
+            out = {out_dir}
+            """
+        )
+    )
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    lines = (out_dir / "gini_series.csv").read_text().strip().split("\n")
+    assert lines[1] == "1,0.444444,4,29999999999999999996,2,1"
+    assert lines[-1] == "8,0.444444,32,29999999999999999968,0,3"
+    assert "final_gini = 0.444444" in (out_dir / "summary.txt").read_text()
+
+
 def _write_network(tmp_path, name, seed):
     from conftest import random_graph
 

@@ -15,6 +15,7 @@ from pdnetsim import (
     SimConfig,
     decide,
     gini,
+    graph_from_edges,
     resolve_game,
     run,
     shuffle_order,
@@ -328,6 +329,31 @@ def test_non_negativity_under_snapshot_semantics():
         run(g, random_assignment(g.node_count, rng), cfg, iteration_hook=check)
 
 
+def test_zero_balance_is_absorbing():
+    # A node at zero never plays and a game that samples it is skipped, so
+    # nothing can ever pay it again; the engine relies on this to drop dead
+    # nodes from its turn order.
+    rng = random.Random(4242)
+    for case in range(16):
+        g = random_graph(rng.randint(10, 80), rng.uniform(1.5, 6.0), seed=rng.randrange(10**6))
+        cfg = SimConfig(
+            iterations=60,
+            initial_balance=rng.randint(2, 15),
+            payoff=PayoffParams(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 5)),
+            bank=Bank(infinite=True) if case % 4 == 3 else Bank(balance=rng.randint(0, 200)),
+            seed=rng.randrange(10**9),
+            balance_semantics=LIVE if case % 2 == 0 else SNAPSHOT,
+        )
+        dead: set[int] = set()
+
+        def check(iteration, balances, bank_balance):
+            assert all(balances[v] == 0 for v in dead)
+            dead.update(v for v, balance in enumerate(balances) if balance == 0)
+
+        run(g, random_assignment(g.node_count, rng), cfg, iteration_hook=check)
+        assert dead, "no node ever reached zero"
+
+
 def test_games_played_plus_skipped_covers_every_turn():
     g = random_graph(25, 3.0, seed=4)
     cfg = SimConfig(iterations=30, bank=Bank(balance=50), seed=8)
@@ -373,14 +399,15 @@ def test_tit_for_tat_mirrors_global_last_action():
 # --- run: engine matches the plain reference ----------------------------------
 
 
-def test_engine_matches_reference_implementation():
+def _reference_cases():
+    """(graph, assignment, cfg) inputs for the reference comparison."""
     rng = random.Random(31415)
     for case in range(40):
         g = random_graph(rng.randint(4, 14), rng.uniform(1.0, 4.0), seed=rng.randrange(10**6))
         assignment = random_assignment(g.node_count, rng)
         infinite = rng.random() < 0.3
         bank = Bank(infinite=True) if infinite else Bank(balance=rng.randint(0, 60))
-        cfg = SimConfig(
+        yield g, assignment, SimConfig(
             iterations=rng.randint(1, 25),
             initial_balance=rng.randint(1, 12),
             payoff=PayoffParams(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 5)),
@@ -388,6 +415,54 @@ def test_engine_matches_reference_implementation():
             seed=rng.randrange(10**9),
             balance_semantics=LIVE if case % 2 == 0 else SNAPSHOT,
         )
+    # Collapse: bank 0 and mostly defectors drain most nodes to zero, so the
+    # engine drops dead nodes from its turn order and takes the Gini over
+    # the holders only.
+    rng = random.Random(2718)
+    for case in range(8):
+        g = random_graph(rng.randint(60, 200), rng.uniform(2.0, 8.0), seed=rng.randrange(10**6))
+        assignment = rng.choices([D, C, T, R], weights=[5, 1, 1, 1], k=g.node_count)
+        yield g, assignment, SimConfig(
+            iterations=rng.randint(60, 150),
+            initial_balance=rng.randint(3, 20),
+            payoff=PayoffParams(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 5)),
+            bank=Bank(balance=0),
+            seed=rng.randrange(10**9),
+            balance_semantics=LIVE if case % 2 == 0 else SNAPSHOT,
+        )
+    yield NETTING_PASS
+
+
+# K4 with two defectors and two cooperators: in pass 1 every game moves
+# capital (a mutual betrayal, a mutual silence and two transfers), yet every
+# node ends the pass where it started, so the run converges at pass 1. A
+# "some game changed a balance" flag would not stop here; the end-of-pass
+# equality check does.
+NETTING_PASS = (
+    graph_from_edges([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+    [D, D, C, C],
+    SimConfig(
+        iterations=35,
+        initial_balance=9,
+        payoff=PayoffParams(3, 3, 3),
+        bank=Bank(infinite=True),
+        seed=236039528,
+    ),
+)
+
+
+def test_convergence_is_an_end_of_pass_equality_not_a_change_flag():
+    result = run(*NETTING_PASS)
+    first = result.iteration_stats[0]
+    assert result.converged_at == 1
+    assert first.games_played == 4
+    assert first.bank_inflow == 6 and first.bank_outflow == 6
+    assert result.final_balances == [9, 9, 9, 9]
+
+
+def test_engine_matches_reference_implementation():
+    collapsed = 0
+    for g, assignment, cfg in _reference_cases():
         result = run(g, assignment, cfg)
         ginis, balances, bank_end, converged, stats = reference_run(g, assignment, cfg)
         assert result.gini_series == ginis
@@ -395,6 +470,8 @@ def test_engine_matches_reference_implementation():
         assert result.final_bank == bank_end
         assert result.converged_at == converged
         assert as_stat_tuples(result) == stats
+        collapsed += 2 * balances.count(0) > g.node_count
+    assert collapsed >= 4  # the collapse cases really collapse
 
 
 def test_live_and_snapshot_semantics_can_diverge():

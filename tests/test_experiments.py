@@ -254,6 +254,26 @@ def test_suite_isolates_per_run_failures(tiny_networks, tmp_path):
     assert all(status.startswith("error:") for status in by_network["broken"])
 
 
+def test_suite_survives_unexpected_exceptions(tiny_networks, monkeypatch):
+    from pdnetsim import experiments
+
+    real_run = experiments.run
+    spec = _tiny_suite(tiny_networks, 1)
+    doomed = suite_tasks(spec)[4].run_seed
+
+    def flaky_run(graph, assignment, cfg, iteration_hook=None):
+        if cfg.seed == doomed:
+            raise RuntimeError("boom")
+        return real_run(graph, assignment, cfg, iteration_hook)
+
+    monkeypatch.setattr(experiments, "run", flaky_run)
+    rows = run_suite(spec, workers=1)
+    assert len(rows) == 3 * 7 * 3
+    assert rows[4].status == "error: RuntimeError: boom"
+    assert rows[4].final_gini is None
+    assert all(row.status == "ok" for i, row in enumerate(rows) if i != 4)
+
+
 def test_suite_parallel_matches_serial(tiny_networks):
     spec = _tiny_suite(tiny_networks, 1)
     serial = run_suite(spec, workers=1)

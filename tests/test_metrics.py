@@ -80,3 +80,33 @@ def test_range_bound():
         vec = [rng.randint(0, 10**6) for _ in range(n)]
         g = gini(vec)
         assert 0.0 <= g <= (n - 1) / n < 1.0
+
+
+def test_n_pads_with_zeros():
+    rng = random.Random(10)
+    for _ in range(300):
+        values = [rng.randint(0, 10**6) for _ in range(rng.randint(0, 60))]
+        n = len(values) + rng.randint(0, 200)
+        if n == 0:
+            continue
+        assert gini(values, n) == gini(values + [0] * (n - len(values)))
+    assert gini([], 5) == 0.0
+    assert gini([0, 0], 5) == 0.0
+    assert gini([7], 4) == 0.75
+    with pytest.raises(ValueError):
+        gini([1, 2, 3], 2)
+    with pytest.raises(ValueError):
+        gini([], 0)
+
+
+@pytest.mark.parametrize("big", [10**15, 10**19])
+def test_exact_beyond_int64(big):
+    # z zeros and k equal holders: G = z / n exactly. At 10**15 the int64
+    # weighted sum overflows; at 10**19 a balance does not fit int64 at all.
+    assert gini([0] * 2000 + [big] * 2039) == 2000 / 4039
+    assert gini([big] * 2039, 4039) == 2000 / 4039
+    assert gini_oracle([0] * 100 + [big] * 100) == 0.5
+    rng = random.Random(big % 1000)
+    for _ in range(30):
+        vec = [rng.randint(0, big) for _ in range(rng.randint(2, 150))]
+        assert gini(vec) == pytest.approx(gini_oracle(vec), abs=1e-12)
