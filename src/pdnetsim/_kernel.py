@@ -1,0 +1,84 @@
+"""Build and load the compiled engine pass (`_pass.c`) on first use.
+
+The shared library is compiled once per source, flag set and machine type
+into ``${XDG_CACHE_HOME:-~/.cache}/pdnetsim/`` and reused by later
+processes. Each compile writes a temporary file that is then renamed into
+place, so processes compiling at the same time never load a half-written
+library. When that directory cannot be written, the library is compiled
+into a temporary directory for this process only.
+"""
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
+
+SOURCE = Path(__file__).with_name("_pass.c")
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+# pd_pass(order, m, offsets, targets, kinds, last, bal, start, params, acc, mt)
+_ARGTYPES = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 9
+
+
+class _CompileError(Exception):
+    pass
+
+
+@functools.cache
+def load():
+    """(pd_pass, None) once the kernel is loaded, else (None, reason)."""
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return None, "no C compiler (cc) found"
+    try:
+        source = SOURCE.read_bytes()
+    except OSError as exc:
+        return None, f"cannot read the kernel source: {exc}"
+    key = hashlib.sha256(source + " ".join(FLAGS).encode() + platform.machine().encode())
+    name = f"pass-{key.hexdigest()}.so"
+    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pdnetsim"
+    try:
+        try:
+            return _open(_compile(compiler, cache / name))
+        except OSError:  # the cache cannot be written: build for this process only
+            with tempfile.TemporaryDirectory(prefix="pdnetsim-", ignore_cleanup_errors=True) as tmp:
+                return _open(_compile(compiler, Path(tmp) / name))
+    except (_CompileError, OSError) as exc:
+        return None, f"compiling {SOURCE.name} failed: {exc}"
+
+
+def _compile(compiler: str, target: Path) -> Path:
+    """Compile SOURCE to `target` unless it is there already."""
+    if target.exists():
+        return target
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [compiler, *FLAGS, "-o", tmp, str(SOURCE)], capture_output=True, text=True, check=False
+        )
+        if proc.returncode != 0:
+            lines = proc.stderr.strip().splitlines()
+            raise _CompileError(lines[0] if lines else f"{compiler} exited with {proc.returncode}")
+        os.replace(tmp, target)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return target
+
+
+def _open(path: Path):
+    """(pd_pass, None) from the library at `path`, or (None, reason)."""
+    try:
+        function = ctypes.CDLL(str(path)).pd_pass
+    except (OSError, AttributeError) as exc:
+        return None, f"loading the compiled kernel failed: {exc}"
+    function.argtypes = _ARGTYPES
+    function.restype = ctypes.c_int
+    return function, None

@@ -11,6 +11,7 @@ import os
 import random
 import sys
 
+from . import _kernel
 from .engine import LIVE, Bank, PayoffParams, SimConfig, run
 from .errors import ConfigError, ParseError
 from .experiments import (
@@ -71,18 +72,22 @@ def parse_kv_config(path: str) -> dict[str, list[str]]:
     """Parse 'key = value' lines; repeated keys accumulate in file order."""
     values: dict[str, list[str]] = {}
     with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not key or not value:
-                raise ConfigError(f"{path}: line {lineno}: empty key or value")
-            values.setdefault(key, []).append(value)
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key or not value:
+            raise ConfigError(f"{path}: line {lineno}: empty key or value")
+        values.setdefault(key, []).append(value)
     return values
 
 
@@ -136,6 +141,14 @@ def _group_from(experiment: int, label: str):
     return ProportionGroup.parse(label) if experiment == 1 else DegreeGroup.parse(label)
 
 
+def _note_python_fallback() -> None:
+    """Say on stderr, once per command, when engine passes cannot use the
+    compiled kernel."""
+    reason = _kernel.load()[1]
+    if reason is not None:
+        print(f"note: {reason}; engine passes run in the slower Python loop", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     values = parse_kv_config(args.config)
     _check_keys(values, _RUN_REQUIRED, _RUN_OPTIONAL, args.config)
@@ -166,6 +179,7 @@ def cmd_run(args) -> int:
     else:
         assignment = assign_by_degree(graph, group, rng)
 
+    _note_python_fallback()
     result = run(graph, assignment, cfg)
     os.makedirs(out_dir, exist_ok=True)
     write_gini_series_csv(os.path.join(out_dir, "gini_series.csv"), result)
@@ -250,6 +264,7 @@ def cmd_suite(args) -> int:
                 file=sys.stderr,
             )
 
+    _note_python_fallback()
     rows = run_suite(spec, series_path_for=series_path_for, workers=workers, progress=progress)
     write_suite_summary_csv(os.path.join(out_dir, "suite_summary.csv"), rows)
     failed = sum(1 for row in rows if row.status != "ok")

@@ -40,15 +40,37 @@ transacting immediately; total capital is conserved exactly against the
 bank. Under "snapshot" semantics checks and clamps see start-of-pass
 balances and each game overwrites its players' balances from that
 snapshot (last write wins), which intentionally trades conservation for
-strict update-from-snapshot ordering.
+strict update-from-snapshot ordering. Both are one rule: every write is
+``balances[x] = effective[x] + delta``, where ``effective`` is the live
+balances or the pass's start copy.
+
+Two pass loops: everything around a pass (the shuffle, the Gini, the
+stats, the hook and the convergence test) is Python, and a pass itself is
+played either by ``_python_passes`` or by ``_pass.c`` through ctypes.
+Both apply the rules above in the same order and give identical outputs.
+The C kernel runs when it could be built and loaded (see ``_kernel``),
+when no balance, bank balance or flow can leave int64 (``_fits_int64``),
+and when every neighbor id is an integer in [0, node_count), so the
+kernel never reads out of bounds. Otherwise the Python loop runs; it is
+also the reference the kernel is tested against. The shuffle stays in
+Python; the kernel then takes over the generator's MT19937 state (624
+words and the index, from ``getstate()``) and reproduces CPython's
+``random()`` draw for draw. The kernel is compiled on the first ``run``
+that can use it, not at import, so importing the package never starts a
+compiler. The adjacency's CSR arrays are built inside ``run``, once per
+Graph object, so graph loading costs the same with or without the kernel.
 """
 
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
+import numpy as np
+
+from . import _kernel
 from .errors import ConfigError
 from .graph import Graph
-from .metrics import gini
+from .metrics import _INT64_LIMIT, gini
 from .strategies import ActionMemory, AgentKind
 
 LIVE = "live"
@@ -194,15 +216,52 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
     """
     n = graph.node_count
     strategies = _strategy_codes(n, assignment)
-    payoff = cfg.payoff
-
     rng = random.Random(cfg.seed)
     order = shuffle_order(range(n), rng)
 
-    balances = [cfg.initial_balance] * n
-    memory = ActionMemory(n)
-    last = memory.codes
-    adjacency = graph.adjacency
+    kernel = _kernel.load()[0]
+    csr = _csr(graph) if kernel is not None and _fits_int64(n, cfg) else None
+    state = rng.getstate()
+    if csr is not None and state[0] == 3 and len(state[1]) == 625:
+        balances = np.full(n, cfg.initial_balance, dtype=np.int64)
+        to_list = np.ndarray.tolist
+        passes = _kernel_passes(kernel, csr, strategies, order, balances, cfg, state[1])
+    else:
+        balances = [cfg.initial_balance] * n
+        to_list = list.copy
+        passes = _python_passes(graph.adjacency, strategies, order, balances, cfg, rng)
+
+    gini_series: list[float] = []
+    stats: list[IterationStats] = []
+    converged_at = None
+    for iteration, (stat, held, converged) in zip(range(1, cfg.iterations + 1), passes):
+        gini_series.append(gini(held, n))
+        stats.append(stat)
+        if iteration_hook is not None:
+            iteration_hook(iteration, to_list(balances), stat.bank_balance)
+        if converged:
+            converged_at = iteration
+            break
+
+    return RunResult(
+        gini_series=gini_series,
+        converged_at=converged_at,
+        final_balances=to_list(balances),
+        final_bank=stats[-1].bank_balance,
+        iteration_stats=stats,
+    )
+
+
+def _python_passes(adjacency, strategies, order, balances, cfg, rng):
+    """The pass loop in Python: the reference for `_pass.c` and its fallback.
+
+    Plays one pass over `balances` (a list, updated in place) per next()
+    and yields (stats, held, converged): held is what the Gini is taken
+    over, converged whether the pass left every balance where it began.
+    """
+    n = len(balances)
+    payoff = cfg.payoff
+    last = ActionMemory(n).codes
 
     bank_infinite = cfg.bank.infinite
     bank_balance = 0 if bank_infinite else cfg.bank.balance
@@ -214,12 +273,9 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
     transfer = payoff.betrayal_transfer
 
     rng_random = rng.random
-    gini_series: list[float] = []
-    stats: list[IterationStats] = []
-    converged_at = None
     drained = 0  # payers left at zero since order was last rebuilt
 
-    for iteration in range(1, cfg.iterations + 1):
+    while True:
         start = balances[:]
         effective = balances if live else start
         played = 0
@@ -263,46 +319,24 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
             else:
                 act_o = 0 if rng_random() < 0.5 else 1
 
-            if act_v != act_o:
-                if act_v == 1:  # v betrays, o silent: o pays v
-                    t = min(transfer, effective[o])
-                    if live:
-                        balances[o] -= t
-                        balances[v] += t
-                    else:
-                        balances[o] = start[o] - t
-                        balances[v] = start[v] + t
-                    if not balances[o]:
-                        drained += 1
-                else:  # v silent, o betrays: v pays o
-                    t = min(transfer, effective[v])
-                    if live:
-                        balances[v] -= t
-                        balances[o] += t
-                    else:
-                        balances[v] = start[v] - t
-                        balances[o] = start[o] + t
-                    if not balances[v]:
-                        drained += 1
+            if act_v != act_o:  # the silent player pays the betrayer
+                payer, payee = (o, v) if act_v else (v, o)
+                t = min(transfer, effective[payer])
+                balances[payer] = effective[payer] - t
+                balances[payee] = effective[payee] + t
+                if not balances[payer]:
+                    drained += 1
             elif act_v == 0:  # both silent: bank pays both or neither
                 if bank_infinite or bank_balance >= reward_cost:
-                    if live:
-                        balances[v] += reward
-                        balances[o] += reward
-                    else:
-                        balances[v] = start[v] + reward
-                        balances[o] = start[o] + reward
+                    balances[v] = effective[v] + reward
+                    balances[o] = effective[o] + reward
                     bank_balance -= reward_cost
                     outflow += reward_cost
             else:  # both betray: both pay the bank
                 t1 = min(penalty, effective[v])
                 t2 = min(penalty, effective[o])
-                if live:
-                    balances[v] -= t1
-                    balances[o] -= t2
-                else:
-                    balances[v] = start[v] - t1
-                    balances[o] = start[o] - t2
+                balances[v] = effective[v] - t1
+                balances[o] = effective[o] - t2
                 if not balances[v]:
                     drained += 1
                 if not balances[o]:
@@ -320,31 +354,87 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
         # Every node outside order is at zero, so below half alive it is
         # cheaper to gather the rest than to convert all n balances.
         held = [balances[v] for v in order] if 2 * len(order) <= n else balances
-        gini_series.append(gini(held, n))
         reported_bank = None if bank_infinite else bank_balance
-        stats.append(
-            IterationStats(
-                games_played=played,
-                games_skipped=skipped,
-                bank_inflow=inflow,
-                bank_outflow=outflow,
-                bank_balance=reported_bank,
-                total_balance=sum(held),
-            )
-        )
-        if iteration_hook is not None:
-            iteration_hook(iteration, balances[:], reported_bank)
-        if balances == start:
-            converged_at = iteration
-            break
+        stat = IterationStats(played, skipped, inflow, outflow, reported_bank, sum(held))
+        yield stat, held, balances == start
 
-    return RunResult(
-        gini_series=gini_series,
-        converged_at=converged_at,
-        final_balances=balances,
-        final_bank=None if bank_infinite else bank_balance,
-        iteration_stats=stats,
+
+def _kernel_passes(kernel, csr, strategies, order, balances, cfg, mt_state):
+    """`_python_passes` with each pass played by `_pass.c`.
+
+    `balances` is an int64 array; mt_state holds the 624 MT19937 words and
+    the index of the run's generator after the shuffle.
+    """
+    n = len(balances)
+    offsets, targets = csr
+    payoff = cfg.payoff
+    infinite = cfg.bank.infinite
+    order = np.array(order, dtype=np.int64)
+    kinds = np.array(strategies, dtype=np.int8)
+    last = np.full(n, -1, dtype=np.int8)
+    start = np.empty_like(balances)
+    # In the order of _pass.c's P_* and A_* slots.
+    params = np.array(
+        [n, cfg.balance_semantics == LIVE, infinite]
+        + [payoff.coop_reward, payoff.defect_penalty, payoff.betrayal_transfer],
+        dtype=np.int64,
     )
+    acc = np.array([0 if infinite else cfg.bank.balance, 0, 0, 0, 0, 0], dtype=np.int64)
+    mt = np.array(mt_state, dtype=np.uint32)
+    arrays = (offsets, targets, kinds, last, balances, start, params, acc, mt)
+    pointers = [a.ctypes.data for a in arrays]  # the arrays stay alive in this frame
+
+    while True:
+        converged = kernel(order.ctypes.data, len(order), *pointers)
+        bank_balance, played, skipped, inflow, outflow, drained = acc.tolist()
+        if drained * 8 > len(order):
+            order = order[balances[order] != 0]
+            acc[-1] = 0  # drained
+        held = balances[order] if 2 * len(order) <= n else balances
+        reported_bank = None if infinite else bank_balance
+        stat = IterationStats(played, skipped, inflow, outflow, reported_bank, int(held.sum()))
+        yield stat, held, converged == 1
+
+
+def _fits_int64(n: int, cfg: SimConfig) -> bool:
+    """Whether no balance, bank balance or flow of the run can leave int64.
+
+    Live runs conserve capital against a finite bank; snapshot runs can
+    create some (a node's losses in a pass are overwritten by its last
+    gain), but no node gains more than the largest payoff per pass, and the
+    bank takes in at most twice the penalty per game. The bound covers both.
+    """
+    payoff = cfg.payoff
+    largest = max(payoff.coop_reward, payoff.defect_penalty, payoff.betrayal_transfer)
+    bank = 0 if cfg.bank.infinite else cfg.bank.balance
+    return n * cfg.initial_balance + bank + 2 * n * cfg.iterations * largest < _INT64_LIMIT
+
+
+_last_csr = (None, None)  # (graph, its CSR): suites run many runs per graph
+
+
+def _csr(graph: Graph):
+    """graph.adjacency as CSR arrays (int64 offsets, int32 targets), or None
+    when a neighbor is not an integer in [0, node_count), which the kernel
+    could not index safely."""
+    global _last_csr
+    if _last_csr[0] is not graph:
+        _last_csr = (graph, _build_csr(graph.node_count, graph.adjacency))
+    return _last_csr[1]
+
+
+def _build_csr(n: int, adjacency):
+    if len(adjacency) != n:
+        return None
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, adjacency), dtype=np.int64, count=n), out=offsets[1:])
+    try:
+        targets = np.fromiter(chain.from_iterable(adjacency), dtype=np.int32, count=offsets[-1])
+    except (TypeError, ValueError, OverflowError):  # not integers that fit int32
+        return None
+    if targets.size and (targets.min() < 0 or targets.max() >= n):
+        return None
+    return offsets, targets
 
 
 def _strategy_codes(node_count: int, assignment) -> list[int]:

@@ -17,6 +17,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+from . import _kernel
 from .engine import LIVE, Bank, PayoffParams, SimConfig, shuffle_order, run
 from .errors import ConfigError, PDNetSimError
 from .graph import Graph, degree_ranked_nodes, load_graph
@@ -358,6 +359,7 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
     tasks = suite_tasks(spec, series_path_for)
     rows: list[SuiteRow] = []
     if workers > 1 and len(tasks) > 1:
+        _kernel.load()  # here, so that forked workers inherit it instead of each loading it
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             iterator = pool.map(execute_task, tasks, chunksize=chunk)

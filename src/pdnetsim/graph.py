@@ -160,9 +160,12 @@ def load_graph(path: str, fmt: str) -> Graph:
     if fmt not in GRAPH_FORMATS:
         raise ConfigError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
     with open(path, "r", encoding="utf-8") as handle:
-        if fmt == FORMAT_SNAP:
-            return load_snap_edge_list(handle)
-        return load_bitcoin_otc_csv(handle)
+        try:
+            if fmt == FORMAT_SNAP:
+                return load_snap_edge_list(handle)
+            return load_bitcoin_otc_csv(handle)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def write_edge_list(graph: Graph, stream: TextIO) -> None:

@@ -6,6 +6,7 @@ decimal places. Identical inputs therefore produce byte-identical files.
 """
 
 import csv
+import io
 import os
 import re
 
@@ -89,25 +90,29 @@ def write_suite_summary_csv(path: str, rows) -> None:
 def read_gini_series_csv(path: str) -> tuple[list[float], list[float]]:
     """Read (iterations, gini values) back from a series CSV, for plotting."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(f"{path}: empty series CSV")
         try:
-            iter_col = header.index("iteration")
-            gini_col = header.index("gini")
-        except ValueError:
-            raise ParseError(f"{path}: missing 'iteration'/'gini' columns") from None
-        xs: list[float] = []
-        ys: list[float] = []
-        for lineno, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            try:
-                xs.append(float(fields[iter_col]))
-                ys.append(float(fields[gini_col]))
-            except (ValueError, IndexError):
-                raise ParseError(f"{path}: line {lineno}: malformed series row") from None
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(f"{path}: empty series CSV")
+    try:
+        iter_col = header.index("iteration")
+        gini_col = header.index("gini")
+    except ValueError:
+        raise ParseError(f"{path}: missing 'iteration'/'gini' columns") from None
+    xs: list[float] = []
+    ys: list[float] = []
+    for lineno, fields in enumerate(reader, start=2):
+        if not fields:
+            continue
+        try:
+            xs.append(float(fields[iter_col]))
+            ys.append(float(fields[gini_col]))
+        except (ValueError, IndexError):
+            raise ParseError(f"{path}: line {lineno}: malformed series row") from None
     if not xs:
         raise ParseError(f"{path}: series CSV holds no data rows")
     return xs, ys

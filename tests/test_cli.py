@@ -4,7 +4,11 @@ import textwrap
 
 import pytest
 
+from pdnetsim import _kernel
 from pdnetsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE, main
+
+NO_CC = "no C compiler (cc) found"
+FALLBACK_NOTE = f"note: {NO_CC}; engine passes run in the slower Python loop\n"
 
 
 @pytest.fixture
@@ -105,6 +109,21 @@ def test_run_malformed_graph_is_parse_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_run_non_utf8_graph_is_parse_error(tmp_path, two_node_run, capsys):
+    config_path, _ = two_node_run
+    graph_path = tmp_path / "pair.txt"
+    graph_path.write_bytes(b"0 1\n\xff 2\n")
+    assert main(["run", "--config", str(config_path)]) == EXIT_PARSE
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_non_utf8_config_is_config_error(tmp_path, two_node_run, capsys):
+    config_path, _ = two_node_run
+    config_path.write_bytes(config_path.read_bytes() + b"# caf\xff\n")
+    assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+    assert "not UTF-8" in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path, two_node_run, capsys):
     config_path, _ = two_node_run
     config_path.write_text(config_path.read_text() + "mystery = 1\n")
@@ -120,7 +139,7 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     assert "missing required" in err
 
 
-def test_run_with_balances_beyond_int64(tmp_path):
+def test_run_with_balances_beyond_int64(tmp_path, capsys):
     # 10**19 does not fit a 64-bit integer. On a triangle of two defectors
     # and a cooperator, a defector takes the cooperator's whole balance,
     # leaving balances near (0, B, 2B), whose Gini is 4/9.
@@ -149,6 +168,8 @@ def test_run_with_balances_beyond_int64(tmp_path):
     assert lines[1] == "1,0.444444,4,29999999999999999996,2,1"
     assert lines[-1] == "8,0.444444,32,29999999999999999968,0,3"
     assert "final_gini = 0.444444" in (out_dir / "summary.txt").read_text()
+    if _kernel.load()[0] is not None:  # the Python loop ran, and that is not a fallback
+        assert capsys.readouterr().err == ""
 
 
 def _write_network(tmp_path, name, seed):
@@ -227,6 +248,65 @@ def test_suite_all_failures_exit_nonzero(tmp_path, capsys):
     assert "error:" in summary
 
 
+def test_suite_non_utf8_network_marks_its_row(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0 1\n\xff 2\n")
+    config_path = tmp_path / "suite.cfg"
+    config_path.write_text(
+        textwrap.dedent(
+            f"""\
+            experiment = 1
+            network = good snap {_write_network(tmp_path, "good", 1)}
+            network = bad snap {bad}
+            groups = 2:2:2:2
+            banks = 0
+            seed = 1
+            replicates = 1
+            iterations = 3
+            out = {tmp_path / 'out'}
+            """
+        )
+    )
+    assert main(["suite", "--config", str(config_path)]) == EXIT_OK
+    rows = (tmp_path / "out" / "suite_summary.csv").read_text().strip().split("\n")[1:]
+    assert rows[0].endswith(",ok")
+    assert "error: " in rows[1] and "not UTF-8" in rows[1]
+    assert "UnicodeDecodeError" not in rows[1]
+
+
+def test_run_notes_the_python_fallback_once(tmp_path, two_node_run, capsys, monkeypatch):
+    config_path, out_dir = two_node_run
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+    kernel = capsys.readouterr()
+    if _kernel.load()[0] is not None:
+        assert kernel.err == ""
+    monkeypatch.setattr(_kernel, "load", lambda: (None, NO_CC))
+    other = tmp_path / "other"
+    assert main(["run", "--config", str(config_path), "--out", str(other)]) == EXIT_OK
+    fallback = capsys.readouterr()
+    assert fallback.err == FALLBACK_NOTE
+    assert fallback.out.replace(str(other), str(out_dir)) == kernel.out
+    for name in ("gini_series.csv", "summary.txt"):
+        assert (other / name).read_bytes() == (out_dir / name).read_bytes()
+
+
+def test_suite_notes_the_python_fallback_once(suite_config, tmp_path, capsys, monkeypatch):
+    config_path, out_dir = suite_config
+    assert main(["suite", "--config", str(config_path), "--workers", "2"]) == EXIT_OK
+    kernel = capsys.readouterr()
+    if _kernel.load()[0] is not None:
+        assert kernel.err == ""
+    monkeypatch.setattr(_kernel, "load", lambda: (None, NO_CC))
+    other = tmp_path / "other"
+    assert main(["suite", "--config", str(config_path), "--out", str(other)]) == EXIT_OK
+    fallback = capsys.readouterr()
+    assert fallback.err == FALLBACK_NOTE
+    assert fallback.out.replace(str(other), str(out_dir)) == kernel.out
+    assert (other / "suite_summary.csv").read_bytes() == (out_dir / "suite_summary.csv").read_bytes()
+    for series in (out_dir / "runs").iterdir():
+        assert (other / "runs" / series.name).read_bytes() == series.read_bytes()
+
+
 def test_plot_three_series(tmp_path, two_node_run):
     config_path, out_dir = two_node_run
     main(["run", "--config", str(config_path)])
@@ -258,6 +338,13 @@ def test_plot_rejects_empty_csv(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     assert main(["plot", str(empty), "--out", str(tmp_path / "x.svg")]) == EXIT_PARSE
+
+
+def test_plot_non_utf8_series_is_parse_error(tmp_path, capsys):
+    series = tmp_path / "latin1.csv"
+    series.write_bytes(b"iteration,gini\n1,0.5\n# \xff\n")
+    assert main(["plot", str(series), "--out", str(tmp_path / "x.svg")]) == EXIT_PARSE
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 def test_plot_is_byte_deterministic(tmp_path, two_node_run):

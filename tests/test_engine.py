@@ -1,7 +1,9 @@
 import random
+import shutil
 
 import pytest
 
+from pdnetsim import _kernel
 from pdnetsim import (
     LIVE,
     SNAPSHOT,
@@ -83,6 +85,30 @@ def reference_run(graph, assignment, cfg):
             converged = iteration
             break
     return ginis, balances, None if cfg.bank.infinite else bank_balance, converged, stats
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    """Every pass played by the Python loop, as where the kernel cannot be built."""
+    monkeypatch.setattr(_kernel, "load", lambda: (None, "forced"))
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The order lengths of the passes the compiled kernel plays. Skips only
+    where no C compiler exists; anywhere else the kernel must load."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc)")
+    function, reason = _kernel.load()
+    assert function is not None, reason
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return function(*args)
+
+    monkeypatch.setattr(_kernel, "load", lambda: (counting, None))
+    return calls
 
 
 def as_stat_tuples(result):
@@ -430,6 +456,22 @@ def _reference_cases():
             seed=rng.randrange(10**9),
             balance_semantics=LIVE if case % 2 == 0 else SNAPSHOT,
         )
+    # Isolated nodes: they never play and are never sampled, so every one of
+    # their turns is skipped.
+    rng = random.Random(1618)
+    for case in range(8):
+        g = random_graph(rng.randint(4, 30), rng.uniform(1.0, 4.0), seed=rng.randrange(10**6))
+        isolated = rng.randint(1, 5)
+        g = Graph(g.node_count + isolated, g.adjacency + [[] for _ in range(isolated)], g.edge_count, {})
+        bank = Bank(infinite=True) if case % 4 == 3 else Bank(balance=rng.randint(0, 60))
+        yield g, random_assignment(g.node_count, rng), SimConfig(
+            iterations=rng.randint(1, 40),
+            initial_balance=rng.randint(1, 12),
+            payoff=PayoffParams(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 5)),
+            bank=bank,
+            seed=rng.randrange(10**9),
+            balance_semantics=LIVE if case % 2 == 0 else SNAPSHOT,
+        )
     yield NETTING_PASS
 
 
@@ -492,3 +534,86 @@ def test_live_and_snapshot_semantics_can_diverge():
             diverged = True
             break
     assert diverged, "live and snapshot semantics never diverged on the search set"
+
+
+# --- run: the compiled kernel and the Python loop ----------------------------
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_engine_matches_reference_implementation,
+        test_convergence_is_an_end_of_pass_equality_not_a_change_flag,
+        test_zero_balance_is_absorbing,
+        test_same_seed_reproduces_run_bit_for_bit,
+    ],
+    ids=lambda check: check.__name__.removeprefix("test_"),
+)
+def test_python_loop(check, python_loop):
+    """The checks above run passes through the kernel wherever one can be
+    built; here every pass is played by the Python loop instead."""
+    check()
+
+
+def test_kernel_plays_every_pass(kernel_calls):
+    g = random_graph(30, 4.0, seed=5)
+    cfg = SimConfig(iterations=12, bank=Bank(infinite=True), seed=7)
+    result = run(g, random_assignment(g.node_count, random.Random(6)), cfg)
+    assert len(kernel_calls) == result.iterations_executed == 12
+
+
+@pytest.mark.parametrize("initial_balance, kernel_passes", [(2**62 - 3, 1), (2**62 - 2, 0)])
+def test_python_loop_runs_past_the_int64_bound(kernel_calls, initial_balance, kernel_passes):
+    # Two nodes, one pass, every payoff 1: the largest value the run could
+    # reach is bounded by 2 * initial_balance + 2 * 2 * 1 * 1, which reaches
+    # 2**63 at the second initial balance.
+    g = path_graph(2)
+    cfg = SimConfig(
+        iterations=1,
+        initial_balance=initial_balance,
+        payoff=PayoffParams(1, 1, 1),
+        bank=Bank(balance=0),
+        seed=3,
+    )
+    result = run(g, [D, C], cfg)
+    assert len(kernel_calls) == kernel_passes
+    ginis, balances, bank_end, converged, stats = reference_run(g, [D, C], cfg)
+    assert result.gini_series == ginis
+    assert result.final_balances == balances
+    assert result.final_bank == bank_end
+    assert as_stat_tuples(result) == stats
+
+
+def test_snapshot_capital_creation_past_int64_stays_exact(kernel_calls):
+    # Under snapshot semantics the cooperator pays each defector from its
+    # start balance, so the pass creates capital: a total of 3 * 2**61
+    # becomes 2**63, one past int64, although no balance leaves it. A bound
+    # that trusts conservation (3 * 2**61 < 2**63) would let int64 wrap.
+    g = path_graph(3)
+    cfg = SimConfig(
+        iterations=2,
+        initial_balance=2**61,
+        payoff=PayoffParams(1, 1, 2**61),
+        bank=Bank(balance=0),
+        seed=1,
+        balance_semantics=SNAPSHOT,
+    )
+    result = run(g, [D, C, D], cfg)
+    assert not kernel_calls
+    assert result.iteration_stats[0].total_balance == 2**63
+    ginis, balances, bank_end, converged, stats = reference_run(g, [D, C, D], cfg)
+    assert result.gini_series == ginis
+    assert as_stat_tuples(result) == stats
+
+
+@pytest.mark.parametrize(
+    "node_count, adjacency",
+    [(2, [[1], [5]]), (3, [[1], [0]])],
+    ids=["neighbor-out-of-range", "adjacency-too-short"],
+)
+def test_hand_built_graph_with_a_missing_node_raises(node_count, adjacency):
+    # The kernel would read out of bounds, so the Python loop runs and
+    # raises as it always has.
+    g = Graph(node_count=node_count, adjacency=adjacency, edge_count=1, id_map={})
+    with pytest.raises(IndexError):
+        run(g, [C] * node_count, SimConfig(iterations=2, bank=Bank(infinite=True), seed=1))

@@ -1,0 +1,58 @@
+import shutil
+import subprocess
+
+import pytest
+
+from pdnetsim import _kernel
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc)")
+
+
+@needs_cc
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    # A warning here could be an error under another compiler, which would
+    # silently put every run on the Python loop.
+    proc = subprocess.run(
+        ["cc", *_kernel.FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"), str(_kernel.SOURCE)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_load_without_a_compiler_gives_the_reason(monkeypatch):
+    monkeypatch.setattr(shutil, "which", lambda name: None)
+    assert _kernel.load.__wrapped__() == (None, "no C compiler (cc) found")
+
+
+@needs_cc
+def test_load_reports_a_compile_failure(tmp_path, monkeypatch):
+    broken = tmp_path / "_pass.c"
+    broken.write_text("int pd_pass(void) { return }\n")
+    monkeypatch.setattr(_kernel, "SOURCE", broken)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    function, reason = _kernel.load.__wrapped__()
+    assert function is None
+    assert reason.startswith("compiling _pass.c failed: ")
+    assert not list((tmp_path / "cache" / "pdnetsim").iterdir())  # no temp file left behind
+
+
+@needs_cc
+def test_load_builds_into_the_cache_once(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    function, reason = _kernel.load.__wrapped__()
+    assert function is not None and reason is None
+    built = list((tmp_path / "pdnetsim").iterdir())
+    assert len(built) == 1 and built[0].name.startswith("pass-") and built[0].suffix == ".so"
+    mtime = built[0].stat().st_mtime_ns
+    assert _kernel.load.__wrapped__()[0] is not None
+    assert built[0].stat().st_mtime_ns == mtime
+
+
+@needs_cc
+def test_unwritable_cache_builds_for_the_process(tmp_path, monkeypatch):
+    not_a_directory = tmp_path / "file"
+    not_a_directory.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
+    function, reason = _kernel.load.__wrapped__()
+    assert function is not None and reason is None
