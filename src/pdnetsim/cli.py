@@ -16,8 +16,6 @@ from .engine import LIVE, Bank, PayoffParams, SimConfig, run
 from .errors import ConfigError, ParseError
 from .experiments import (
     DEFAULT_BANK_SETTINGS,
-    EXPERIMENT1_GROUPS,
-    EXPERIMENT2_GROUPS,
     BankSetting,
     DegreeGroup,
     NetworkSpec,
@@ -26,6 +24,7 @@ from .experiments import (
     assign_by_degree,
     assign_proportional,
     derive_seed,
+    experiment_groups,
     run_suite,
 )
 from .graph import GRAPH_FORMATS, load_graph, write_edge_list
@@ -44,28 +43,18 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_IO = 4
 
+# The settings every run of a command shares; read by _sim_settings.
+_SIM_KEYS = {
+    "iterations",
+    "initial_balance",
+    "balance_semantics",
+    "coop_reward",
+    "defect_penalty",
+    "betrayal_transfer",
+}
 _RUN_REQUIRED = {"graph", "graph_format", "experiment", "group", "bank", "seed", "out"}
-_RUN_OPTIONAL = {
-    "iterations",
-    "initial_balance",
-    "balance_semantics",
-    "coop_reward",
-    "defect_penalty",
-    "betrayal_transfer",
-}
 _SUITE_REQUIRED = {"experiment", "network", "seed", "out"}
-_SUITE_OPTIONAL = {
-    "groups",
-    "banks",
-    "replicates",
-    "iterations",
-    "initial_balance",
-    "balance_semantics",
-    "coop_reward",
-    "defect_penalty",
-    "betrayal_transfer",
-    "workers",
-}
+_SUITE_OPTIONAL = _SIM_KEYS | {"groups", "banks", "replicates", "workers"}
 
 
 def parse_kv_config(path: str) -> dict[str, list[str]]:
@@ -120,12 +109,18 @@ def _int_value(values: dict, key: str, default: int | None = None) -> int | None
         raise ConfigError(f"config key {key!r} must be an integer, got {text!r}") from None
 
 
-def _payoff_from(values: dict) -> PayoffParams:
-    return PayoffParams(
-        coop_reward=_int_value(values, "coop_reward", 1),
-        defect_penalty=_int_value(values, "defect_penalty", 2),
-        betrayal_transfer=_int_value(values, "betrayal_transfer", 3),
-    )
+def _sim_settings(values: dict) -> dict:
+    """The _SIM_KEYS settings as keyword arguments of SimConfig and SuiteSpec."""
+    return {
+        "iterations": _int_value(values, "iterations", 1000),
+        "initial_balance": _int_value(values, "initial_balance", 100),
+        "payoff": PayoffParams(
+            coop_reward=_int_value(values, "coop_reward", 1),
+            defect_penalty=_int_value(values, "defect_penalty", 2),
+            betrayal_transfer=_int_value(values, "betrayal_transfer", 3),
+        ),
+        "balance_semantics": _single(values, "balance_semantics", LIVE),
+    }
 
 
 def _bank_from_label(label: str) -> Bank:
@@ -135,10 +130,6 @@ def _bank_from_label(label: str) -> Bank:
         return Bank(balance=int(label))
     except ValueError:
         raise ConfigError(f"bank must be a non-negative integer or 'inf', got {label!r}") from None
-
-
-def _group_from(experiment: int, label: str):
-    return ProportionGroup.parse(label) if experiment == 1 else DegreeGroup.parse(label)
 
 
 def _note_python_fallback() -> None:
@@ -151,30 +142,20 @@ def _note_python_fallback() -> None:
 
 def cmd_run(args) -> int:
     values = parse_kv_config(args.config)
-    _check_keys(values, _RUN_REQUIRED, _RUN_OPTIONAL, args.config)
+    _check_keys(values, _RUN_REQUIRED, _SIM_KEYS, args.config)
 
-    experiment = _int_value(values, "experiment")
-    if experiment not in (1, 2):
-        raise ConfigError(f"experiment must be 1 or 2, got {experiment!r}")
+    group_type = experiment_groups(_int_value(values, "experiment"))[0]
     graph_path = _single(values, "graph")
     fmt = _single(values, "graph_format")
-    group = _group_from(experiment, _single(values, "group"))
+    group = group_type.parse(_single(values, "group"))
     bank = _bank_from_label(_single(values, "bank"))
     seed = args.seed if args.seed is not None else _int_value(values, "seed")
     out_dir = args.out if args.out is not None else _single(values, "out")
-
-    cfg = SimConfig(
-        iterations=_int_value(values, "iterations", 1000),
-        initial_balance=_int_value(values, "initial_balance", 100),
-        payoff=_payoff_from(values),
-        bank=bank,
-        seed=seed,
-        balance_semantics=_single(values, "balance_semantics", LIVE),
-    )
+    cfg = SimConfig(**_sim_settings(values), bank=bank, seed=seed)
 
     graph = load_graph(graph_path, fmt)
     rng = random.Random(derive_seed(seed, "assign"))
-    if experiment == 1:
+    if isinstance(group, ProportionGroup):
         assignment = assign_proportional(graph.node_count, group, rng)
     else:
         assignment = assign_by_degree(graph, group, rng)
@@ -199,19 +180,17 @@ def _parse_network_entries(entries: list[str]) -> tuple[NetworkSpec, ...]:
         if len(fields) != 3:
             raise ConfigError(f"network entry must be 'NAME FORMAT PATH', got {entry!r}")
         name, fmt, path = fields
-        if fmt not in GRAPH_FORMATS:
-            raise ConfigError(f"unknown graph format {fmt!r} in network {name!r}")
         networks.append(NetworkSpec(name=name, path=path, fmt=fmt))
     return tuple(networks)
 
 
 def _parse_groups(experiment: int, text: str | None):
+    group_type, defaults = experiment_groups(experiment)
     if text is None or text.strip().lower() == "default":
-        return EXPERIMENT1_GROUPS if experiment == 1 else EXPERIMENT2_GROUPS
-    if experiment == 1:
-        return tuple(ProportionGroup.parse(part) for part in text.split(",") if part.strip())
+        return defaults
     # Degree-group labels contain commas, so entries are separated by ';'.
-    return tuple(DegreeGroup.parse(part) for part in text.split(";") if part.strip())
+    separator = ";" if group_type is DegreeGroup else ","
+    return tuple(group_type.parse(part) for part in text.split(separator) if part.strip())
 
 
 def _parse_banks(text: str | None) -> tuple[BankSetting, ...]:
@@ -232,21 +211,16 @@ def cmd_suite(args) -> int:
     _check_keys(values, _SUITE_REQUIRED, _SUITE_OPTIONAL, args.config)
 
     experiment = _int_value(values, "experiment")
-    if experiment not in (1, 2):
-        raise ConfigError(f"experiment must be 1 or 2, got {experiment!r}")
     spec = SuiteSpec(
-        networks=_parse_network_entries(values["network"]),
         experiment=experiment,
         groups=_parse_groups(experiment, _single(values, "groups")),
+        networks=_parse_network_entries(values["network"]),
         banks=_parse_banks(_single(values, "banks")),
         base_seed=args.seed if args.seed is not None else _int_value(values, "seed"),
         replicates=(
             args.replicates if args.replicates is not None else _int_value(values, "replicates", 5)
         ),
-        iterations=_int_value(values, "iterations", 1000),
-        initial_balance=_int_value(values, "initial_balance", 100),
-        payoff=_payoff_from(values),
-        balance_semantics=_single(values, "balance_semantics", LIVE),
+        **_sim_settings(values),
     )
     workers = args.workers if args.workers is not None else _int_value(values, "workers", 1)
     out_dir = args.out if args.out is not None else _single(values, "out")

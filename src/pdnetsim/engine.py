@@ -71,16 +71,11 @@ from . import _kernel
 from .errors import ConfigError
 from .graph import Graph
 from .metrics import _INT64_LIMIT, gini
-from .strategies import ActionMemory, AgentKind
+from .strategies import ACTIONS, ActionMemory, AgentKind
 
 LIVE = "live"
 SNAPSHOT = "snapshot"
 BALANCE_SEMANTICS = (LIVE, SNAPSHOT)
-
-_COOPERATOR = int(AgentKind.COOPERATOR)
-_DEFECTOR = int(AgentKind.DEFECTOR)
-_TIT_FOR_TAT = int(AgentKind.TIT_FOR_TAT)
-_RANDOM = int(AgentKind.RANDOM)
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,6 +257,7 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
     n = len(balances)
     payoff = cfg.payoff
     last = ActionMemory(n).codes
+    rows = [ACTIONS[kind] for kind in strategies]  # each node's row of the decision table
 
     bank_infinite = cfg.bank.infinite
     bank_balance = 0 if bank_infinite else cfg.bank.balance
@@ -297,26 +293,11 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
                 skipped += 1
                 continue
 
-            kind = strategies[v]
-            if kind == _COOPERATOR:
-                act_v = 0
-            elif kind == _DEFECTOR:
-                act_v = 1
-            elif kind == _TIT_FOR_TAT:
-                prev = last[o]
-                act_v = 0 if prev < 0 else prev
-            else:
+            act_v = rows[v][last[o]]
+            if act_v is None:  # a Random agent draws
                 act_v = 0 if rng_random() < 0.5 else 1
-
-            kind = strategies[o]
-            if kind == _COOPERATOR:
-                act_o = 0
-            elif kind == _DEFECTOR:
-                act_o = 1
-            elif kind == _TIT_FOR_TAT:
-                prev = last[v]
-                act_o = 0 if prev < 0 else prev
-            else:
+            act_o = rows[o][last[v]]
+            if act_o is None:
                 act_o = 0 if rng_random() < 0.5 else 1
 
             if act_v != act_o:  # the silent player pays the betrayer

@@ -15,12 +15,12 @@ import hashlib
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from . import _kernel
 from .engine import LIVE, Bank, PayoffParams, SimConfig, shuffle_order, run
 from .errors import ConfigError, PDNetSimError
-from .graph import Graph, degree_ranked_nodes, load_graph
+from .graph import GRAPH_FORMATS, Graph, degree_ranked_nodes, load_graph
 from .strategies import KIND_LETTERS, LETTER_OF_KIND, AgentKind
 
 
@@ -103,6 +103,19 @@ EXPERIMENT2_GROUPS = tuple(
 )
 
 
+def experiment_groups(experiment: int) -> tuple:
+    """(group type, built-in groups) of experiment 1 or 2.
+
+    The one place an experiment number is read; any other number is a
+    ConfigError.
+    """
+    if experiment == 1:
+        return ProportionGroup, EXPERIMENT1_GROUPS
+    if experiment == 2:
+        return DegreeGroup, EXPERIMENT2_GROUPS
+    raise ConfigError(f"experiment must be 1 or 2, got {experiment!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class BankSetting:
     label: str
@@ -122,6 +135,10 @@ class NetworkSpec:
     path: str
     fmt: str
 
+    def __post_init__(self):
+        if self.fmt not in GRAPH_FORMATS:
+            raise ConfigError(f"unknown graph format {self.fmt!r} in network {self.name!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class SuiteSpec:
@@ -135,20 +152,28 @@ class SuiteSpec:
     initial_balance: int = 100
     payoff: PayoffParams = PayoffParams()
     balance_semantics: str = LIVE
+    # The settings every run shares, validated here once; each task's
+    # config replaces only its bank and seed.
+    template: SimConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.experiment not in (1, 2):
-            raise ConfigError(f"experiment must be 1 or 2, got {self.experiment!r}")
+        wanted = experiment_groups(self.experiment)[0]
         if not self.networks or not self.groups or not self.banks:
             raise ConfigError("suite requires at least one network, group, and bank setting")
         if self.replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {self.replicates!r}")
-        wanted = ProportionGroup if self.experiment == 1 else DegreeGroup
         for group in self.groups:
             if not isinstance(group, wanted):
                 raise ConfigError(
                     f"experiment {self.experiment} takes {wanted.__name__} groups, got {type(group).__name__}"
                 )
+        template = SimConfig(
+            iterations=self.iterations,
+            initial_balance=self.initial_balance,
+            payoff=self.payoff,
+            balance_semantics=self.balance_semantics,
+        )
+        object.__setattr__(self, "template", template)
 
 
 def round_half_up(value: float) -> int:
@@ -214,25 +239,21 @@ def derive_seed(base_seed: int, *parts) -> int:
 
 @dataclass(frozen=True, slots=True)
 class RunTask:
-    """Pickle-friendly description of one suite run."""
+    """One suite run, as the objects that describe it; all of them pickle.
 
-    network: str
-    path: str
-    fmt: str
-    experiment: int
-    group_label: str
-    bank_label: str
-    bank_balance: int
-    bank_infinite: bool
+    The run is `run(graph, assignment, cfg)` on the network's graph, with
+    the assignment for `group` drawn from `random.Random(assign_seed)`.
+    `cfg` is the suite's template with this row's bank and its run
+    sub-seed as `cfg.seed`; both sub-seeds hash the run key (network name,
+    group label, bank label, replicate).
+    """
+
+    network: NetworkSpec
+    group: ProportionGroup | DegreeGroup
+    bank: BankSetting
     replicate: int
     assign_seed: int
-    run_seed: int
-    iterations: int
-    initial_balance: int
-    coop_reward: int
-    defect_penalty: int
-    betrayal_transfer: int
-    balance_semantics: str
+    cfg: SimConfig
     series_path: str | None
 
 
@@ -249,36 +270,31 @@ class SuiteRow:
 
 
 def suite_tasks(spec: SuiteSpec, series_path_for=None) -> list[RunTask]:
-    """Expand a suite spec into tasks in canonical network/group/bank/replicate order."""
+    """Expand a suite spec into tasks in canonical network/group/bank/replicate order.
+
+    Two tasks with the same run key would run with the same sub-seeds, and
+    two with the same series path would write one file; either is a
+    ConfigError.
+    """
     tasks = []
+    seen = {}  # run key or series path -> the run that claimed it
     for net in spec.networks:
         for group in spec.groups:
             for setting in spec.banks:
                 for rep in range(spec.replicates):
                     key = (net.name, group.label, setting.label, rep)
+                    name = "/".join(map(str, key))
                     series_path = series_path_for(*key) if series_path_for else None
-                    tasks.append(
-                        RunTask(
-                            network=net.name,
-                            path=net.path,
-                            fmt=net.fmt,
-                            experiment=spec.experiment,
-                            group_label=group.label,
-                            bank_label=setting.label,
-                            bank_balance=setting.bank.balance,
-                            bank_infinite=setting.bank.infinite,
-                            replicate=rep,
-                            assign_seed=derive_seed(spec.base_seed, *key, "assign"),
-                            run_seed=derive_seed(spec.base_seed, *key, "run"),
-                            iterations=spec.iterations,
-                            initial_balance=spec.initial_balance,
-                            coop_reward=spec.payoff.coop_reward,
-                            defect_penalty=spec.payoff.defect_penalty,
-                            betrayal_transfer=spec.payoff.betrayal_transfer,
-                            balance_semantics=spec.balance_semantics,
-                            series_path=series_path,
-                        )
-                    )
+                    if key in seen:
+                        raise ConfigError(f"suite runs {name} twice")
+                    if series_path is not None and series_path in seen:
+                        other = seen[series_path]
+                        raise ConfigError(f"suite runs {other} and {name} both write {series_path}")
+                    seen[key] = seen[series_path] = name
+                    run_seed = derive_seed(spec.base_seed, *key, "run")
+                    cfg = replace(spec.template, bank=setting.bank, seed=run_seed)
+                    assign_seed = derive_seed(spec.base_seed, *key, "assign")
+                    tasks.append(RunTask(net, group, setting, rep, assign_seed, cfg, series_path))
     return tasks
 
 
@@ -299,52 +315,33 @@ def _cached_graph(path: str, fmt: str) -> Graph:
 def execute_task(task: RunTask) -> SuiteRow:
     """Run one suite task, trapping any per-run failure into the row status.
 
-    Input and I/O errors read `error: <message>`; any other exception reads
+    Loads the network (cached per process), draws the group's assignment,
+    runs with `task.cfg` and writes the series file if the task names one;
+    the task's objects were validated when the suite was built. Input and
+    I/O errors read `error: <message>`; any other exception reads
     `error: <Type>: <message>`.
     """
+    row = SuiteRow(task.network.name, task.group.label, task.bank.label, task.replicate, None, None, "ok")
     try:
-        graph = _cached_graph(task.path, task.fmt)
+        graph = _cached_graph(task.network.path, task.network.fmt)
         rng = random.Random(task.assign_seed)
-        if task.experiment == 1:
-            group = ProportionGroup.parse(task.group_label)
-            assignment = assign_proportional(graph.node_count, group, rng)
+        if isinstance(task.group, ProportionGroup):
+            assignment = assign_proportional(graph.node_count, task.group, rng)
         else:
-            group = DegreeGroup.parse(task.group_label)
-            assignment = assign_by_degree(graph, group, rng)
-        cfg = SimConfig(
-            iterations=task.iterations,
-            initial_balance=task.initial_balance,
-            payoff=PayoffParams(task.coop_reward, task.defect_penalty, task.betrayal_transfer),
-            bank=Bank(balance=task.bank_balance, infinite=task.bank_infinite),
-            seed=task.run_seed,
-            balance_semantics=task.balance_semantics,
-        )
-        result = run(graph, assignment, cfg)
+            assignment = assign_by_degree(graph, task.group, rng)
+        result = run(graph, assignment, task.cfg)
         if task.series_path is not None:
             from .output import write_gini_series_csv
 
             write_gini_series_csv(task.series_path, result)
     except Exception as exc:  # a failed run must not lose its siblings
         known = isinstance(exc, (PDNetSimError, OSError))
-        return SuiteRow(
-            network=task.network,
-            group=task.group_label,
-            bank=task.bank_label,
-            replicate=task.replicate,
-            final_gini=None,
-            converged_at=None,
-            status=f"error: {exc}" if known else f"error: {type(exc).__name__}: {exc}",
-        )
-    return SuiteRow(
-        network=task.network,
-        group=task.group_label,
-        bank=task.bank_label,
-        replicate=task.replicate,
-        final_gini=result.gini_series[-1],
-        converged_at=result.converged_at,
-        status="ok",
-        series_path=task.series_path,
-    )
+        row.status = f"error: {exc}" if known else f"error: {type(exc).__name__}: {exc}"
+        return row
+    row.final_gini = result.gini_series[-1]
+    row.converged_at = result.converged_at
+    row.series_path = task.series_path
+    return row
 
 
 def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=None) -> list[SuiteRow]:
@@ -358,7 +355,8 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
     """
     tasks = suite_tasks(spec, series_path_for)
     rows: list[SuiteRow] = []
-    if workers > 1 and len(tasks) > 1:
+    workers = min(workers, len(tasks))  # a pool forks all its workers up front
+    if workers > 1:
         _kernel.load()  # here, so that forked workers inherit it instead of each loading it
         chunk = max(1, len(tasks) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -31,6 +31,18 @@ KIND_LETTERS = {
 LETTER_OF_KIND = {kind: letter for letter, kind in KIND_LETTERS.items()}
 
 
+# ACTIONS[kind][code]: the action code (0 SILENT, 1 BETRAY) an agent of
+# `kind` plays against an opponent whose last recorded action code is
+# `code`; -1 (never recorded) indexes the last slot. None means draw: one
+# rng.random() draw, < 0.5 for SILENT. The engine's Python loop reads it too.
+ACTIONS = (
+    (0, 0, 0),  # COOPERATOR
+    (1, 1, 1),  # DEFECTOR
+    (0, 1, 0),  # TIT_FOR_TAT: opens silent, then mirrors
+    (None, None, None),  # RANDOM
+)
+
+
 def decide(kind: AgentKind, opponent_last: Action | None, rng: random.Random) -> Action:
     """One decision for an agent of `kind` facing an opponent whose last
     recorded action is `opponent_last` (None if it never transacted).
@@ -38,15 +50,10 @@ def decide(kind: AgentKind, opponent_last: Action | None, rng: random.Random) ->
     Only RANDOM consumes randomness: exactly one rng.random() draw,
     mapped < 0.5 to SILENT. All other kinds leave the rng untouched.
     """
-    if kind == AgentKind.COOPERATOR:
-        return Action.SILENT
-    if kind == AgentKind.DEFECTOR:
-        return Action.BETRAY
-    if kind == AgentKind.TIT_FOR_TAT:
-        return Action.SILENT if opponent_last is None else Action(opponent_last)
-    if kind == AgentKind.RANDOM:
+    action = ACTIONS[AgentKind(kind)][-1 if opponent_last is None else opponent_last]
+    if action is None:
         return Action.SILENT if rng.random() < 0.5 else Action.BETRAY
-    raise ValueError(f"unknown agent kind: {kind!r}")
+    return Action(action)
 
 
 class ActionMemory:

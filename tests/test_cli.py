@@ -231,6 +231,57 @@ def test_suite_rerun_is_byte_identical(suite_config, tmp_path):
     assert (out_dir / "runs" / sample).read_bytes() == (other_dir / "runs" / sample).read_bytes()
 
 
+def _runs_started(monkeypatch):
+    """The suite tasks executed from now on, recorded instead of run."""
+    from pdnetsim import experiments
+
+    started = []
+    monkeypatch.setattr(experiments, "execute_task", started.append)
+    return started
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [("iterations = 0", "iterations must be"), ("balance_semantics = bogus", "balance_semantics must be")],
+    ids=["iterations", "balance_semantics"],
+)
+def test_suite_settings_are_validated_once_before_any_run(suite_config, monkeypatch, capsys, setting, message):
+    config_path, out_dir = suite_config
+    key = setting.split(" = ")[0]
+    kept = [line for line in config_path.read_text().splitlines() if not line.startswith(key)]
+    config_path.write_text("\n".join([*kept, setting]) + "\n")
+    started = _runs_started(monkeypatch)
+    assert main(["suite", "--config", str(config_path)]) == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0]
+    assert started == []
+    assert not (out_dir / "suite_summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "networks, banks, message",
+    [
+        (("g", "g"), "0,0", "suite runs g/2:2:2:2/0/0 twice"),
+        (("fb.v1", "fb-v1"), "0", "both write"),
+    ],
+    ids=["run-key", "series-path"],
+)
+def test_suite_rejects_colliding_rows(tmp_path, monkeypatch, capsys, networks, banks, message):
+    path = _write_network(tmp_path, "net", 1)
+    config_path = tmp_path / "suite.cfg"
+    config_path.write_text(
+        "experiment = 1\n"
+        + "".join(f"network = {name} snap {path}\n" for name in networks)
+        + f"groups = 2:2:2:2\nbanks = {banks}\nseed = 1\nreplicates = 1\niterations = 3\n"
+        + f"out = {tmp_path / 'out'}\n"
+    )
+    started = _runs_started(monkeypatch)
+    assert main(["suite", "--config", str(config_path), "--workers", "2"]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert started == []
+    assert not (tmp_path / "out" / "suite_summary.csv").exists()
+
+
 def test_suite_all_failures_exit_nonzero(tmp_path, capsys):
     config_path = tmp_path / "suite.cfg"
     config_path.write_text(

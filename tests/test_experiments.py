@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -18,9 +19,12 @@ from pdnetsim import (
     assign_proportional,
     degree_ranked_nodes,
     derive_seed,
+    load_graph,
+    run,
     run_suite,
 )
 from pdnetsim.experiments import suite_tasks
+from pdnetsim.output import run_file_name, write_gini_series_csv
 
 from conftest import random_graph
 
@@ -231,7 +235,7 @@ def test_suite_rows_deterministic(tiny_networks):
 def test_suite_subseeds_pairwise_distinct(tiny_networks):
     spec = _tiny_suite(tiny_networks, 2, replicates=3)
     tasks = suite_tasks(spec)
-    seeds = [t.assign_seed for t in tasks] + [t.run_seed for t in tasks]
+    seeds = [t.assign_seed for t in tasks] + [t.cfg.seed for t in tasks]
     assert len(seeds) == len(set(seeds))
 
 
@@ -259,7 +263,7 @@ def test_suite_survives_unexpected_exceptions(tiny_networks, monkeypatch):
 
     real_run = experiments.run
     spec = _tiny_suite(tiny_networks, 1)
-    doomed = suite_tasks(spec)[4].run_seed
+    doomed = suite_tasks(spec)[4].cfg.seed
 
     def flaky_run(graph, assignment, cfg, iteration_hook=None):
         if cfg.seed == doomed:
@@ -283,6 +287,65 @@ def test_suite_parallel_matches_serial(tiny_networks):
     ]
 
 
+def test_suite_pool_is_capped_at_the_task_count(tiny_networks, monkeypatch):
+    from pdnetsim import experiments
+
+    sizes = []
+
+    class RecordingPool:  # runs the tasks in this process; starts no worker
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    spec = SuiteSpec(
+        networks=tiny_networks[:1],
+        experiment=1,
+        groups=EXPERIMENT1_GROUPS[:2],
+        banks=DEFAULT_BANK_SETTINGS[:1],
+        replicates=1,
+        iterations=3,
+        initial_balance=10,
+    )
+    rows = run_suite(spec, workers=64)
+    assert sizes == [2]
+    assert [row.status for row in rows] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("experiment", [1, 2])
+def test_any_suite_row_can_be_rebuilt_through_the_api(tiny_networks, tmp_path, experiment):
+    spec = _tiny_suite(tiny_networks, experiment, replicates=2)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+
+    def series_path_for(*key):
+        return str(runs / run_file_name(*key))
+
+    assert all(row.status == "ok" for row in run_suite(spec, series_path_for=series_path_for))
+    task = next(
+        t
+        for t in suite_tasks(spec, series_path_for)
+        if (t.network.name, t.group, t.bank.label, t.replicate) == ("beta", spec.groups[3], "10000", 1)
+    )
+    graph = load_graph(task.network.path, task.network.fmt)
+    rng = random.Random(task.assign_seed)
+    if experiment == 1:
+        assignment = assign_proportional(graph.node_count, task.group, rng)
+    else:
+        assignment = assign_by_degree(graph, task.group, rng)
+    rebuilt = tmp_path / "rebuilt.csv"
+    write_gini_series_csv(str(rebuilt), run(graph, assignment, task.cfg))
+    assert rebuilt.read_bytes() == Path(task.series_path).read_bytes()
+
+
 def test_suite_spec_validation(tiny_networks):
     with pytest.raises(ConfigError):
         SuiteSpec(networks=tiny_networks, experiment=3, groups=EXPERIMENT1_GROUPS)
@@ -290,6 +353,10 @@ def test_suite_spec_validation(tiny_networks):
         SuiteSpec(networks=tiny_networks, experiment=2, groups=EXPERIMENT1_GROUPS)
     with pytest.raises(ConfigError):
         SuiteSpec(networks=(), experiment=1, groups=EXPERIMENT1_GROUPS)
+    with pytest.raises(ConfigError, match="iterations"):
+        SuiteSpec(networks=tiny_networks, experiment=1, groups=EXPERIMENT1_GROUPS, iterations=0)
+    with pytest.raises(ConfigError, match="unknown graph format"):
+        NetworkSpec(name="x", path="x.txt", fmt="gml")
 
 
 def test_default_bank_settings():
