@@ -162,7 +162,6 @@ def cmd_run(args) -> int:
 
     _note_python_fallback()
     result = run(graph, assignment, cfg)
-    os.makedirs(out_dir, exist_ok=True)
     write_gini_series_csv(os.path.join(out_dir, "gini_series.csv"), result)
     write_summary_txt(os.path.join(out_dir, "summary.txt"), result, seed)
     converged = "none" if result.converged_at is None else str(result.converged_at)
@@ -226,7 +225,6 @@ def cmd_suite(args) -> int:
     out_dir = args.out if args.out is not None else _single(values, "out")
 
     runs_dir = os.path.join(out_dir, "runs")
-    os.makedirs(runs_dir, exist_ok=True)
 
     def series_path_for(network, group_label, bank_label, replicate):
         return os.path.join(runs_dir, run_file_name(network, group_label, bank_label, replicate))

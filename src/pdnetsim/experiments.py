@@ -11,10 +11,12 @@ replicates. Every run gets sub-seeds derived by hashing its run key, so
 any single run of a sweep can be reproduced in isolation.
 """
 
+import functools
 import hashlib
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 from . import _kernel
@@ -298,18 +300,13 @@ def suite_tasks(spec: SuiteSpec, series_path_for=None) -> list[RunTask]:
     return tasks
 
 
-# One graph cache per worker process; suites run tasks grouped by network,
-# so each worker loads each file once.
-_graph_cache: dict = {}
-
-
+@functools.cache
 def _cached_graph(path: str, fmt: str) -> Graph:
-    key = (path, fmt)
-    graph = _graph_cache.get(key)
-    if graph is None:
-        graph = load_graph(path, fmt)
-        _graph_cache[key] = graph
-    return graph
+    """The graph of one network file, loaded once per process.
+
+    Suites run tasks grouped by network, so each worker loads each file once.
+    """
+    return load_graph(path, fmt)
 
 
 def execute_task(task: RunTask) -> SuiteRow:
@@ -354,20 +351,16 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
     row's status; sibling runs proceed.
     """
     tasks = suite_tasks(spec, series_path_for)
-    rows: list[SuiteRow] = []
     workers = min(workers, len(tasks))  # a pool forks all its workers up front
-    if workers > 1:
-        _kernel.load()  # here, so that forked workers inherit it instead of each loading it
-        chunk = max(1, len(tasks) // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            iterator = pool.map(execute_task, tasks, chunksize=chunk)
-            for done, row in enumerate(iterator, start=1):
-                rows.append(row)
-                if progress is not None:
-                    progress(done, len(tasks), row)
-    else:
-        for done, task in enumerate(tasks, start=1):
-            row = execute_task(task)
+    rows: list[SuiteRow] = []
+    with ExitStack() as stack:
+        if workers > 1:
+            _kernel.load()  # here, so that forked workers inherit it instead of each loading it
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            results = pool.map(execute_task, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
+        else:
+            results = map(execute_task, tasks)
+        for done, row in enumerate(results, start=1):
             rows.append(row)
             if progress is not None:
                 progress(done, len(tasks), row)

@@ -12,9 +12,14 @@ from typing import Iterable, Iterator, TextIO
 
 from .errors import ConfigError, ParseError
 
-FORMAT_SNAP = "snap"
-FORMAT_BITCOIN_OTC = "bitcoin_otc"
-GRAPH_FORMATS = (FORMAT_SNAP, FORMAT_BITCOIN_OTC)
+# Format name -> (field separator, fields per data line, what the message
+# calls a field, comment prefix). A None separator splits on whitespace;
+# the first two fields are the edge's endpoint labels.
+_FORMATS = {
+    "snap": (None, 2, "fields", "#"),
+    "bitcoin_otc": (",", 4, "columns", None),
+}
+GRAPH_FORMATS = tuple(_FORMATS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,45 +66,52 @@ class Graph:
             raise ValueError("edge_count does not equal half the adjacency total")
 
 
-class _GraphBuilder:
-    """Accumulates labeled edges, normalizing as they arrive."""
+def _label_pairs(lines: Iterable[str], fmt: str) -> Iterator[tuple[int, int]]:
+    """Yield the (source, target) label pair of each data line of a `fmt` file.
 
-    def __init__(self) -> None:
-        self.id_map: dict[int, int] = {}
-        self.edge_set: set[tuple[int, int]] = set()
-        self.adjacency: list[list[int]] = []
+    Blank lines, and in formats that have them comment lines, are skipped.
+    Raises ParseError with the 1-based line number on a wrong field count
+    or a non-integer label.
+    """
+    separator, field_count, noun, comment = _FORMATS[fmt]
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or (comment and line.startswith(comment)):
+            continue
+        fields = line.split(separator)
+        if len(fields) != field_count:
+            raise ParseError(f"line {lineno}: expected {field_count} {noun}, got {len(fields)}")
+        try:
+            pair = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer node label in {line!r}") from None
+        yield pair
 
-    def add_edge(self, label_u: int, label_v: int) -> None:
+
+def graph_from_edges(edges: Iterable[tuple[int, int]]) -> Graph:
+    """Build a normalized Graph from labeled edge pairs (the rules the loaders apply).
+
+    Raises ParseError when no edge is left after normalization.
+    """
+    id_map: dict[int, int] = {}
+    adjacency: list[list[int]] = []
+    for label_u, label_v in edges:
         if label_u == label_v:
-            return
-        u = self._node_id(label_u)
-        v = self._node_id(label_v)
-        key = (u, v) if u < v else (v, u)
-        if key in self.edge_set:
-            return
-        self.edge_set.add(key)
-        self.adjacency[u].append(v)
-        self.adjacency[v].append(u)
-
-    def _node_id(self, label: int) -> int:
-        node = self.id_map.get(label)
-        if node is None:
-            node = len(self.id_map)
-            self.id_map[label] = node
-            self.adjacency.append([])
-        return node
-
-    def build(self) -> Graph:
-        if not self.edge_set:
-            raise ParseError("empty edge set after normalization")
-        for neighbors in self.adjacency:
-            neighbors.sort()
-        return Graph(
-            node_count=len(self.adjacency),
-            adjacency=self.adjacency,
-            edge_count=len(self.edge_set),
-            id_map=self.id_map,
-        )
+            continue  # before registering the label: a label seen only in self-loops is no node
+        u = id_map.setdefault(label_u, len(adjacency))  # a new label takes the next id
+        if u == len(adjacency):
+            adjacency.append([])
+        v = id_map.setdefault(label_v, len(adjacency))
+        if v == len(adjacency):
+            adjacency.append([])
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    for node, neighbors in enumerate(adjacency):
+        adjacency[node] = sorted(set(neighbors))  # merges duplicate and reverse-duplicate edges
+    edge_count = sum(map(len, adjacency)) // 2
+    if not edge_count:
+        raise ParseError("empty edge set after normalization")
+    return Graph(node_count=len(adjacency), adjacency=adjacency, edge_count=edge_count, id_map=id_map)
 
 
 def load_snap_edge_list(lines: Iterable[str]) -> Graph:
@@ -108,20 +120,7 @@ def load_snap_edge_list(lines: Iterable[str]) -> Graph:
     Blank lines are tolerated. Raises ParseError (with the 1-based line
     number) on non-integer tokens, wrong field counts, or an empty edge set.
     """
-    builder = _GraphBuilder()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 2:
-            raise ParseError(f"line {lineno}: expected 2 fields, got {len(fields)}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer node label in {line!r}") from None
-        builder.add_edge(u, v)
-    return builder.build()
+    return graph_from_edges(_label_pairs(lines, "snap"))
 
 
 def load_bitcoin_otc_csv(lines: Iterable[str]) -> Graph:
@@ -131,28 +130,7 @@ def load_bitcoin_otc_csv(lines: Iterable[str]) -> Graph:
     and (v, u) merge into a single undirected edge. Raises ParseError on
     a wrong column count or non-integer endpoint.
     """
-    builder = _GraphBuilder()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(f"line {lineno}: expected 4 columns, got {len(fields)}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer node label in {line!r}") from None
-        builder.add_edge(u, v)
-    return builder.build()
-
-
-def graph_from_edges(edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a normalized Graph from labeled edge pairs (same rules as the loaders)."""
-    builder = _GraphBuilder()
-    for u, v in edges:
-        builder.add_edge(u, v)
-    return builder.build()
+    return graph_from_edges(_label_pairs(lines, "bitcoin_otc"))
 
 
 def load_graph(path: str, fmt: str) -> Graph:
@@ -161,9 +139,7 @@ def load_graph(path: str, fmt: str) -> Graph:
         raise ConfigError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            if fmt == FORMAT_SNAP:
-                return load_snap_edge_list(handle)
-            return load_bitcoin_otc_csv(handle)
+            return graph_from_edges(_label_pairs(handle, fmt))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
 

@@ -9,6 +9,7 @@ import csv
 import io
 import os
 import re
+from contextlib import contextmanager
 
 from .engine import RunResult
 from .errors import ParseError
@@ -48,9 +49,28 @@ def _sanitize(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9]+", "-", label).strip("-")
 
 
-def write_gini_series_csv(path: str, result: RunResult) -> None:
+@contextmanager
+def _write_atomically(path: str):
+    """Write `path` through a text handle; the file appears whole or not at all.
+
+    The parent directory is created, the text goes to a temporary file next
+    to `path` (named for this process, so parallel suite workers never share
+    one) and replaces `path` only once the block has finished. A block that
+    raises leaves any previous file at `path` as it was, and no temporary file.
+    """
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(temporary, path)
+    finally:
+        if os.path.exists(temporary):
+            os.remove(temporary)
+
+
+def write_gini_series_csv(path: str, result: RunResult) -> None:
+    with _write_atomically(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(GINI_SERIES_COLUMNS)
         for i, (g, stats) in enumerate(zip(result.gini_series, result.iteration_stats), start=1):
@@ -61,7 +81,6 @@ def write_gini_series_csv(path: str, result: RunResult) -> None:
 
 
 def write_summary_txt(path: str, result: RunResult, seed: int) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     converged = "none" if result.converged_at is None else str(result.converged_at)
     lines = [
         f"final_gini = {format_gini(result.gini_series[-1])}",
@@ -69,14 +88,13 @@ def write_summary_txt(path: str, result: RunResult, seed: int) -> None:
         f"iterations_executed = {result.iterations_executed}",
         f"seed = {seed}",
     ]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _write_atomically(path) as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def write_suite_summary_csv(path: str, rows) -> None:
     """rows: iterable with network/group/bank/replicate/final_gini/converged_at/status attrs."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _write_atomically(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SUITE_SUMMARY_COLUMNS)
         for row in rows:

@@ -280,6 +280,7 @@ def test_suite_rejects_colliding_rows(tmp_path, monkeypatch, capsys, networks, b
     assert message in capsys.readouterr().err
     assert started == []
     assert not (tmp_path / "out" / "suite_summary.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_suite_all_failures_exit_nonzero(tmp_path, capsys):

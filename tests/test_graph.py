@@ -69,7 +69,7 @@ def test_bitcoin_self_loop_only_input_rejected():
 
 
 def test_bitcoin_wrong_column_count_reports_line_number():
-    with pytest.raises(ParseError, match="line 2"):
+    with pytest.raises(ParseError, match="line 2: expected 4 columns, got 3"):
         load_bitcoin_otc_csv(io.StringIO("1,2,3,4\n1,2,3\n"))
 
 
@@ -86,25 +86,51 @@ def test_degree_ranking_path():
     assert degree_ranked_nodes(path_graph(4)) == [1, 2, 0, 3]
 
 
+def _normalized_by_brute_force(pairs):
+    """(node_count, edge_count, adjacency, id_map items) as the loaders must normalize `pairs`."""
+    id_map = {}
+    for u, v in pairs:
+        if u != v:
+            for label in (u, v):
+                if label not in id_map:
+                    id_map[label] = len(id_map)
+    edges = {frozenset((id_map[u], id_map[v])) for u, v in pairs if u != v}
+    adjacency = [sorted(w for edge in edges if x in edge for w in edge if w != x) for x in range(len(id_map))]
+    return len(id_map), len(edges), adjacency, list(id_map.items())
+
+
 def test_loaded_graphs_satisfy_invariants():
     rng = random.Random(42)
-    for _ in range(25):
-        n = rng.randint(2, 40)
-        lines = []
-        for _ in range(rng.randint(1, 120)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            lines.append(f"{u} {v}\n")
-        text = "".join(lines)
-        try:
-            g = load_snap_edge_list(io.StringIO(text))
-        except ParseError:
-            continue  # all lines were self-loops
-        g.validate()
-        assert sum(len(a) for a in g.adjacency) == 2 * g.edge_count
-        ranked = degree_ranked_nodes(g)
-        assert sorted(ranked) == list(range(g.node_count))
-        # reload determinism
-        assert load_snap_edge_list(io.StringIO(text)) == g
+    for load, row in (
+        (load_snap_edge_list, "{} {}\n"),
+        (load_bitcoin_otc_csv, "{},{},5,1289241911.7\n"),
+    ):
+        for _ in range(25):
+            n = rng.randint(2, 40)
+            pairs = []
+            for _ in range(rng.randint(1, 120)):
+                u, v = rng.randrange(n) + 1, rng.randrange(n) + 1
+                pairs.append((u, v))
+                extra = rng.random()
+                if extra < 0.15:
+                    pairs.append((v, u))  # reverse duplicate
+                elif extra < 0.25:
+                    pairs.append((u, v))  # repeated row
+                elif extra < 0.3:
+                    pairs.append((u, u))  # self-loop
+            text = "".join(row.format(u, v) for u, v in pairs)
+            try:
+                g = load(io.StringIO(text))
+            except ParseError:
+                assert all(u == v for u, v in pairs)
+                continue
+            g.validate()
+            loaded = (g.node_count, g.edge_count, g.adjacency, list(g.id_map.items()))
+            assert loaded == _normalized_by_brute_force(pairs)
+            ranked = degree_ranked_nodes(g)
+            assert sorted(ranked) == list(range(g.node_count))
+            # reload determinism
+            assert load(io.StringIO(text)) == g
 
 
 def test_graph_from_edges_matches_loader():
