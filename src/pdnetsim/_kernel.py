@@ -1,4 +1,4 @@
-"""Build and load the compiled engine pass (`_pass.c`) on first use.
+"""Build and load the compiled engine pass and Gini (`_pass.c`) on first use.
 
 The shared library is compiled once per source, flag set and machine type
 into ``${XDG_CACHE_HOME:-~/.cache}/pdnetsim/`` and reused by later
@@ -12,17 +12,17 @@ import ctypes
 import functools
 import hashlib
 import os
-import platform
-import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_pass.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-# pd_pass(order, m, offsets, targets, kinds, last, bal, start, params, acc, mt)
-_ARGTYPES = [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 9
+_SIGNATURES = {
+    # pd_pass(order, m, held, offsets, targets, kinds, last, bal, start, params, acc, mt)
+    "pd_pass": [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 10,
+    # pd_gini(values, m, n, out)
+    "pd_gini": [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p],
+}
 
 
 class _CompileError(Exception):
@@ -31,7 +31,14 @@ class _CompileError(Exception):
 
 @functools.cache
 def load():
-    """(pd_pass, None) once the kernel is loaded, else (None, reason)."""
+    """(library, None) once the kernel is loaded, else (None, reason).
+
+    The library's `pd_pass` and `pd_gini` attributes are the C functions,
+    with their argument and result types set.
+    """
+    import platform
+    import shutil
+
     compiler = shutil.which("cc")
     if compiler is None:
         return None, "no C compiler (cc) found"
@@ -46,6 +53,8 @@ def load():
         try:
             return _open(_compile(compiler, cache / name))
         except OSError:  # the cache cannot be written: build for this process only
+            import tempfile
+
             with tempfile.TemporaryDirectory(prefix="pdnetsim-", ignore_cleanup_errors=True) as tmp:
                 return _open(_compile(compiler, Path(tmp) / name))
     except (_CompileError, OSError) as exc:
@@ -56,6 +65,9 @@ def _compile(compiler: str, target: Path) -> Path:
     """Compile SOURCE to `target` unless it is there already."""
     if target.exists():
         return target
+    import subprocess
+    import tempfile
+
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name, suffix=".tmp")
     os.close(fd)
@@ -74,11 +86,13 @@ def _compile(compiler: str, target: Path) -> Path:
 
 
 def _open(path: Path):
-    """(pd_pass, None) from the library at `path`, or (None, reason)."""
+    """(library, None) from the library at `path`, or (None, reason)."""
     try:
-        function = ctypes.CDLL(str(path)).pd_pass
+        library = ctypes.CDLL(str(path))
+        for name, argtypes in _SIGNATURES.items():
+            function = getattr(library, name)
+            function.argtypes = argtypes
+            function.restype = ctypes.c_int
     except (OSError, AttributeError) as exc:
         return None, f"loading the compiled kernel failed: {exc}"
-    function.argtypes = _ARGTYPES
-    function.restype = ctypes.c_int
-    return function, None
+    return library, None

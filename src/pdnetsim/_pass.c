@@ -8,8 +8,12 @@
  * run's MT19937 state (CPython's generator, words 0..623 plus the index
  * in word 624), handed over after the node-order shuffle and carried from
  * pass to pass.
+ *
+ * pd_gini, in the same library, gives the integer parts of the per-pass
+ * Gini coefficient; metrics.py divides them.
  */
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define MT_N 624
@@ -20,8 +24,10 @@ enum { COOPERATOR, DEFECTOR, TIT_FOR_TAT, RANDOM };
 /* params: n, live, bank_infinite, coop_reward, defect_penalty, betrayal_transfer */
 enum { P_N, P_LIVE, P_INFINITE, P_REWARD, P_PENALTY, P_TRANSFER };
 
-/* acc: bank_balance (carried between passes), then this pass's counts */
-enum { A_BANK, A_PLAYED, A_SKIPPED, A_INFLOW, A_OUTFLOW, A_DRAINED };
+/* acc: bank_balance and the payers drained since order was last rebuilt
+ * (both carried between passes), this pass's counts, then the length of
+ * order after the pass and the sum of the balances it holds */
+enum { A_BANK, A_DRAINED, A_PLAYED, A_SKIPPED, A_INFLOW, A_OUTFLOW, A_LIVE, A_TOTAL };
 
 static uint32_t genrand_uint32(uint32_t *mt)
 {
@@ -73,19 +79,23 @@ static int8_t decide(int8_t kind, int8_t opponent_last, uint32_t *mt)
 
 static int64_t min64(int64_t a, int64_t b) { return a < b ? a : b; }
 
-/* Play one pass over order[0..m). Returns 1 when it left every balance
- * where it started (the run has converged), else 0. */
-int pd_pass(const int64_t *order, int64_t m, const int64_t *offsets, const int32_t *targets,
-            const int8_t *kinds, int8_t *last, int64_t *bal, int64_t *start,
-            const int64_t *params, int64_t *acc, uint32_t *mt)
+/* Play one pass over order[0..m). Then, once more than an eighth of order
+ * has been drained, drop its nodes at zero (in place, keeping the order of
+ * the rest), and copy the balances of order[0..acc[A_LIVE]) into held.
+ * Returns 1 when the pass left every balance where it started (the run has
+ * converged), else 0. */
+int pd_pass(int64_t *order, int64_t m, int64_t *held, const int64_t *offsets,
+            const int32_t *targets, const int8_t *kinds, int8_t *last, int64_t *bal,
+            int64_t *start, const int64_t *params, int64_t *acc, uint32_t *mt)
 {
     const int64_t n = params[P_N], reward = params[P_REWARD], penalty = params[P_PENALTY],
                   transfer = params[P_TRANSFER];
     const int infinite = (int)params[P_INFINITE];
     const int64_t *eff = params[P_LIVE] ? bal : start;
     int64_t bank = acc[A_BANK], played = 0, skipped = n - m, inflow = 0, outflow = 0,
-            drained = acc[A_DRAINED];
+            drained = acc[A_DRAINED], total = 0, kept;
     int64_t i;
+    int converged;
 
     memcpy(start, bal, (size_t)n * sizeof *bal);
     for (i = 0; i < m; i++) {
@@ -132,11 +142,88 @@ int pd_pass(const int64_t *order, int64_t m, const int64_t *offsets, const int32
         last[o] = act_o;
         played++;
     }
+    converged = memcmp(bal, start, (size_t)n * sizeof *bal) == 0;
+
+    if (drained * 8 > m) {
+        for (i = kept = 0; i < m; i++)
+            if (bal[order[i]] != 0)
+                order[kept++] = order[i];
+        m = kept;
+        drained = 0;
+    }
+    for (i = 0; i < m; i++) {
+        held[i] = bal[order[i]];
+        total += held[i];
+    }
     acc[A_BANK] = bank;
+    acc[A_DRAINED] = drained;
     acc[A_PLAYED] = played;
     acc[A_SKIPPED] = skipped;
     acc[A_INFLOW] = inflow;
     acc[A_OUTFLOW] = outflow;
-    acc[A_DRAINED] = drained;
-    return memcmp(bal, start, (size_t)n * sizeof *bal) == 0;
+    acc[A_LIVE] = m;
+    acc[A_TOTAL] = total;
+    return converged;
+}
+
+/* The Gini coefficient of values[0..m) padded with n - m zeros is
+ * weighted / (n * total), with weighted = sum_i (2i - n - 1) x_i over the
+ * ascending order (1-based ranks; the zeros take the lowest). Writes
+ * weighted to out[0..1] and total to out[2..3], low word first, and
+ * returns 0; returns -1, writing nothing, when a value is negative, and -2
+ * when memory runs out. The caller checks n * m < 2^64, so that no sum
+ * below leaves __int128: |partial sums| <= n * total < n * m * 2^63. */
+int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
+{
+    uint64_t *buffer, *keys, *spare, *swap, max = 0;
+    __int128 weighted = 0, coeff = (__int128)n - 2 * (__int128)m + 1;
+    unsigned __int128 total = 0;
+    int64_t i;
+    int shift;
+
+    for (i = 0; i < m; i++) {
+        if (values[i] < 0)
+            return -1;
+        if ((uint64_t)values[i] > max)
+            max = (uint64_t)values[i];
+    }
+    buffer = malloc((2 * (size_t)m + 1) * sizeof *buffer); /* + 1: never malloc(0) */
+    if (buffer == NULL)
+        return -2;
+    keys = buffer;
+    spare = buffer + m;
+    memcpy(keys, values, (size_t)m * sizeof *keys);
+
+    /* LSD radix sort, one pass per byte of the maximum; a byte every key
+     * shares needs no pass. */
+    for (shift = 0; shift < 64 && (max >> shift) != 0; shift += 8) {
+        int64_t count[256] = {0}, pos = 0, c;
+        int d;
+
+        for (i = 0; i < m; i++)
+            count[(keys[i] >> shift) & 0xff]++;
+        if (count[(keys[0] >> shift) & 0xff] == m)
+            continue;
+        for (d = 0; d < 256; d++) {
+            c = count[d];
+            count[d] = pos;
+            pos += c;
+        }
+        for (i = 0; i < m; i++)
+            spare[count[(keys[i] >> shift) & 0xff]++] = keys[i];
+        swap = keys;
+        keys = spare;
+        spare = swap;
+    }
+
+    for (i = 0; i < m; i++, coeff += 2) {
+        weighted += coeff * keys[i];
+        total += keys[i];
+    }
+    free(buffer);
+    out[0] = (uint64_t)weighted;
+    out[1] = (uint64_t)((unsigned __int128)weighted >> 64);
+    out[2] = (uint64_t)total;
+    out[3] = (uint64_t)(total >> 64);
+    return 0;
 }

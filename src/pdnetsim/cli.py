@@ -7,6 +7,7 @@ and 4 for I/O failures.
 """
 
 import argparse
+import errno
 import os
 import random
 import sys
@@ -29,6 +30,7 @@ from .experiments import (
 )
 from .graph import GRAPH_FORMATS, load_graph, write_edge_list
 from .output import (
+    _write_atomically,
     format_gini,
     read_gini_series_csv,
     run_file_name,
@@ -205,6 +207,16 @@ def _parse_banks(text: str | None) -> tuple[BankSetting, ...]:
     return tuple(settings)
 
 
+def _check_directory_path(path: str) -> None:
+    """Raise NotADirectoryError when `path` or its nearest existing ancestor
+    is not a directory, so that no write under `path` could succeed."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), probe)
+
+
 def cmd_suite(args) -> int:
     values = parse_kv_config(args.config)
     _check_keys(values, _SUITE_REQUIRED, _SUITE_OPTIONAL, args.config)
@@ -225,6 +237,7 @@ def cmd_suite(args) -> int:
     out_dir = args.out if args.out is not None else _single(values, "out")
 
     runs_dir = os.path.join(out_dir, "runs")
+    _check_directory_path(runs_dir)
 
     def series_path_for(network, group_label, bank_label, replicate):
         return os.path.join(runs_dir, run_file_name(network, group_label, bank_label, replicate))
@@ -254,7 +267,7 @@ def cmd_plot(args) -> int:
         label = os.path.splitext(os.path.basename(path))[0]
         series.append((label, xs, ys))
     svg = render_line_chart(series)
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+    with _write_atomically(args.out) as handle:
         handle.write(svg)
     print(f"wrote {args.out} ({len(series)} series)")
     return EXIT_OK
@@ -262,7 +275,7 @@ def cmd_plot(args) -> int:
 
 def cmd_convert(args) -> int:
     graph = load_graph(args.input, args.format)
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
+    with _write_atomically(args.out) as handle:
         write_edge_list(graph, handle)
     print(f"wrote {args.out} (nodes={graph.node_count} edges={graph.edge_count})")
     return EXIT_OK

@@ -15,9 +15,9 @@ zero never plays, and a game that samples it is skipped, so nothing can
 pay it again. The engine therefore drops nodes at zero from the turn
 order (rebuilt once about an eighth of it has been drained) and counts
 them as skipped turns. Skipped turns draw nothing, so the draw order and
-every output are unchanged while a pass costs O(live nodes); once at
-most half the nodes are alive, the Gini is taken over the live balances
-with the dead ones as implicit zeros.
+every output are unchanged while a pass costs O(live nodes). The Gini is
+taken over the balances of the turn order (by the Python loop only once
+at most half the nodes are alive), with the dead ones as implicit zeros.
 
 Convergence stays an end-of-pass comparison of all balances with the
 pass's start, not a "some game changed a balance" flag: a pass can move
@@ -44,9 +44,10 @@ strict update-from-snapshot ordering. Both are one rule: every write is
 ``balances[x] = effective[x] + delta``, where ``effective`` is the live
 balances or the pass's start copy.
 
-Two pass loops: everything around a pass (the shuffle, the Gini, the
+Two pass loops: everything around a pass (the shuffle, the Gini call, the
 stats, the hook and the convergence test) is Python, and a pass itself is
-played either by ``_python_passes`` or by ``_pass.c`` through ctypes.
+played either by ``_python_passes`` or by ``_pass.c`` through ctypes, on
+``array`` buffers (int64 balances).
 Both apply the rules above in the same order and give identical outputs.
 The C kernel runs when it could be built and loaded (see ``_kernel``),
 when no balance, bank balance or flow can leave int64 (``_fits_int64``),
@@ -59,13 +60,15 @@ words and the index, from ``getstate()``) and reproduces CPython's
 that can use it, not at import, so importing the package never starts a
 compiler. The adjacency's CSR arrays are built inside ``run``, once per
 Graph object, so graph loading costs the same with or without the kernel.
+After each pass the kernel also rebuilds the order and gathers the live
+balances and their sum, and the Gini of an int64 ``array`` runs in the
+same library (``metrics.gini``).
 """
 
 import random
+from array import array
 from dataclasses import dataclass, field
-from itertools import chain
-
-import numpy as np
+from itertools import accumulate, chain
 
 from . import _kernel
 from .errors import ConfigError
@@ -218,9 +221,9 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
     csr = _csr(graph) if kernel is not None and _fits_int64(n, cfg) else None
     state = rng.getstate()
     if csr is not None and state[0] == 3 and len(state[1]) == 625:
-        balances = np.full(n, cfg.initial_balance, dtype=np.int64)
-        to_list = np.ndarray.tolist
-        passes = _kernel_passes(kernel, csr, strategies, order, balances, cfg, state[1])
+        balances = array("q", [cfg.initial_balance]) * n
+        to_list = array.tolist
+        passes = _kernel_passes(kernel.pd_pass, csr, strategies, order, balances, cfg, state[1])
     else:
         balances = [cfg.initial_balance] * n
         to_list = list.copy
@@ -340,41 +343,41 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
         yield stat, held, balances == start
 
 
-def _kernel_passes(kernel, csr, strategies, order, balances, cfg, mt_state):
+def _kernel_passes(pd_pass, csr, strategies, order, balances, cfg, mt_state):
     """`_python_passes` with each pass played by `_pass.c`.
 
     `balances` is an int64 array; mt_state holds the 624 MT19937 words and
-    the index of the run's generator after the shuffle.
+    the index of the run's generator after the shuffle. held is an int64
+    array of the live balances, rewritten by every pass.
     """
     n = len(balances)
     offsets, targets = csr
     payoff = cfg.payoff
     infinite = cfg.bank.infinite
-    order = np.array(order, dtype=np.int64)
-    kinds = np.array(strategies, dtype=np.int8)
-    last = np.full(n, -1, dtype=np.int8)
-    start = np.empty_like(balances)
+    order = array("q", order)
+    held = array("q", [0]) * n  # cut to the live length of order after each pass
+    kinds = array("b", strategies)
+    last = array("b", [-1]) * n
+    start = array("q", [0]) * n
     # In the order of _pass.c's P_* and A_* slots.
-    params = np.array(
+    params = array(
+        "q",
         [n, cfg.balance_semantics == LIVE, infinite]
         + [payoff.coop_reward, payoff.defect_penalty, payoff.betrayal_transfer],
-        dtype=np.int64,
     )
-    acc = np.array([0 if infinite else cfg.bank.balance, 0, 0, 0, 0, 0], dtype=np.int64)
-    mt = np.array(mt_state, dtype=np.uint32)
+    acc = array("q", [0 if infinite else cfg.bank.balance, 0, 0, 0, 0, 0, 0, 0])
+    mt = array("I", mt_state)
     arrays = (offsets, targets, kinds, last, balances, start, params, acc, mt)
-    pointers = [a.ctypes.data for a in arrays]  # the arrays stay alive in this frame
+    pointers = [a.buffer_info()[0] for a in arrays]  # the arrays stay alive in this frame
 
+    m = len(order)
     while True:
-        converged = kernel(order.ctypes.data, len(order), *pointers)
-        bank_balance, played, skipped, inflow, outflow, drained = acc.tolist()
-        if drained * 8 > len(order):
-            order = order[balances[order] != 0]
-            acc[-1] = 0  # drained
-        held = balances[order] if 2 * len(order) <= n else balances
+        converged = pd_pass(order.buffer_info()[0], m, held.buffer_info()[0], *pointers)
+        bank_balance, _, played, skipped, inflow, outflow, m, total = acc
+        if len(held) != m:
+            del held[m:]  # may move the buffer, so its address is read per pass
         reported_bank = None if infinite else bank_balance
-        stat = IterationStats(played, skipped, inflow, outflow, reported_bank, int(held.sum()))
-        yield stat, held, converged == 1
+        yield IterationStats(played, skipped, inflow, outflow, reported_bank, total), held, converged == 1
 
 
 def _fits_int64(n: int, cfg: SimConfig) -> bool:
@@ -407,13 +410,14 @@ def _csr(graph: Graph):
 def _build_csr(n: int, adjacency):
     if len(adjacency) != n:
         return None
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, adjacency), dtype=np.int64, count=n), out=offsets[1:])
+    offsets = array("q", accumulate(map(len, adjacency), initial=0))
+    flat = list(chain.from_iterable(adjacency))  # an array fills faster from a list
     try:
-        targets = np.fromiter(chain.from_iterable(adjacency), dtype=np.int32, count=offsets[-1])
-    except (TypeError, ValueError, OverflowError):  # not integers that fit int32
+        targets = array("i", flat)
+    except (TypeError, OverflowError):  # not integers that fit int32
         return None
-    if targets.size and (targets.min() < 0 or targets.max() >= n):
+    ids = set(flat)  # at most n entries: cheaper to scan than the targets
+    if ids and (min(ids) < 0 or max(ids) >= n):
         return None
     return offsets, targets
 

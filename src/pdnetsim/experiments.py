@@ -15,7 +15,6 @@ import functools
 import hashlib
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
@@ -348,13 +347,18 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
     given, names the per-run Gini series CSV each worker writes. Rows come
     back in task order regardless of worker completion order, so repeated
     invocations produce identical summaries. A failed run lands in its
-    row's status; sibling runs proceed.
+    row's status; sibling runs proceed. Raises ConfigError, before any run,
+    when `workers` is below 1 or two runs collide.
     """
+    if not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     tasks = suite_tasks(spec, series_path_for)
     workers = min(workers, len(tasks))  # a pool forks all its workers up front
     rows: list[SuiteRow] = []
     with ExitStack() as stack:
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only pools pay for its import
+
             _kernel.load()  # here, so that forked workers inherit it instead of each loading it
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(execute_task, tasks, chunksize=max(1, len(tasks) // (workers * 4)))

@@ -7,6 +7,7 @@ decimal places. Identical inputs therefore produce byte-identical files.
 
 import csv
 import io
+import math
 import os
 import re
 from contextlib import contextmanager
@@ -127,10 +128,13 @@ def read_gini_series_csv(path: str) -> tuple[list[float], list[float]]:
         if not fields:
             continue
         try:
-            xs.append(float(fields[iter_col]))
-            ys.append(float(fields[gini_col]))
+            x, y = float(fields[iter_col]), float(fields[gini_col])
         except (ValueError, IndexError):
             raise ParseError(f"{path}: line {lineno}: malformed series row") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"{path}: line {lineno}: iteration and gini must be finite numbers")
+        xs.append(x)
+        ys.append(y)
     if not xs:
         raise ParseError(f"{path}: series CSV holds no data rows")
     return xs, ys

@@ -4,7 +4,7 @@ No rendering dependency: the chart is assembled as an SVG string, so the
 same inputs always produce the same bytes.
 """
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from .errors import ConfigError
 
@@ -85,11 +85,11 @@ def render_line_chart(
 
     parts.append(
         f'<text x="{x0 + plot_w / 2:.2f}" y="{height - 12:.2f}" font-size="14" '
-        f'text-anchor="middle">{escape(x_label)}</text>'
+        f'text-anchor="middle">{escape(x_label, quote=False)}</text>'
     )
     parts.append(
         f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.2f}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.2f})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.2f})">{escape(y_label, quote=False)}</text>'
     )
 
     for idx, (label, xs, ys) in enumerate(series):
@@ -105,7 +105,7 @@ def render_line_chart(
             f'stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{lx + 28:.2f}" y="{ly:.2f}" font-size="12">{escape(str(label))}</text>'
+            f'<text x="{lx + 28:.2f}" y="{ly:.2f}" font-size="12">{escape(str(label), quote=False)}</text>'
         )
 
     parts.append("</svg>")

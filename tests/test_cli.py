@@ -258,6 +258,36 @@ def test_suite_settings_are_validated_once_before_any_run(suite_config, monkeypa
     assert not (out_dir / "suite_summary.csv").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_suite_rejects_fewer_than_one_worker_before_any_run(suite_config, monkeypatch, capsys, workers, where):
+    config_path, out_dir = suite_config
+    argv = ["suite", "--config", str(config_path)]
+    if where == "flag":
+        argv += ["--workers", workers]
+    else:
+        config_path.write_text(config_path.read_text() + f"workers = {workers}\n")
+    started = _runs_started(monkeypatch)
+    assert main(argv) == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: workers must be a positive integer, got {workers}"]
+    assert started == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["out-is-a-file", "out-is-under-a-file"])
+def test_suite_output_under_a_file_fails_before_any_run(suite_config, tmp_path, monkeypatch, capsys, below):
+    config_path, _ = suite_config
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    started = _runs_started(monkeypatch)
+    assert main(["suite", "--config", str(config_path), "--out", str(blocker / below)]) == EXIT_IO
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: [Errno 20] Not a directory: '{blocker}'"]
+    assert started == []
+    assert blocker.read_text() == ""
+
+
 @pytest.mark.parametrize(
     "networks, banks, message",
     [
@@ -399,6 +429,16 @@ def test_plot_non_utf8_series_is_parse_error(tmp_path, capsys):
     assert "not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_plot_rejects_non_finite_values(tmp_path, capsys, value):
+    series = tmp_path / "series.csv"
+    series.write_text(f"iteration,gini\n1,0.5\n2,{value}\n")
+    out = tmp_path / "x.svg"
+    assert main(["plot", str(series), "--out", str(out)]) == EXIT_PARSE
+    assert f"{series}: line 3: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_is_byte_deterministic(tmp_path, two_node_run):
     config_path, out_dir = two_node_run
     main(["run", "--config", str(config_path)])
@@ -423,9 +463,55 @@ def test_convert_bitcoin_to_edge_list(tmp_path):
     assert g.edge_count == 2
 
 
+def test_plot_and_convert_write_through_a_temporary_file(tmp_path, two_node_run, monkeypatch):
+    from pdnetsim import cli
+
+    config_path, out_dir = two_node_run
+    main(["run", "--config", str(config_path)])
+    svg_path = tmp_path / "new" / "chart.svg"  # the parent is created, as for every writer
+    assert main(["plot", str(out_dir / "gini_series.csv"), "--out", str(svg_path)]) == EXIT_OK
+    assert svg_path.read_text().endswith("</svg>\n")
+
+    edges = tmp_path / "edges.txt"
+    edges.write_text("previous\n")
+
+    def failing_writer(graph, handle):
+        handle.write("# half a file\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_edge_list", failing_writer)
+    graph = tmp_path / "pair.txt"
+    assert main(["convert", str(graph), "--format", "snap", "--out", str(edges)]) == EXIT_IO
+    assert edges.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.txt", "new", "out", "pair.txt", "run.cfg"]
+
+
 def test_module_entry_point_help():
     proc = subprocess.run(
         [sys.executable, "-m", "pdnetsim", "--help"], capture_output=True, text=True
     )
     assert proc.returncode == 0
     assert "run" in proc.stdout and "suite" in proc.stdout
+
+
+def test_importing_the_cli_loads_no_numpy_pool_or_xml():
+    # numpy is needed only by the tests; the process pool and the XML
+    # escaper were start-up costs that every command paid.
+    heavy = ("numpy", "concurrent.futures", "xml.sax")
+    code = f"import sys, pdnetsim.cli; print(sorted(m for m in sys.modules if m.startswith({heavy!r})))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_a_run_needs_no_numpy(two_node_run):
+    config_path, out_dir = two_node_run
+    code = (
+        "import sys; sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "from pdnetsim.cli import main\n"
+        f"sys.exit(main(['run', '--config', {str(config_path)!r}]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "final_gini=0.000000 converged_at=2" in proc.stdout
+    assert (out_dir / "gini_series.csv").exists()

@@ -1,5 +1,6 @@
 import random
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -99,15 +100,16 @@ def kernel_calls(monkeypatch):
     where no C compiler exists; anywhere else the kernel must load."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc)")
-    function, reason = _kernel.load()
-    assert function is not None, reason
+    library, reason = _kernel.load()
+    assert library is not None, reason
     calls = []
 
     def counting(*args):
         calls.append(args[1])
-        return function(*args)
+        return library.pd_pass(*args)
 
-    monkeypatch.setattr(_kernel, "load", lambda: (counting, None))
+    counted = SimpleNamespace(pd_pass=counting, pd_gini=library.pd_gini)
+    monkeypatch.setattr(_kernel, "load", lambda: (counted, None))
     return calls
 
 
@@ -560,6 +562,26 @@ def test_kernel_plays_every_pass(kernel_calls):
     cfg = SimConfig(iterations=12, bank=Bank(infinite=True), seed=7)
     result = run(g, random_assignment(g.node_count, random.Random(6)), cfg)
     assert len(kernel_calls) == result.iterations_executed == 12
+
+
+def test_kernel_drops_drained_nodes_and_hands_the_gini_the_live_balances(kernel_calls, monkeypatch):
+    from pdnetsim import engine
+
+    rng = random.Random(31)
+    g = random_graph(200, 6.0, seed=32)
+    assignment = rng.choices([D, C, T, R], weights=[5, 1, 1, 1], k=g.node_count)
+    cfg = SimConfig(iterations=80, initial_balance=6, bank=Bank(balance=0), seed=33)
+    handed = []
+    monkeypatch.setattr(engine, "gini", lambda held, n: handed.append(held.tolist()) or gini(held, n))
+    ends = []
+    run(g, assignment, cfg, iteration_hook=lambda iteration, balances, bank: ends.append(balances))
+
+    assert kernel_calls[0] == g.node_count
+    assert kernel_calls[-1] < g.node_count // 2  # the order was rebuilt
+    for previous, m, held, end in zip(kernel_calls, kernel_calls[1:], handed, ends):
+        alive = sorted(b for b in end if b)
+        assert len(held) == m and sorted(b for b in held if b) == alive
+        assert m == previous or m == len(alive)  # a rebuild keeps exactly the holders
 
 
 @pytest.mark.parametrize("initial_balance, kernel_passes", [(2**62 - 3, 1), (2**62 - 2, 0)])

@@ -288,7 +288,7 @@ def test_suite_parallel_matches_serial(tiny_networks):
 
 
 def test_suite_pool_is_capped_at_the_task_count(tiny_networks, monkeypatch):
-    from pdnetsim import experiments
+    import concurrent.futures  # run_suite imports the pool from here when it needs one
 
     sizes = []
 
@@ -305,7 +305,7 @@ def test_suite_pool_is_capped_at_the_task_count(tiny_networks, monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     spec = SuiteSpec(
         networks=tiny_networks[:1],
         experiment=1,

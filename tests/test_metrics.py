@@ -1,8 +1,12 @@
 import random
+import shutil
+from array import array
+from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
-from pdnetsim import gini, gini_oracle
+from pdnetsim import _kernel, gini, gini_oracle, metrics
 
 
 def test_uniform_vector_is_perfect_equality():
@@ -110,3 +114,80 @@ def test_exact_beyond_int64(big):
     for _ in range(30):
         vec = [rng.randint(0, big) for _ in range(rng.randint(2, 150))]
         assert gini(vec) == pytest.approx(gini_oracle(vec), abs=1e-12)
+
+
+# --- the compiled route (pd_gini in _pass.c) --------------------------------
+
+needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler (cc)")
+
+
+@pytest.fixture
+def library():
+    """The compiled kernel; wherever a C compiler exists it must load."""
+    library, reason = _kernel.load()
+    assert library is not None, reason
+    return library
+
+
+def _vectors():
+    """(values, n) pairs that vary the length, the zero padding, the bytes
+    the maximum uses (so the number of radix passes) and the input order."""
+    rng = random.Random(2024)
+    lengths = [1, 2, 3, 255, 256, 257, 5000] + [rng.randint(1, 5000) for _ in range(60)]
+    for i, m in enumerate(lengths):
+        bits = (1, 7, 8, 9, 16, 17, 31, 33, 48, 62)[i % 10]
+        values = [rng.randint(0, 2**bits) for _ in range(m)]
+        if i % 4 == 1:
+            values = [v if rng.random() < 0.2 else 0 for v in values]
+        elif i % 4 == 2:
+            values.sort()
+        elif i % 4 == 3:
+            values.sort(reverse=True)
+        yield values, m + (0 if i % 3 == 0 else rng.randint(1, 3 * m))
+    yield [0] * 4039, 4039
+    yield [0] * 10, 50
+    yield [2**62] * 5000, 5000
+    yield [2**62] * 5000 + [0], 9000
+    yield [256 * k for k in range(1, 300)], 400  # every key shares its lowest byte
+
+
+@needs_cc
+def test_compiled_sums_equal_the_python_sums_bit_for_bit(library):
+    for values, n in _vectors():
+        expected = metrics._python_sums(values, n)
+        assert metrics._kernel_sums(library, array("q", values), n) == expected
+        assert gini(array("q", values), n) == gini(values, n)
+
+
+@needs_cc
+def test_an_int64_array_takes_the_compiled_route(library, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1:3])
+        return library.pd_gini(*args)
+
+    monkeypatch.setattr(_kernel, "load", lambda: (SimpleNamespace(pd_gini=counting), None))
+    assert gini(array("q", [0, 0, 0, 10])) == 0.75
+    assert gini(array("q", [7]), 4) == 0.75
+    assert calls == [(4, 4), (1, 4)]
+    # Past the bound of the 128-bit sums, or not an int64 array: Python.
+    assert gini(array("q", [5]), 2**64) == gini([5], 2**64) == (2**64 - 1) / 2**64
+    assert gini(array("i", [1, 3])) == 0.25
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("route", ["python", "compiled"])
+def test_invalid_input_raises_value_error_on_both_routes(route):
+    if route == "compiled" and shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc)")
+    vector = partial(array, "q") if route == "compiled" else list
+    with pytest.raises(ValueError, match="non-negative"):
+        gini(vector([3, -1]))
+    with pytest.raises(ValueError, match="non-negative"):
+        gini(vector([-(2**63), 5, 2**63 - 1]), 10)
+    with pytest.raises(ValueError, match="balances for a vector of"):
+        gini(vector([1, 2, 3]), 2)
+    with pytest.raises(ValueError, match="non-empty"):
+        gini(vector([]), 0)
+    assert gini(vector([]), 3) == 0.0
