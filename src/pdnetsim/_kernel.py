@@ -1,4 +1,4 @@
-"""Build and load the compiled engine pass and Gini (`_pass.c`) on first use.
+"""Build and load the compiled engine pass, Gini and edge-list reader (`_pass.c`) on first use.
 
 The shared library is compiled once per source, flag set and machine type
 into ``${XDG_CACHE_HOME:-~/.cache}/pdnetsim/`` and reused by later
@@ -17,11 +17,20 @@ from pathlib import Path
 SOURCE = Path(__file__).with_name("_pass.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-_SIGNATURES = {
+_SIGNATURES = {  # name: (result type, argument types)
     # pd_pass(order, m, held, offsets, targets, kinds, last, bal, start, params, acc, mt)
-    "pd_pass": [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 10,
+    "pd_pass": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 10),
     # pd_gini(values, m, n, out)
-    "pd_gini": [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p],
+    "pd_gini": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p]),
+    # pd_read_edges(data, size, format, counts, &reader)
+    "pd_read_edges": (
+        ctypes.c_int,
+        [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p, ctypes.POINTER(ctypes.c_void_p)],
+    ),
+    # pd_edges_csr(reader, labels, offsets, targets)
+    "pd_edges_csr": (ctypes.c_int, [ctypes.c_void_p] * 4),
+    # pd_edges_free(reader)
+    "pd_edges_free": (None, [ctypes.c_void_p]),
 }
 
 
@@ -33,10 +42,9 @@ class _CompileError(Exception):
 def load():
     """(library, None) once the kernel is loaded, else (None, reason).
 
-    The library's `pd_pass` and `pd_gini` attributes are the C functions,
+    The library's attributes named in _SIGNATURES are the C functions,
     with their argument and result types set.
     """
-    import platform
     import shutil
 
     compiler = shutil.which("cc")
@@ -46,7 +54,7 @@ def load():
         source = SOURCE.read_bytes()
     except OSError as exc:
         return None, f"cannot read the kernel source: {exc}"
-    key = hashlib.sha256(source + " ".join(FLAGS).encode() + platform.machine().encode())
+    key = hashlib.sha256(source + " ".join(FLAGS).encode() + os.uname().machine.encode())
     name = f"pass-{key.hexdigest()}.so"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pdnetsim"
     try:
@@ -89,10 +97,10 @@ def _open(path: Path):
     """(library, None) from the library at `path`, or (None, reason)."""
     try:
         library = ctypes.CDLL(str(path))
-        for name, argtypes in _SIGNATURES.items():
+        for name, (restype, argtypes) in _SIGNATURES.items():
             function = getattr(library, name)
             function.argtypes = argtypes
-            function.restype = ctypes.c_int
+            function.restype = restype
     except (OSError, AttributeError) as exc:
         return None, f"loading the compiled kernel failed: {exc}"
     return library, None

@@ -10,7 +10,9 @@
  * pass to pass.
  *
  * pd_gini, in the same library, gives the integer parts of the per-pass
- * Gini coefficient; metrics.py divides them.
+ * Gini coefficient; metrics.py divides them. pd_read_edges and
+ * pd_edges_csr, at the end, parse edge-list files into the CSR arrays
+ * pd_pass plays on.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -227,3 +229,266 @@ int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
     out[3] = (uint64_t)(total >> 64);
     return 0;
 }
+
+/* Edge-list reader: the rules of graph.graph_from_edges, which stays the
+ * reference, on a strict ASCII grammar. Labels are optionally signed
+ * decimal integers that fit int64. A snap line holds two labels between
+ * spaces or tabs, or is a '#' comment; a bitcoin_otc line holds four
+ * comma-separated fields, of which the first two are labels (spaces or
+ * tabs may surround them). Blank lines are skipped, and lines end in "\n"
+ * or "\r\n". Anything else (a byte >= 0x80 or another control byte, a lone
+ * "\r", a label outside int64 or in another spelling, a wrong field count)
+ * makes pd_read_edges return nonzero, and the caller reruns the Python
+ * reader, which builds the graph or raises the exact error.
+ *
+ * pd_read_edges maps each label to an int32 id, in order of first
+ * appearance, as it parses it; a self-loop is skipped before its labels are
+ * registered. pd_edges_csr then writes the labels, the CSR offsets and the
+ * sorted, deduplicated targets into the caller's buffers, sized from the
+ * counts the first call returned. */
+
+enum { FORMAT_SNAP, FORMAT_BITCOIN_OTC };
+enum { READ_OK, READ_GRAMMAR, READ_NO_MEMORY, READ_EMPTY };
+
+struct edge_reader {
+    int64_t n, pairs, label_cap, slot_cap;
+    int64_t *labels; /* id -> label */
+    int32_t *slots;  /* open-addressing table of id + 1 (0: free), keyed by label */
+    int32_t *ends;   /* each pair's two endpoint ids */
+};
+
+static void reader_free(struct edge_reader *r)
+{
+    free(r->labels);
+    free(r->slots);
+    free(r->ends);
+    free(r);
+}
+
+static int is_digit(char c) { return (unsigned)(unsigned char)c - '0' < 10u; }
+static int is_blank(char c) { return c == ' ' || c == '\t'; }
+/* The bytes a comment or a bitcoin_otc rating or time field may hold. */
+static int is_text(char c) { return (c >= ' ' && c <= '~') || c == '\t'; }
+
+static const char *skip_blanks(const char *s, const char *end)
+{
+    while (s < end && is_blank(*s))
+        s++;
+    return s;
+}
+
+/* Parse a label at s; return the byte after it, or NULL when there is none
+ * or it leaves int64. */
+static const char *parse_label(const char *s, const char *end, int64_t *label)
+{
+    const int negative = s < end && *s == '-';
+    const uint64_t limit = (uint64_t)INT64_MAX + (uint64_t)negative;
+    uint64_t value = 0;
+
+    if (s < end && (*s == '-' || *s == '+'))
+        s++;
+    if (s == end || !is_digit(*s))
+        return NULL;
+    for (; s < end && is_digit(*s); s++) {
+        const unsigned digit = (unsigned)(*s - '0');
+        if (value > (limit - digit) / 10)
+            return NULL;
+        value = value * 10 + digit;
+    }
+    *label = negative && value ? -(int64_t)(value - 1) - 1 : (int64_t)value;
+    return s;
+}
+
+static uint64_t slot_of(int64_t label, int64_t cap)
+{
+    return ((uint64_t)label * 0x9E3779B97F4A7C15u >> 32) & (uint64_t)(cap - 1);
+}
+
+/* The id of `label`, registered as the next id when it is new; -1 when
+ * memory runs out or ids would leave int32. */
+static int64_t intern(struct edge_reader *r, int64_t label)
+{
+    uint64_t s = slot_of(label, r->slot_cap);
+    int64_t id;
+
+    for (; r->slots[s]; s = (s + 1) & (uint64_t)(r->slot_cap - 1))
+        if (r->labels[r->slots[s] - 1] == label)
+            return r->slots[s] - 1;
+    if (r->n == INT32_MAX - 1)
+        return -1;
+    if (r->n == r->label_cap) {
+        int64_t *grown = realloc(r->labels, 2 * (size_t)r->label_cap * sizeof *grown);
+        if (grown == NULL)
+            return -1;
+        r->labels = grown;
+        r->label_cap *= 2;
+    }
+    id = r->n++;
+    r->labels[id] = label;
+    r->slots[s] = (int32_t)(id + 1);
+    if (2 * r->n > r->slot_cap) { /* keep the table at most half full */
+        int32_t *grown = calloc(2 * (size_t)r->slot_cap, sizeof *grown);
+        int64_t i;
+        if (grown == NULL)
+            return -1;
+        free(r->slots);
+        r->slots = grown;
+        r->slot_cap *= 2;
+        for (i = 0; i < r->n; i++) {
+            for (s = slot_of(r->labels[i], r->slot_cap); r->slots[s];
+                 s = (s + 1) & (uint64_t)(r->slot_cap - 1))
+                ;
+            r->slots[s] = (int32_t)(i + 1);
+        }
+    }
+    return id;
+}
+
+/* Parse the line [s, end) without its line end into its two labels.
+ * Returns 1 for an edge, 0 for a blank or comment line, -1 off the grammar. */
+static int parse_line(const char *s, const char *end, int format, int64_t *u, int64_t *v)
+{
+    int field;
+
+    s = skip_blanks(s, end);
+    if (s == end)
+        return 0;
+    if (format == FORMAT_SNAP) {
+        if (*s == '#') {
+            for (; s < end; s++)
+                if (!is_text(*s))
+                    return -1;
+            return 0;
+        }
+        s = parse_label(s, end, u);
+        if (s == NULL || s == end || !is_blank(*s))
+            return -1;
+        s = parse_label(skip_blanks(s, end), end, v);
+        return s != NULL && skip_blanks(s, end) == end ? 1 : -1;
+    }
+    s = parse_label(s, end, u);
+    if (s == NULL || (s = skip_blanks(s, end)) == end || *s != ',')
+        return -1;
+    s = parse_label(skip_blanks(s + 1, end), end, v);
+    if (s == NULL || (s = skip_blanks(s, end)) == end || *s != ',')
+        return -1;
+    for (field = 0, s++; s < end; s++) { /* the rating and time fields */
+        if (*s == ',')
+            field++;
+        else if (!is_text(*s))
+            return -1;
+    }
+    return field == 1 ? 1 : -1;
+}
+
+/* Parse data[0..size) in `format`. On success writes the label count and
+ * the pair count to counts[0..1] and the reader to *out, and returns 0;
+ * otherwise returns READ_GRAMMAR, READ_NO_MEMORY or READ_EMPTY and leaves
+ * nothing allocated. */
+int pd_read_edges(const char *data, int64_t size, int64_t format, int64_t *counts, void **out)
+{
+    const char *line = data, *end = data + size, *stop, *newline, *next;
+    struct edge_reader *r = calloc(1, sizeof *r);
+    int64_t rows = 1, u, v, id_u, id_v;
+    int status = READ_OK;
+
+    for (newline = data; (newline = memchr(newline, '\n', (size_t)(end - newline))) != NULL; newline++)
+        rows++;
+    if (r == NULL)
+        return READ_NO_MEMORY;
+    r->label_cap = 1024;
+    r->slot_cap = 2048;
+    r->labels = malloc((size_t)r->label_cap * sizeof *r->labels);
+    r->slots = calloc((size_t)r->slot_cap, sizeof *r->slots);
+    r->ends = malloc(2 * (size_t)rows * sizeof *r->ends);
+    if (r->labels == NULL || r->slots == NULL || r->ends == NULL)
+        status = READ_NO_MEMORY;
+
+    for (; status == READ_OK && line < end; line = next) {
+        newline = memchr(line, '\n', (size_t)(end - line));
+        stop = newline != NULL ? newline - (newline > line && newline[-1] == '\r') : end;
+        next = newline != NULL ? newline + 1 : end;
+        switch (parse_line(line, stop, (int)format, &u, &v)) {
+        case 1:
+            if (u == v)
+                break; /* before registering the labels: a self-loop's label is no node */
+            id_u = intern(r, u);
+            id_v = id_u < 0 ? -1 : intern(r, v);
+            if (id_v < 0) {
+                status = READ_NO_MEMORY;
+                break;
+            }
+            r->ends[2 * r->pairs] = (int32_t)id_u;
+            r->ends[2 * r->pairs + 1] = (int32_t)id_v;
+            r->pairs++;
+            break;
+        case -1:
+            status = READ_GRAMMAR;
+        }
+    }
+    if (status == READ_OK && r->pairs == 0)
+        status = READ_EMPTY;
+    if (status != READ_OK) {
+        reader_free(r);
+        return status;
+    }
+    free(r->slots);
+    r->slots = NULL;
+    counts[0] = r->n;
+    counts[1] = r->pairs;
+    *out = r;
+    return READ_OK;
+}
+
+/* Write the reader's labels to labels[0..n), the CSR to offsets[0..n] and
+ * targets[0..offsets[n]) (targets holds 2 * pairs entries; each row comes
+ * out sorted and duplicate-free), and free the reader. Returns 0, or -1
+ * when memory runs out. */
+int pd_edges_csr(void *reader, int64_t *labels, int64_t *offsets, int32_t *targets)
+{
+    struct edge_reader *r = reader;
+    const int64_t n = r->n, entries = 2 * r->pairs;
+    int32_t *ends = r->ends;
+    int64_t *cursor = malloc(((size_t)n + 1) * sizeof *cursor);
+    int64_t i, v, lo, hi, kept;
+
+    if (cursor == NULL) {
+        reader_free(r);
+        return -1;
+    }
+    memcpy(labels, r->labels, (size_t)n * sizeof *labels);
+    memset(offsets, 0, ((size_t)n + 1) * sizeof *offsets);
+    for (i = 0; i < entries; i++)
+        offsets[ends[i] + 1]++;
+    for (v = 0; v < n; v++)
+        offsets[v + 1] += offsets[v];
+
+    /* Each pair's two directions into the rows of targets, unsorted; then
+     * back into ends by walking the rows in ascending order, which leaves
+     * every row of ends sorted (a counting sort on the neighbor id). */
+    memcpy(cursor, offsets, (size_t)n * sizeof *cursor);
+    for (i = 0; i < entries; i += 2) {
+        targets[cursor[ends[i]]++] = ends[i + 1];
+        targets[cursor[ends[i + 1]]++] = ends[i];
+    }
+    memcpy(cursor, offsets, (size_t)n * sizeof *cursor);
+    for (v = 0; v < n; v++)
+        for (i = offsets[v]; i < offsets[v + 1]; i++)
+            ends[cursor[targets[i]]++] = (int32_t)v;
+
+    /* Drop the repeats of each sorted row while copying it back. */
+    for (v = kept = 0, lo = offsets[0]; v < n; v++, lo = hi) {
+        hi = offsets[v + 1];
+        offsets[v] = kept;
+        for (i = lo; i < hi; i++)
+            if (i == lo || ends[i] != ends[i - 1])
+                targets[kept++] = ends[i];
+    }
+    offsets[n] = kept;
+    free(cursor);
+    reader_free(r);
+    return 0;
+}
+
+/* Free a reader that pd_edges_csr will not be called on. */
+void pd_edges_free(void *reader) { reader_free(reader); }

@@ -238,6 +238,9 @@ def cmd_suite(args) -> int:
 
     runs_dir = os.path.join(out_dir, "runs")
     _check_directory_path(runs_dir)
+    summary_path = os.path.join(out_dir, "suite_summary.csv")
+    if os.path.isdir(summary_path):  # the summary could not replace it after every run
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), summary_path)
 
     def series_path_for(network, group_label, bank_label, replicate):
         return os.path.join(runs_dir, run_file_name(network, group_label, bank_label, replicate))
@@ -251,7 +254,7 @@ def cmd_suite(args) -> int:
 
     _note_python_fallback()
     rows = run_suite(spec, series_path_for=series_path_for, workers=workers, progress=progress)
-    write_suite_summary_csv(os.path.join(out_dir, "suite_summary.csv"), rows)
+    write_suite_summary_csv(summary_path, rows)
     failed = sum(1 for row in rows if row.status != "ok")
     print(f"suite: {len(rows) - failed}/{len(rows)} runs ok -> {out_dir}")
     if failed == len(rows):

@@ -51,15 +51,17 @@ played either by ``_python_passes`` or by ``_pass.c`` through ctypes, on
 Both apply the rules above in the same order and give identical outputs.
 The C kernel runs when it could be built and loaded (see ``_kernel``),
 when no balance, bank balance or flow can leave int64 (``_fits_int64``),
-and when every neighbor id is an integer in [0, node_count), so the
-kernel never reads out of bounds. Otherwise the Python loop runs; it is
+and when the graph has CSR arrays (``Graph.csr``): a loaded graph
+carries the ones its reader built, and a hand-built one gets them only
+when every neighbor id is an integer in [0, node_count), so the kernel
+never reads out of bounds. Otherwise the Python loop runs; it is
 also the reference the kernel is tested against. The shuffle stays in
 Python; the kernel then takes over the generator's MT19937 state (624
 words and the index, from ``getstate()``) and reproduces CPython's
-``random()`` draw for draw. The kernel is compiled on the first ``run``
-that can use it, not at import, so importing the package never starts a
-compiler. The adjacency's CSR arrays are built inside ``run``, once per
-Graph object, so graph loading costs the same with or without the kernel.
+``random()`` draw for draw. The kernel is compiled on first use (by
+``load_graph`` or ``run``), not at import, so importing the package never
+starts a compiler. The kernel path builds no per-node neighbor lists; only
+the Python loop reads ``graph.adjacency``.
 After each pass the kernel also rebuilds the order and gathers the live
 balances and their sum, and the Gini of an int64 ``array`` runs in the
 same library (``metrics.gini``).
@@ -68,7 +70,6 @@ same library (``metrics.gini``).
 import random
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
 
 from . import _kernel
 from .errors import ConfigError
@@ -218,7 +219,7 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
     order = shuffle_order(range(n), rng)
 
     kernel = _kernel.load()[0]
-    csr = _csr(graph) if kernel is not None and _fits_int64(n, cfg) else None
+    csr = graph.csr if kernel is not None and _fits_int64(n, cfg) else None
     state = rng.getstate()
     if csr is not None and state[0] == 3 and len(state[1]) == 625:
         balances = array("q", [cfg.initial_balance]) * n
@@ -392,34 +393,6 @@ def _fits_int64(n: int, cfg: SimConfig) -> bool:
     largest = max(payoff.coop_reward, payoff.defect_penalty, payoff.betrayal_transfer)
     bank = 0 if cfg.bank.infinite else cfg.bank.balance
     return n * cfg.initial_balance + bank + 2 * n * cfg.iterations * largest < _INT64_LIMIT
-
-
-_last_csr = (None, None)  # (graph, its CSR): suites run many runs per graph
-
-
-def _csr(graph: Graph):
-    """graph.adjacency as CSR arrays (int64 offsets, int32 targets), or None
-    when a neighbor is not an integer in [0, node_count), which the kernel
-    could not index safely."""
-    global _last_csr
-    if _last_csr[0] is not graph:
-        _last_csr = (graph, _build_csr(graph.node_count, graph.adjacency))
-    return _last_csr[1]
-
-
-def _build_csr(n: int, adjacency):
-    if len(adjacency) != n:
-        return None
-    offsets = array("q", accumulate(map(len, adjacency), initial=0))
-    flat = list(chain.from_iterable(adjacency))  # an array fills faster from a list
-    try:
-        targets = array("i", flat)
-    except (TypeError, OverflowError):  # not integers that fit int32
-        return None
-    ids = set(flat)  # at most n entries: cheaper to scan than the targets
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        return None
-    return offsets, targets
 
 
 def _strategy_codes(node_count: int, assignment) -> list[int]:

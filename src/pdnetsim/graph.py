@@ -5,11 +5,22 @@ reverse-duplicate edges merge into one undirected edge, and original
 node labels are remapped to contiguous ids 0..n-1 in order of first
 appearance. First-appearance order makes reloading the same file yield
 an identical graph on any platform.
+
+Two readers apply these rules. `load_graph` first hands the file's bytes
+to the C reader in `_pass.c` (when `_kernel` can build it), which parses a
+strict ASCII grammar straight into the CSR arrays the engine's kernel plays
+on. On any other input, or without a C compiler, the Python reader
+(`_label_pairs` and `graph_from_edges`) reads the file as UTF-8 text: it
+builds the graph or raises the ParseError, and it is the reference the C
+reader is tested against.
 """
 
-from dataclasses import dataclass
+import ctypes
+from array import array
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, TextIO
 
+from . import _kernel
 from .errors import ConfigError, ParseError
 
 # Format name -> (field separator, fields per data line, what the message
@@ -20,21 +31,62 @@ _FORMATS = {
     "bitcoin_otc": (",", 4, "columns", None),
 }
 GRAPH_FORMATS = tuple(_FORMATS)
+_C_FORMATS = {"snap": 0, "bitcoin_otc": 1}  # the FORMAT_* codes of _pass.c
 
 
-@dataclass(frozen=True, slots=True)
 class Graph:
-    """Immutable undirected simple graph with contiguous node ids.
+    """Undirected simple graph with contiguous node ids; read-only by contract.
 
     adjacency holds one sorted neighbor list per node; edge_count is the
     number of undirected edges (half the sum of adjacency lengths);
     id_map maps original dataset labels to ids 0..node_count-1.
+
+    A loaded graph holds its CSR arrays (int64 offsets, int32 targets) and
+    derives `adjacency` from them on first access; a graph built from
+    adjacency lists derives the CSR on first access instead.
     """
 
-    node_count: int
-    adjacency: list[list[int]]
-    edge_count: int
-    id_map: dict[int, int]
+    __slots__ = ("node_count", "edge_count", "id_map", "_adjacency", "_csr")  # _csr: unset until built
+
+    def __init__(
+        self, node_count: int, adjacency: list[list[int]] | None, edge_count: int, id_map: dict[int, int]
+    ):
+        self.node_count = node_count
+        self._adjacency = adjacency
+        self.edge_count = edge_count
+        self.id_map = id_map
+
+    @classmethod
+    def _from_csr(cls, offsets: array, targets: array, id_map: dict[int, int]) -> "Graph":
+        graph = cls(len(offsets) - 1, None, len(targets) // 2, id_map)
+        graph._csr = offsets, targets
+        return graph
+
+    @property
+    def adjacency(self) -> list[list[int]]:
+        if self._adjacency is None:
+            offsets, targets = self._csr
+            flat = targets.tolist()
+            self._adjacency = [flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        return self._adjacency
+
+    @property
+    def csr(self):
+        """(offsets, targets) arrays of the adjacency, or None when a
+        neighbor is not an integer in [0, node_count), which the kernel
+        could not index safely."""
+        try:
+            return self._csr
+        except AttributeError:
+            self._csr = _build_csr(self.node_count, self._adjacency)
+            return self._csr
+
+    def degrees(self) -> list[int]:
+        """The degree of every node, by id."""
+        if self._adjacency is None:
+            offsets = self._csr[0]
+            return [hi - lo for lo, hi in zip(offsets, offsets[1:])]
+        return list(map(len, self._adjacency))
 
     def degree(self, node: int) -> int:
         return len(self.adjacency[node])
@@ -45,6 +97,19 @@ class Graph:
             for v in neighbors:
                 if u < v:
                     yield (u, v)
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.node_count, self.edge_count, self.id_map, self.adjacency) == (
+            other.node_count,
+            other.edge_count,
+            other.id_map,
+            other.adjacency,
+        )
+
+    def __repr__(self):
+        return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
 
     def validate(self) -> None:
         """Exhaustively check the simple-graph invariants; raise ValueError on breach."""
@@ -137,11 +202,57 @@ def load_graph(path: str, fmt: str) -> Graph:
     """Open `path` and dispatch on format name ('snap' or 'bitcoin_otc')."""
     if fmt not in GRAPH_FORMATS:
         raise ConfigError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
+    graph = _read_csr(path, fmt)
+    if graph is not None:
+        return graph
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return graph_from_edges(_label_pairs(handle, fmt))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _read_csr(path: str, fmt: str) -> Graph | None:
+    """The graph of `path` as the C reader builds it, or None when the
+    kernel library cannot be loaded or the reader gives up on the file."""
+    library = _kernel.load()[0]
+    if library is None:
+        return None
+    with open(path, "rb") as handle:
+        data = handle.read()
+    counts = array("q", [0, 0])
+    reader = ctypes.c_void_p()
+    if library.pd_read_edges(data, len(data), _C_FORMATS[fmt], counts.buffer_info()[0], ctypes.byref(reader)):
+        return None
+    del data  # before the CSR is allocated
+    n, pairs = counts
+    try:
+        labels = array("q", [0]) * n
+        offsets = array("q", [0]) * (n + 1)
+        targets = array("i", [0]) * (2 * pairs)
+    except MemoryError:
+        library.pd_edges_free(reader)
+        return None
+    if library.pd_edges_csr(reader, *(a.buffer_info()[0] for a in (labels, offsets, targets))):
+        return None
+    del targets[offsets[n]:]
+    return Graph._from_csr(offsets, targets, dict(zip(labels, range(n))))
+
+
+def _build_csr(n: int, adjacency):
+    """The CSR arrays of hand-built adjacency lists, or None (see Graph.csr)."""
+    if len(adjacency) != n:
+        return None
+    offsets = array("q", accumulate(map(len, adjacency), initial=0))
+    flat = list(chain.from_iterable(adjacency))  # an array fills faster from a list
+    try:
+        targets = array("i", flat)
+    except (TypeError, OverflowError):  # not integers that fit int32
+        return None
+    ids = set(flat)  # at most n entries: cheaper to scan than the targets
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        return None
+    return offsets, targets
 
 
 def write_edge_list(graph: Graph, stream: TextIO) -> None:
@@ -153,5 +264,5 @@ def write_edge_list(graph: Graph, stream: TextIO) -> None:
 
 def degree_ranked_nodes(graph: Graph) -> list[int]:
     """Node ids sorted by degree descending, ties broken by ascending id."""
-    adjacency = graph.adjacency
-    return sorted(range(graph.node_count), key=lambda v: (-len(adjacency[v]), v))
+    # A reverse sort is stable too, so ties keep their ascending ids.
+    return sorted(range(graph.node_count), key=graph.degrees().__getitem__, reverse=True)

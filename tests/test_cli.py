@@ -288,6 +288,17 @@ def test_suite_output_under_a_file_fails_before_any_run(suite_config, tmp_path, 
     assert blocker.read_text() == ""
 
 
+def test_suite_summary_taken_by_a_directory_fails_before_any_run(suite_config, capsys):
+    config_path, out_dir = suite_config
+    summary = out_dir / "suite_summary.csv"
+    summary.mkdir(parents=True)
+    assert main(["suite", "--config", str(config_path)]) == EXIT_IO
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: [Errno 21] Is a directory: '{summary}'"]
+    runs = out_dir / "runs"
+    assert not runs.exists() or not any(runs.iterdir())
+
+
 @pytest.mark.parametrize(
     "networks, banks, message",
     [

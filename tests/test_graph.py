@@ -1,16 +1,19 @@
 import io
 import random
+import shutil
 
 import pytest
 
 from pdnetsim import (
     ParseError,
+    _kernel,
     degree_ranked_nodes,
     graph_from_edges,
     load_bitcoin_otc_csv,
     load_graph,
     load_snap_edge_list,
 )
+from pdnetsim import graph as graph_module
 
 from conftest import path_graph, require_dataset, star_graph, triangle_graph
 
@@ -99,11 +102,33 @@ def _normalized_by_brute_force(pairs):
     return len(id_map), len(edges), adjacency, list(id_map.items())
 
 
-def test_loaded_graphs_satisfy_invariants():
+@pytest.fixture
+def c_reader():
+    """Skips only where no C compiler exists; anywhere else the kernel
+    library, and with it the C graph reader, must load."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc)")
+    library, reason = _kernel.load()
+    assert library is not None, reason
+
+
+def _python_load(path, fmt):
+    """load_graph as it reads without the kernel: the Python reader alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel, "load", lambda: (None, "forced"))
+        return load_graph(str(path), fmt)
+
+
+def _as_tuple(g):
+    return (g.node_count, g.edge_count, g.adjacency, list(g.id_map.items()))
+
+
+def test_loaded_graphs_satisfy_invariants(tmp_path):
     rng = random.Random(42)
-    for load, row in (
-        (load_snap_edge_list, "{} {}\n"),
-        (load_bitcoin_otc_csv, "{},{},5,1289241911.7\n"),
+    path = tmp_path / "graph"
+    for fmt, load, row in (
+        ("snap", load_snap_edge_list, "{} {}\n"),
+        ("bitcoin_otc", load_bitcoin_otc_csv, "{},{},5,1289241911.7\n"),
     ):
         for _ in range(25):
             n = rng.randint(2, 40)
@@ -119,16 +144,22 @@ def test_loaded_graphs_satisfy_invariants():
                 elif extra < 0.3:
                     pairs.append((u, u))  # self-loop
             text = "".join(row.format(u, v) for u, v in pairs)
+            path.write_text(text)
             try:
                 g = load(io.StringIO(text))
             except ParseError:
                 assert all(u == v for u, v in pairs)
+                for read in (load_graph, _python_load):
+                    with pytest.raises(ParseError, match="empty edge set"):
+                        read(str(path), fmt)
                 continue
-            g.validate()
-            loaded = (g.node_count, g.edge_count, g.adjacency, list(g.id_map.items()))
-            assert loaded == _normalized_by_brute_force(pairs)
-            ranked = degree_ranked_nodes(g)
-            assert sorted(ranked) == list(range(g.node_count))
+            # The stream loader, the file loader (the C reader wherever the
+            # kernel loads) and the file loader with the Python reader alone.
+            for loaded in (g, load_graph(str(path), fmt), _python_load(path, fmt)):
+                loaded.validate()
+                assert _as_tuple(loaded) == _normalized_by_brute_force(pairs)
+                ranked = degree_ranked_nodes(loaded)
+                assert sorted(ranked) == list(range(loaded.node_count))
             # reload determinism
             assert load(io.StringIO(text)) == g
 
@@ -158,3 +189,109 @@ def test_bitcoin_dataset_counts():
     g = load_graph(path, fmt)
     assert g.node_count == 5881
     assert g.edge_count == 35592
+
+
+# --- the C reader and the Python reader ---------------------------------------
+
+_EXTREME_LABELS = [2**63 - 1, -(2**63 - 1), -(2**63), 0, 10**12]
+
+
+def _spell(label, rng):
+    """`label` as a decimal with an optional sign and leading zeros."""
+    sign = "-" if label < 0 else rng.choice(["", "", "+"])
+    return sign + "0" * rng.choice([0, 0, 0, 1, 3]) + str(abs(label))
+
+
+def _random_edge_file(rng, fmt):
+    """(bytes of a random file in the C reader's grammar, whether it holds an
+    edge that is no self-loop)."""
+    pool = [rng.randrange(-50, 50) for _ in range(rng.randint(2, 30))] + rng.sample(_EXTREME_LABELS, 2)
+    pad = ["", "", " ", "\t"]
+    lines, has_edge = [], False
+    for _ in range(rng.randint(1, 60)):
+        u, v = rng.choice(pool), rng.choice(pool)
+        # a reverse duplicate, a repeated row, a self-loop or a plain row
+        rows = rng.choices([[(u, v), (v, u)], [(u, v)] * 2, [(u, u)], [(u, v)]], weights=[15, 10, 10, 65])[0]
+        for a, b in rows:
+            has_edge |= a != b
+            if fmt == "snap":
+                sep = rng.choice([" ", "\t", "  ", " \t "])
+                lines.append(rng.choice(pad) + _spell(a, rng) + sep + _spell(b, rng) + rng.choice(pad))
+            else:
+                around = rng.choice(["", " "])
+                a_text, b_text, rating = _spell(a, rng), _spell(b, rng), rng.randint(-10, 10)
+                lines.append(f"{rng.choice(pad)}{a_text}{around},{around}{b_text},{rating},1289241911.7")
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", " \t", "# a comment", "\t#"] if fmt == "snap" else ["", " "]))
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+    text = end.join(lines) + rng.choice([end, end, ""])
+    return text.encode(), has_edge
+
+
+def test_c_reader_matches_the_python_reader_on_random_files(c_reader, tmp_path):
+    rng = random.Random(707)
+    path = tmp_path / "graph"
+    for case in range(300):
+        fmt = ("snap", "bitcoin_otc")[case % 2]
+        data, has_edge = _random_edge_file(rng, fmt)
+        path.write_bytes(data)
+        if not has_edge:
+            assert graph_module._read_csr(str(path), fmt) is None
+            for read in (load_graph, _python_load):
+                with pytest.raises(ParseError, match="^empty edge set after normalization$"):
+                    read(str(path), fmt)
+            continue
+        read_in_c = graph_module._read_csr(str(path), fmt)
+        assert read_in_c is not None, data  # the C reader must not give up on its own grammar
+        expected = _python_load(path, fmt)
+        assert _as_tuple(read_in_c) == _as_tuple(expected)
+        assert _as_tuple(load_graph(str(path), fmt)) == _as_tuple(expected)
+        assert read_in_c.csr == graph_module._build_csr(expected.node_count, expected.adjacency)
+        adjacency = expected.adjacency
+        by_old_key = sorted(range(expected.node_count), key=lambda v: (-len(adjacency[v]), v))
+        assert degree_ranked_nodes(read_in_c) == degree_ranked_nodes(expected) == by_old_key
+
+
+@pytest.mark.parametrize(
+    "fmt, data",
+    [
+        ("snap", "1 ٢\n".encode()),  # a non-ASCII digit, which int() reads as 2
+        ("snap", b"1_0 2\n"),
+        ("snap", b"1 2\r3 4\n"),  # a lone carriage return ends a line in text mode
+        ("snap", b"1\x0b2\n"),  # whitespace other than space and tab
+        ("snap", f"{2**63} 1\n".encode()),
+        ("bitcoin_otc", f"1,{-(2**63) - 1},0,0\n".encode()),
+        ("snap", b"1 2\n1 2 3\n"),
+        ("bitcoin_otc", b"1,2,3,4\n1,2,3\n"),
+        ("bitcoin_otc", b"# no comments here\n1,2,3,4\n"),
+        ("snap", b"0 x\n"),
+        ("snap", b"# only comments\n5 5\n"),
+        ("snap", b"0 1\n\xff\n"),
+    ],
+    ids=[
+        "non-ascii-digit",
+        "underscore",
+        "lone-cr",
+        "vertical-tab",
+        "2**63",
+        "below-int64",
+        "field-count",
+        "column-count",
+        "bitcoin-comment",
+        "non-integer",
+        "empty-edge-set",
+        "non-utf8",
+    ],
+)
+def test_c_reader_leaves_other_input_to_the_python_reader(c_reader, tmp_path, fmt, data):
+    path = tmp_path / "graph"
+    path.write_bytes(data)
+    assert graph_module._read_csr(str(path), fmt) is None
+
+    def outcome(read):
+        try:
+            return _as_tuple(read(str(path), fmt))
+        except ParseError as exc:
+            return f"ParseError: {exc}"
+
+    assert outcome(load_graph) == outcome(_python_load)
