@@ -142,6 +142,23 @@ def _note_python_fallback() -> None:
         print(f"note: {reason}; engine passes run in the slower Python loop", file=sys.stderr)
 
 
+def _check_outputs(directory: str, *files: str) -> None:
+    """Fail before any load or run when a command's writes could not succeed.
+
+    Raises NotADirectoryError when `directory` or its nearest existing
+    ancestor is not a directory, and IsADirectoryError when one of the
+    output `files` is a directory, which a finished file could not replace.
+    """
+    probe = os.path.abspath(directory)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), probe)
+    for path in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def cmd_run(args) -> int:
     values = parse_kv_config(args.config)
     _check_keys(values, _RUN_REQUIRED, _SIM_KEYS, args.config)
@@ -154,6 +171,9 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else _int_value(values, "seed")
     out_dir = args.out if args.out is not None else _single(values, "out")
     cfg = SimConfig(**_sim_settings(values), bank=bank, seed=seed)
+    series_path = os.path.join(out_dir, "gini_series.csv")
+    summary_path = os.path.join(out_dir, "summary.txt")
+    _check_outputs(out_dir, series_path, summary_path)
 
     graph = load_graph(graph_path, fmt)
     rng = random.Random(derive_seed(seed, "assign"))
@@ -164,8 +184,8 @@ def cmd_run(args) -> int:
 
     _note_python_fallback()
     result = run(graph, assignment, cfg)
-    write_gini_series_csv(os.path.join(out_dir, "gini_series.csv"), result)
-    write_summary_txt(os.path.join(out_dir, "summary.txt"), result, seed)
+    write_gini_series_csv(series_path, result)
+    write_summary_txt(summary_path, result, seed)
     converged = "none" if result.converged_at is None else str(result.converged_at)
     print(
         f"final_gini={format_gini(result.gini_series[-1])} converged_at={converged} "
@@ -207,16 +227,6 @@ def _parse_banks(text: str | None) -> tuple[BankSetting, ...]:
     return tuple(settings)
 
 
-def _check_directory_path(path: str) -> None:
-    """Raise NotADirectoryError when `path` or its nearest existing ancestor
-    is not a directory, so that no write under `path` could succeed."""
-    probe = os.path.abspath(path)
-    while not os.path.exists(probe):
-        probe = os.path.dirname(probe)
-    if not os.path.isdir(probe):
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), probe)
-
-
 def cmd_suite(args) -> int:
     values = parse_kv_config(args.config)
     _check_keys(values, _SUITE_REQUIRED, _SUITE_OPTIONAL, args.config)
@@ -237,10 +247,8 @@ def cmd_suite(args) -> int:
     out_dir = args.out if args.out is not None else _single(values, "out")
 
     runs_dir = os.path.join(out_dir, "runs")
-    _check_directory_path(runs_dir)
     summary_path = os.path.join(out_dir, "suite_summary.csv")
-    if os.path.isdir(summary_path):  # the summary could not replace it after every run
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), summary_path)
+    _check_outputs(runs_dir, summary_path)
 
     def series_path_for(network, group_label, bank_label, replicate):
         return os.path.join(runs_dir, run_file_name(network, group_label, bank_label, replicate))

@@ -49,19 +49,15 @@ stats, the hook and the convergence test) is Python, and a pass itself is
 played either by ``_python_passes`` or by ``_pass.c`` through ctypes, on
 ``array`` buffers (int64 balances).
 Both apply the rules above in the same order and give identical outputs.
-The C kernel runs when it could be built and loaded (see ``_kernel``),
-when no balance, bank balance or flow can leave int64 (``_fits_int64``),
-and when the graph has CSR arrays (``Graph.csr``): a loaded graph
-carries the ones its reader built, and a hand-built one gets them only
-when every neighbor id is an integer in [0, node_count), so the kernel
-never reads out of bounds. Otherwise the Python loop runs; it is
-also the reference the kernel is tested against. The shuffle stays in
-Python; the kernel then takes over the generator's MT19937 state (624
-words and the index, from ``getstate()``) and reproduces CPython's
-``random()`` draw for draw. The kernel is compiled on first use (by
-``load_graph`` or ``run``), not at import, so importing the package never
-starts a compiler. The kernel path builds no per-node neighbor lists; only
-the Python loop reads ``graph.adjacency``.
+The C kernel plays on the graph's CSR arrays whenever it could be built and
+loaded (see ``_kernel``) and no balance, bank balance or flow can leave
+int64 (``_fits_int64``). Otherwise the Python loop runs on
+``graph.adjacency``; it is also the reference the kernel is tested
+against. The shuffle stays in Python; the kernel then takes over the
+generator's MT19937 state (624 words and the index, from ``getstate()``)
+and reproduces CPython's ``random()`` draw for draw. The kernel is
+compiled on first use (by ``load_graph`` or ``run``), not at import, so
+importing the package never starts a compiler.
 After each pass the kernel also rebuilds the order and gathers the live
 balances and their sum, and the Gini of an int64 ``array`` runs in the
 same library (``metrics.gini``).
@@ -219,12 +215,13 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
     order = shuffle_order(range(n), rng)
 
     kernel = _kernel.load()[0]
-    csr = graph.csr if kernel is not None and _fits_int64(n, cfg) else None
     state = rng.getstate()
-    if csr is not None and state[0] == 3 and len(state[1]) == 625:
+    if kernel is not None and _fits_int64(n, cfg) and state[0] == 3 and len(state[1]) == 625:
         balances = array("q", [cfg.initial_balance]) * n
         to_list = array.tolist
-        passes = _kernel_passes(kernel.pd_pass, csr, strategies, order, balances, cfg, state[1])
+        passes = _kernel_passes(
+            kernel.pd_pass, graph.offsets, graph.targets, strategies, order, balances, cfg, state[1]
+        )
     else:
         balances = [cfg.initial_balance] * n
         to_list = list.copy
@@ -344,7 +341,7 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
         yield stat, held, balances == start
 
 
-def _kernel_passes(pd_pass, csr, strategies, order, balances, cfg, mt_state):
+def _kernel_passes(pd_pass, offsets, targets, strategies, order, balances, cfg, mt_state):
     """`_python_passes` with each pass played by `_pass.c`.
 
     `balances` is an int64 array; mt_state holds the 624 MT19937 words and
@@ -352,7 +349,6 @@ def _kernel_passes(pd_pass, csr, strategies, order, balances, cfg, mt_state):
     array of the live balances, rewritten by every pass.
     """
     n = len(balances)
-    offsets, targets = csr
     payoff = cfg.payoff
     infinite = cfg.bank.infinite
     order = array("q", order)

@@ -8,14 +8,15 @@ an identical graph on any platform.
 
 Two readers apply these rules. `load_graph` first hands the file's bytes
 to the C reader in `_pass.c` (when `_kernel` can build it), which parses a
-strict ASCII grammar straight into the CSR arrays the engine's kernel plays
-on. On any other input, or without a C compiler, the Python reader
+strict ASCII grammar straight into the CSR arrays every Graph holds. On
+any other input, or without a C compiler, the Python reader
 (`_label_pairs` and `graph_from_edges`) reads the file as UTF-8 text: it
 builds the graph or raises the ParseError, and it is the reference the C
 reader is tested against.
 """
 
 import ctypes
+import operator
 from array import array
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, TextIO
@@ -37,88 +38,81 @@ _C_FORMATS = {"snap": 0, "bitcoin_otc": 1}  # the FORMAT_* codes of _pass.c
 class Graph:
     """Undirected simple graph with contiguous node ids; read-only by contract.
 
-    adjacency holds one sorted neighbor list per node; edge_count is the
-    number of undirected edges (half the sum of adjacency lengths);
-    id_map maps original dataset labels to ids 0..node_count-1.
-
-    A loaded graph holds its CSR arrays (int64 offsets, int32 targets) and
-    derives `adjacency` from them on first access; a graph built from
-    adjacency lists derives the CSR on first access instead.
+    The graph is its CSR arrays: the neighbors of node v are
+    targets[offsets[v]:offsets[v + 1]] (int64 offsets, int32 targets), and
+    `adjacency` is the same rows as lists, built on first access. id_map
+    maps original dataset labels to ids 0..node_count-1. The constructor
+    takes adjacency lists and raises ConfigError on a neighbor that is not
+    an integer in [0, node_count), so the kernel never reads out of bounds.
     """
 
-    __slots__ = ("node_count", "edge_count", "id_map", "_adjacency", "_csr")  # _csr: unset until built
+    __slots__ = ("offsets", "targets", "id_map", "_adjacency")
 
-    def __init__(
-        self, node_count: int, adjacency: list[list[int]] | None, edge_count: int, id_map: dict[int, int]
-    ):
-        self.node_count = node_count
-        self._adjacency = adjacency
-        self.edge_count = edge_count
+    def __init__(self, adjacency: list[list[int]], id_map: dict[int, int]):
+        n = len(adjacency)
+        flat = list(chain.from_iterable(adjacency))  # an array fills faster from a list
+        try:
+            targets = array("i", flat)
+        except (TypeError, OverflowError):  # not integers that fit int32
+            raise _bad_neighbor(adjacency) from None
+        if flat and (min(flat) < 0 or max(flat) >= n):
+            raise _bad_neighbor(adjacency)
+        self.offsets = array("q", accumulate(map(len, adjacency), initial=0))
+        self.targets = targets
         self.id_map = id_map
+        self._adjacency = None
 
     @classmethod
     def _from_csr(cls, offsets: array, targets: array, id_map: dict[int, int]) -> "Graph":
-        graph = cls(len(offsets) - 1, None, len(targets) // 2, id_map)
-        graph._csr = offsets, targets
+        """A graph of CSR arrays the caller has checked (the C reader's)."""
+        graph = cls.__new__(cls)
+        graph.offsets, graph.targets, graph.id_map, graph._adjacency = offsets, targets, id_map, None
         return graph
+
+    @property
+    def node_count(self) -> int:
+        return len(self.offsets) - 1
+
+    @property
+    def edge_count(self) -> int:
+        """The number of undirected edges: half the number of targets."""
+        return len(self.targets) // 2
 
     @property
     def adjacency(self) -> list[list[int]]:
         if self._adjacency is None:
-            offsets, targets = self._csr
-            flat = targets.tolist()
+            offsets, flat = self.offsets, self.targets.tolist()
             self._adjacency = [flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
         return self._adjacency
 
-    @property
-    def csr(self):
-        """(offsets, targets) arrays of the adjacency, or None when a
-        neighbor is not an integer in [0, node_count), which the kernel
-        could not index safely."""
-        try:
-            return self._csr
-        except AttributeError:
-            self._csr = _build_csr(self.node_count, self._adjacency)
-            return self._csr
-
     def degrees(self) -> list[int]:
         """The degree of every node, by id."""
-        if self._adjacency is None:
-            offsets = self._csr[0]
-            return [hi - lo for lo, hi in zip(offsets, offsets[1:])]
-        return list(map(len, self._adjacency))
+        offsets = self.offsets
+        return [hi - lo for lo, hi in zip(offsets, offsets[1:])]
 
     def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
+        return self.offsets[node + 1] - self.offsets[node]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once as (u, v) with u < v, ascending."""
-        for u, neighbors in enumerate(self.adjacency):
-            for v in neighbors:
+        offsets, flat = self.offsets, self.targets.tolist()
+        for u, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+            for v in flat[lo:hi]:
                 if u < v:
                     yield (u, v)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return (self.node_count, self.edge_count, self.id_map, self.adjacency) == (
-            other.node_count,
-            other.edge_count,
-            other.id_map,
-            other.adjacency,
-        )
+        return (self.id_map, self.offsets, self.targets) == (other.id_map, other.offsets, other.targets)
 
     def __repr__(self):
         return f"Graph(node_count={self.node_count}, edge_count={self.edge_count})"
 
     def validate(self) -> None:
         """Exhaustively check the simple-graph invariants; raise ValueError on breach."""
-        if self.node_count != len(self.adjacency):
-            raise ValueError("adjacency length does not match node_count")
-        degree_total = 0
         for u, neighbors in enumerate(self.adjacency):
-            degree_total += len(neighbors)
-            if sorted(set(neighbors)) != list(neighbors):
+            if sorted(set(neighbors)) != neighbors:
                 raise ValueError(f"adjacency of node {u} is not sorted and duplicate-free")
             for v in neighbors:
                 if v == u:
@@ -127,8 +121,20 @@ class Graph:
                     raise ValueError(f"neighbor {v} of node {u} out of range")
                 if u not in self.adjacency[v]:
                     raise ValueError(f"asymmetric edge ({u}, {v})")
-        if degree_total != 2 * self.edge_count:
-            raise ValueError("edge_count does not equal half the adjacency total")
+
+
+def _bad_neighbor(adjacency) -> ConfigError:
+    """The error naming the first neighbor that is not an integer in [0, n)."""
+    n = len(adjacency)
+    for node, neighbors in enumerate(adjacency):
+        for v in neighbors:
+            try:
+                valid = 0 <= operator.index(v) < n
+            except TypeError:
+                valid = False
+            if not valid:
+                return ConfigError(f"neighbor {v!r} of node {node} is not an integer in [0, {n})")
+    return ConfigError(f"{n} nodes do not fit int32 ids")
 
 
 def _label_pairs(lines: Iterable[str], fmt: str) -> Iterator[tuple[int, int]]:
@@ -171,12 +177,11 @@ def graph_from_edges(edges: Iterable[tuple[int, int]]) -> Graph:
             adjacency.append([])
         adjacency[u].append(v)
         adjacency[v].append(u)
+    if not adjacency:  # every node registered has an edge
+        raise ParseError("empty edge set after normalization")
     for node, neighbors in enumerate(adjacency):
         adjacency[node] = sorted(set(neighbors))  # merges duplicate and reverse-duplicate edges
-    edge_count = sum(map(len, adjacency)) // 2
-    if not edge_count:
-        raise ParseError("empty edge set after normalization")
-    return Graph(node_count=len(adjacency), adjacency=adjacency, edge_count=edge_count, id_map=id_map)
+    return Graph(adjacency, id_map)
 
 
 def load_snap_edge_list(lines: Iterable[str]) -> Graph:
@@ -237,22 +242,6 @@ def _read_csr(path: str, fmt: str) -> Graph | None:
         return None
     del targets[offsets[n]:]
     return Graph._from_csr(offsets, targets, dict(zip(labels, range(n))))
-
-
-def _build_csr(n: int, adjacency):
-    """The CSR arrays of hand-built adjacency lists, or None (see Graph.csr)."""
-    if len(adjacency) != n:
-        return None
-    offsets = array("q", accumulate(map(len, adjacency), initial=0))
-    flat = list(chain.from_iterable(adjacency))  # an array fills faster from a list
-    try:
-        targets = array("i", flat)
-    except (TypeError, OverflowError):  # not integers that fit int32
-        return None
-    ids = set(flat)  # at most n entries: cheaper to scan than the targets
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        return None
-    return offsets, targets
 
 
 def write_edge_list(graph: Graph, stream: TextIO) -> None:

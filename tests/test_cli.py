@@ -299,6 +299,16 @@ def test_suite_summary_taken_by_a_directory_fails_before_any_run(suite_config, c
     assert not runs.exists() or not any(runs.iterdir())
 
 
+def test_run_summary_taken_by_a_directory_fails_before_the_run(two_node_run, capsys):
+    config_path, out_dir = two_node_run
+    summary = out_dir / "summary.txt"
+    summary.mkdir(parents=True)
+    assert main(["run", "--config", str(config_path)]) == EXIT_IO
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: [Errno 21] Is a directory: '{summary}'"]
+    assert not (out_dir / "gini_series.csv").exists()
+
+
 @pytest.mark.parametrize(
     "networks, banks, message",
     [

@@ -288,7 +288,7 @@ def test_assignment_rejects_non_agent_values():
 
 
 def test_degree_zero_nodes_are_skipped():
-    g = Graph(node_count=3, adjacency=[[], [2], [1]], edge_count=1, id_map={0: 0, 1: 1, 2: 2})
+    g = Graph([[], [2], [1]], {0: 0, 1: 1, 2: 2})
     cfg = SimConfig(iterations=5, bank=Bank(infinite=True), seed=3)
     result = run(g, [C, C, C], cfg)
     assert result.final_balances[0] == 100
@@ -464,7 +464,7 @@ def _reference_cases():
     for case in range(8):
         g = random_graph(rng.randint(4, 30), rng.uniform(1.0, 4.0), seed=rng.randrange(10**6))
         isolated = rng.randint(1, 5)
-        g = Graph(g.node_count + isolated, g.adjacency + [[] for _ in range(isolated)], g.edge_count, {})
+        g = Graph(g.adjacency + [[] for _ in range(isolated)], {})
         bank = Bank(infinite=True) if case % 4 == 3 else Bank(balance=rng.randint(0, 60))
         yield g, random_assignment(g.node_count, rng), SimConfig(
             iterations=rng.randint(1, 40),
@@ -626,16 +626,3 @@ def test_snapshot_capital_creation_past_int64_stays_exact(kernel_calls):
     ginis, balances, bank_end, converged, stats = reference_run(g, [D, C, D], cfg)
     assert result.gini_series == ginis
     assert as_stat_tuples(result) == stats
-
-
-@pytest.mark.parametrize(
-    "node_count, adjacency",
-    [(2, [[1], [5]]), (3, [[1], [0]])],
-    ids=["neighbor-out-of-range", "adjacency-too-short"],
-)
-def test_hand_built_graph_with_a_missing_node_raises(node_count, adjacency):
-    # The kernel would read out of bounds, so the Python loop runs and
-    # raises as it always has.
-    g = Graph(node_count=node_count, adjacency=adjacency, edge_count=1, id_map={})
-    with pytest.raises(IndexError):
-        run(g, [C] * node_count, SimConfig(iterations=2, bank=Bank(infinite=True), seed=1))

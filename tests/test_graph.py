@@ -5,6 +5,8 @@ import shutil
 import pytest
 
 from pdnetsim import (
+    ConfigError,
+    Graph,
     ParseError,
     _kernel,
     degree_ranked_nodes,
@@ -158,6 +160,8 @@ def test_loaded_graphs_satisfy_invariants(tmp_path):
             for loaded in (g, load_graph(str(path), fmt), _python_load(path, fmt)):
                 loaded.validate()
                 assert _as_tuple(loaded) == _normalized_by_brute_force(pairs)
+                n = loaded.node_count
+                assert [loaded.degree(v) for v in range(n)] == loaded.degrees() == list(map(len, loaded.adjacency))
                 ranked = degree_ranked_nodes(loaded)
                 assert sorted(ranked) == list(range(loaded.node_count))
             # reload determinism
@@ -168,6 +172,30 @@ def test_graph_from_edges_matches_loader():
     edges = [(0, 1), (1, 2), (2, 0), (1, 0)]
     text = "".join(f"{u} {v}\n" for u, v in edges)
     assert graph_from_edges(edges) == load_snap_edge_list(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "adjacency, message",
+    [
+        ([[1], [2]], "neighbor 2 of node 1 is not an integer in [0, 2)"),
+        ([[1], [0], [-1]], "neighbor -1 of node 2 is not an integer in [0, 3)"),
+        ([[1.0], [0]], "neighbor 1.0 of node 0 is not an integer in [0, 2)"),
+    ],
+    ids=["neighbor-out-of-range", "negative-neighbor", "non-integer-neighbor"],
+)
+def test_graph_rejects_a_neighbor_outside_its_nodes(adjacency, message):
+    with pytest.raises(ConfigError) as caught:
+        Graph(adjacency, {})
+    assert str(caught.value) == message
+
+
+def test_graph_holds_the_csr_of_its_rows():
+    g = Graph([[1, 2], [0], [0], []], {})
+    assert (g.node_count, g.edge_count) == (4, 2)
+    assert (g.offsets.tolist(), g.targets.tolist()) == ([0, 2, 3, 4, 4], [1, 2, 0, 0])
+    assert (g.offsets.typecode, g.targets.typecode) == ("q", "i")
+    assert g.adjacency == [[1, 2], [0], [0], []]
+    assert g == Graph([[1, 2], [0], [0], []], {}) != Graph([[1, 2], [0], [0], []], {7: 0})
 
 
 def test_facebook_dataset_counts():
@@ -246,7 +274,7 @@ def test_c_reader_matches_the_python_reader_on_random_files(c_reader, tmp_path):
         expected = _python_load(path, fmt)
         assert _as_tuple(read_in_c) == _as_tuple(expected)
         assert _as_tuple(load_graph(str(path), fmt)) == _as_tuple(expected)
-        assert read_in_c.csr == graph_module._build_csr(expected.node_count, expected.adjacency)
+        assert (read_in_c.offsets, read_in_c.targets) == (expected.offsets, expected.targets)
         adjacency = expected.adjacency
         by_old_key = sorted(range(expected.node_count), key=lambda v: (-len(adjacency[v]), v))
         assert degree_ranked_nodes(read_in_c) == degree_ranked_nodes(expected) == by_old_key
