@@ -4,8 +4,9 @@ The shared library is compiled once per source, flag set and machine type
 into ``${XDG_CACHE_HOME:-~/.cache}/pdnetsim/`` and reused by later
 processes. Each compile writes a temporary file that is then renamed into
 place, so processes compiling at the same time never load a half-written
-library. When that directory cannot be written, the library is compiled
-into a temporary directory for this process only.
+library. When that directory cannot be written, or there is no home
+directory to put it in, the library is compiled into a temporary directory
+for this process only.
 """
 
 import ctypes
@@ -56,11 +57,11 @@ def load():
         return None, f"cannot read the kernel source: {exc}"
     key = hashlib.sha256(source + " ".join(FLAGS).encode() + os.uname().machine.encode())
     name = f"pass-{key.hexdigest()}.so"
-    cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pdnetsim"
     try:
         try:
+            cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pdnetsim"
             return _open(_compile(compiler, cache / name))
-        except OSError:  # the cache cannot be written: build for this process only
+        except (OSError, RuntimeError):  # an unwritable cache, or no home directory: build for this process only
             import tempfile
 
             with tempfile.TemporaryDirectory(prefix="pdnetsim-", ignore_cleanup_errors=True) as tmp:

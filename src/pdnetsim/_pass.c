@@ -2,12 +2,14 @@
  * loop in engine.py, which stays the reference this kernel is tested
  * against.
  *
- * The caller checks every bound first: each target lies in [0, n), the
- * order holds valid node ids, and no balance, bank or flow can leave
- * int64. Neighbor picks and Random decisions draw from a copy of the
- * run's MT19937 state (CPython's generator, words 0..623 plus the index
- * in word 624), handed over after the node-order shuffle and carried from
- * pass to pass.
+ * How each kind decides is not written here: pd_pass looks every action up
+ * in strategies.ACTIONS, which the caller appends to params. The caller
+ * also checks every bound first: each target lies in [0, n), the order
+ * holds valid node ids, every kind indexes a row of the table, and no
+ * balance, bank or flow can leave int64. Neighbor picks and DRAW entries
+ * draw from a copy of the run's MT19937 state (CPython's generator, words
+ * 0..623 plus the index in word 624), handed over after the node-order
+ * shuffle and carried from pass to pass.
  *
  * pd_gini, in the same library, gives the integer parts of the per-pass
  * Gini coefficient; metrics.py divides them. pd_read_edges and
@@ -21,10 +23,11 @@
 #define MT_N 624
 #define MT_M 397
 
-enum { COOPERATOR, DEFECTOR, TIT_FOR_TAT, RANDOM };
-
-/* params: n, live, bank_infinite, coop_reward, defect_penalty, betrayal_transfer */
-enum { P_N, P_LIVE, P_INFINITE, P_REWARD, P_PENALTY, P_TRANSFER };
+/* params: n, live, bank_infinite, coop_reward, defect_penalty, betrayal_transfer,
+ * then ACTIONS row by row: [P_ACTIONS + 3 * kind + last code] is 0 (SILENT),
+ * 1 (BETRAY) or DRAW, one random() draw, < 0.5 for SILENT */
+enum { P_N, P_LIVE, P_INFINITE, P_REWARD, P_PENALTY, P_TRANSFER, P_ACTIONS };
+#define DRAW 2
 
 /* acc: bank_balance and the payers drained since order was last rebuilt
  * (both carried between passes), this pass's counts, then the length of
@@ -65,18 +68,10 @@ static double random_double(uint32_t *mt)
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-static int8_t decide(int8_t kind, int8_t opponent_last, uint32_t *mt)
+static int8_t act(const int64_t *params, int8_t kind, int8_t code, uint32_t *mt)
 {
-    switch (kind) {
-    case COOPERATOR:
-        return 0;
-    case DEFECTOR:
-        return 1;
-    case TIT_FOR_TAT:
-        return opponent_last < 0 ? 0 : opponent_last;
-    default:
-        return random_double(mt) < 0.5 ? 0 : 1;
-    }
+    const int64_t action = params[P_ACTIONS + 3 * kind + code];
+    return action != DRAW ? (int8_t)action : random_double(mt) < 0.5 ? 0 : 1;
 }
 
 static int64_t min64(int64_t a, int64_t b) { return a < b ? a : b; }
@@ -114,8 +109,8 @@ int pd_pass(int64_t *order, int64_t m, int64_t *held, const int64_t *offsets,
             skipped++;
             continue;
         }
-        act_v = decide(kinds[v], last[o], mt);
-        act_o = decide(kinds[o], last[v], mt);
+        act_v = act(params, kinds[v], last[o], mt);
+        act_o = act(params, kinds[o], last[v], mt);
 
         if (act_v != act_o) { /* the silent player pays the betrayer */
             payer = act_v ? o : v;
@@ -390,7 +385,7 @@ int pd_read_edges(const char *data, int64_t size, int64_t format, int64_t *count
     const char *line = data, *end = data + size, *stop, *newline, *next;
     struct edge_reader *r = calloc(1, sizeof *r);
     int64_t rows = 1, u, v, id_u, id_v;
-    int status = READ_OK;
+    int status = READ_OK, parsed;
 
     for (newline = data; (newline = memchr(newline, '\n', (size_t)(end - newline))) != NULL; newline++)
         rows++;
@@ -408,22 +403,19 @@ int pd_read_edges(const char *data, int64_t size, int64_t format, int64_t *count
         newline = memchr(line, '\n', (size_t)(end - line));
         stop = newline != NULL ? newline - (newline > line && newline[-1] == '\r') : end;
         next = newline != NULL ? newline + 1 : end;
-        switch (parse_line(line, stop, (int)format, &u, &v)) {
-        case 1:
-            if (u == v)
-                break; /* before registering the labels: a self-loop's label is no node */
-            id_u = intern(r, u);
-            id_v = id_u < 0 ? -1 : intern(r, v);
-            if (id_v < 0) {
-                status = READ_NO_MEMORY;
-                break;
-            }
-            r->ends[2 * r->pairs] = (int32_t)id_u;
-            r->ends[2 * r->pairs + 1] = (int32_t)id_v;
-            r->pairs++;
-            break;
-        case -1:
+        parsed = parse_line(line, stop, (int)format, &u, &v);
+        if (parsed == -1) {
             status = READ_GRAMMAR;
+        } else if (parsed == 1 && u != v) { /* a self-loop's labels are not registered: they are no nodes */
+            id_u = intern(r, u);
+            id_v = id_u == -1 ? -1 : intern(r, v);
+            if (id_v == -1) {
+                status = READ_NO_MEMORY;
+            } else {
+                r->ends[2 * r->pairs] = (int32_t)id_u;
+                r->ends[2 * r->pairs + 1] = (int32_t)id_v;
+                r->pairs++;
+            }
         }
     }
     if (status == READ_OK && r->pairs == 0)

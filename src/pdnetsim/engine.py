@@ -48,7 +48,8 @@ Two pass loops: everything around a pass (the shuffle, the Gini call, the
 stats, the hook and the convergence test) is Python, and a pass itself is
 played either by ``_python_passes`` or by ``_pass.c`` through ctypes, on
 ``array`` buffers (int64 balances).
-Both apply the rules above in the same order and give identical outputs.
+Both apply the rules above in the same order, look every decision up in
+``strategies.ACTIONS`` and give identical outputs.
 The C kernel plays on the graph's CSR arrays whenever it could be built and
 loaded (see ``_kernel``) and no balance, bank balance or flow can leave
 int64 (``_fits_int64``). Otherwise the Python loop runs on
@@ -63,6 +64,7 @@ balances and their sum, and the Gini of an int64 ``array`` runs in the
 same library (``metrics.gini``).
 """
 
+import operator
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -71,11 +73,13 @@ from . import _kernel
 from .errors import ConfigError
 from .graph import Graph
 from .metrics import _INT64_LIMIT, gini
-from .strategies import ACTIONS, ActionMemory, AgentKind
+from .strategies import ACTIONS, UNRECORDED, ActionMemory
 
 LIVE = "live"
 SNAPSHOT = "snapshot"
 BALANCE_SEMANTICS = (LIVE, SNAPSHOT)
+
+_DRAW = 2  # _pass.c's DRAW: the kernel's spelling of a None entry of ACTIONS
 
 
 @dataclass(frozen=True, slots=True)
@@ -354,13 +358,14 @@ def _kernel_passes(pd_pass, offsets, targets, strategies, order, balances, cfg, 
     order = array("q", order)
     held = array("q", [0]) * n  # cut to the live length of order after each pass
     kinds = array("b", strategies)
-    last = array("b", [-1]) * n
+    last = array("b", [UNRECORDED]) * n
     start = array("q", [0]) * n
-    # In the order of _pass.c's P_* and A_* slots.
+    # In the order of _pass.c's P_* and A_* slots; the decision table last.
     params = array(
         "q",
         [n, cfg.balance_semantics == LIVE, infinite]
-        + [payoff.coop_reward, payoff.defect_penalty, payoff.betrayal_transfer],
+        + [payoff.coop_reward, payoff.defect_penalty, payoff.betrayal_transfer]
+        + [_DRAW if action is None else action for row in ACTIONS for action in row],
     )
     acc = array("q", [0 if infinite else cfg.bank.balance, 0, 0, 0, 0, 0, 0, 0])
     mt = array("I", mt_state)
@@ -392,17 +397,17 @@ def _fits_int64(n: int, cfg: SimConfig) -> bool:
 
 
 def _strategy_codes(node_count: int, assignment) -> list[int]:
-    """Validate that assignment covers 0..n-1 and flatten it to int codes."""
+    """Validate that assignment covers 0..n-1 and flatten it to the kind
+    codes, which index the rows of ACTIONS: 1.5 or "1" is no agent kind."""
     codes = []
     for v in range(node_count):
         try:
-            codes.append(int(assignment[v]))
+            code = operator.index(assignment[v])
         except (KeyError, IndexError):
             raise ConfigError(f"assignment does not cover node {v}") from None
-        except (TypeError, ValueError):
+        except TypeError:
             raise ConfigError(f"assignment holds a non-agent value for node {v}") from None
-    valid = {int(kind) for kind in AgentKind}
-    bad = [v for v, code in enumerate(codes) if code not in valid]
-    if bad:
-        raise ConfigError(f"assignment holds invalid agent kind for node {bad[0]}")
+        if not 0 <= code < len(ACTIONS):
+            raise ConfigError(f"assignment holds invalid agent kind for node {v}")
+        codes.append(code)
     return codes

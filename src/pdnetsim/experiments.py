@@ -13,7 +13,6 @@ any single run of a sweep can be reproduced in isolation.
 
 import functools
 import hashlib
-import math
 import random
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
@@ -66,21 +65,18 @@ class DegreeGroup:
     """Kinds for the top, middle, and bottom degree-ranked thirds.
 
     The triple must be a permutation of Defector, Cooperator, Tit-for-Tat;
-    within each third, `random_fraction` of the nodes are overwritten with
-    Random agents. Label format is 'D,C,T' style.
+    within each third, a quarter of the nodes are overwritten with Random
+    agents. Label format is 'D,C,T' style.
     """
 
     top: AgentKind
     middle: AgentKind
     bottom: AgentKind
-    random_fraction: float = 0.25
 
     def __post_init__(self):
         expected = {AgentKind.DEFECTOR, AgentKind.COOPERATOR, AgentKind.TIT_FOR_TAT}
         if {self.top, self.middle, self.bottom} != expected:
             raise ConfigError("degree group must be a permutation of Defector, Cooperator, Tit-for-Tat")
-        if not 0.0 <= self.random_fraction < 1.0:
-            raise ConfigError(f"random_fraction must be in [0, 1), got {self.random_fraction}")
 
     @property
     def label(self) -> str:
@@ -177,15 +173,11 @@ class SuiteSpec:
         object.__setattr__(self, "template", template)
 
 
-def round_half_up(value: float) -> int:
-    return math.floor(value + 0.5)
-
-
 def assign_proportional(node_count: int, group: ProportionGroup, rng: random.Random) -> list[AgentKind]:
     """Random assignment matching the group's proportions as exactly as rounding allows.
 
     Node ids are shuffled, then cut at cumulative boundaries
-    round_half_up(cumulative_fraction * node_count) in fixed D, C, T, R
+    cumulative_fraction * node_count, rounded half up, in fixed D, C, T, R
     order, so every kind's count is within one node of its exact share.
     Works for any node count >= 1 (tiny graphs pair naturally with
     single-kind mixes such as 0:8:0:0).
@@ -200,7 +192,7 @@ def assign_proportional(node_count: int, group: ProportionGroup, rng: random.Ran
     lo = 0
     for kind, share in zip(kinds, eighths):
         cumulative += share
-        hi = (cumulative * node_count + 4) // 8  # round_half_up(cumulative/8 * n), exactly
+        hi = (cumulative * node_count + 4) // 8  # cumulative/8 * n, rounded half up
         for v in order[lo:hi]:
             assignment[v] = kind
         lo = hi
@@ -210,23 +202,22 @@ def assign_proportional(node_count: int, group: ProportionGroup, rng: random.Ran
 def assign_by_degree(graph: Graph, group: DegreeGroup, rng: random.Random) -> list[AgentKind]:
     """Degree-ranked assignment: one kind per third, then Random overwrites.
 
-    Thirds split the degree-descending ranking at round_half_up(n/3) and
-    round_half_up(2n/3). Within each third, round_half_up(fraction * size)
-    nodes are drawn without replacement and overwritten with Random.
+    Thirds split the degree-descending ranking at n/3 and 2n/3. Within each
+    third, a quarter of its nodes are drawn without replacement and
+    overwritten with Random. Every cut is rounded half up, in integers.
     """
     n = graph.node_count
     if n < 12:
         raise ConfigError(f"degree-ranked assignment needs at least 12 nodes, got {n}")
     ranked = degree_ranked_nodes(graph)
-    b1 = round_half_up(n / 3)
-    b2 = round_half_up(2 * n / 3)
+    b1 = (2 * n + 3) // 6
+    b2 = (4 * n + 3) // 6
     thirds = (ranked[:b1], ranked[b1:b2], ranked[b2:])
     assignment: list[AgentKind] = [AgentKind.RANDOM] * n
     for third, kind in zip(thirds, (group.top, group.middle, group.bottom)):
         for v in third:
             assignment[v] = kind
-        random_count = round_half_up(group.random_fraction * len(third))
-        for v in rng.sample(third, random_count):
+        for v in rng.sample(third, (len(third) + 2) // 4):
             assignment[v] = AgentKind.RANDOM
     return assignment
 
@@ -267,7 +258,6 @@ class SuiteRow:
     final_gini: float | None
     converged_at: int | None
     status: str
-    series_path: str | None = None
 
 
 def suite_tasks(spec: SuiteSpec, series_path_for=None) -> list[RunTask]:
@@ -317,7 +307,7 @@ def execute_task(task: RunTask) -> SuiteRow:
     I/O errors read `error: <message>`; any other exception reads
     `error: <Type>: <message>`.
     """
-    row = SuiteRow(task.network.name, task.group.label, task.bank.label, task.replicate, None, None, "ok")
+    row = _task_row(task, "ok")
     try:
         graph = _cached_graph(task.network.path, task.network.fmt)
         rng = random.Random(task.assign_seed)
@@ -336,8 +326,11 @@ def execute_task(task: RunTask) -> SuiteRow:
         return row
     row.final_gini = result.gini_series[-1]
     row.converged_at = result.converged_at
-    row.series_path = task.series_path
     return row
+
+
+def _task_row(task: RunTask, status: str) -> SuiteRow:
+    return SuiteRow(task.network.name, task.group.label, task.bank.label, task.replicate, None, None, status)
 
 
 def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=None) -> list[SuiteRow]:
@@ -347,8 +340,9 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
     given, names the per-run Gini series CSV each worker writes. Rows come
     back in task order regardless of worker completion order, so repeated
     invocations produce identical summaries. A failed run lands in its
-    row's status; sibling runs proceed. Raises ConfigError, before any run,
-    when `workers` is below 1 or two runs collide.
+    row's status; sibling runs proceed, and when a pool worker dies, every
+    row not yet back says so. Raises ConfigError, before any run, when
+    `workers` is below 1 or two runs collide.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
@@ -361,7 +355,8 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
 
             _kernel.load()  # here, so that forked workers inherit it instead of each loading it
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(execute_task, tasks, chunksize=max(1, len(tasks) // (workers * 4)))
+            chunksize = max(1, len(tasks) // (workers * 4))
+            results = _until_the_pool_breaks(pool.map(execute_task, tasks, chunksize=chunksize), tasks)
         else:
             results = map(execute_task, tasks)
         for done, row in enumerate(results, start=1):
@@ -369,3 +364,15 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
             if progress is not None:
                 progress(done, len(tasks), row)
     return rows
+
+
+def _until_the_pool_breaks(results, tasks):
+    """The pool's rows, then an error row for each task lost with a dead worker."""
+    from concurrent.futures import BrokenExecutor
+
+    done = 0
+    try:
+        for done, row in enumerate(results, start=1):
+            yield row
+    except BrokenExecutor as exc:
+        yield from (_task_row(task, f"error: a worker process died: {exc}") for task in tasks[done:])

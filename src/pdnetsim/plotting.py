@@ -19,19 +19,15 @@ PALETTE = (
     "#7f7f7f",
 )
 
+_WIDTH = 960
+_HEIGHT = 540
 _MARGIN_LEFT = 64.0
 _MARGIN_RIGHT = 180.0
 _MARGIN_TOP = 24.0
 _MARGIN_BOTTOM = 52.0
 
 
-def render_line_chart(
-    series,
-    x_label: str = "iteration",
-    y_label: str = "Gini Coefficient",
-    width: int = 960,
-    height: int = 540,
-) -> str:
+def render_line_chart(series) -> str:
     """Render one polyline per (label, xs, ys) triple into an SVG document."""
     if not series:
         raise ConfigError("nothing to plot: no series given")
@@ -44,8 +40,8 @@ def render_line_chart(
     x_hi = x_max if x_max > 0 else 1.0
     y_hi = y_max * 1.05 if y_max > 0 else 1.0
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
     x0, y0 = _MARGIN_LEFT, _MARGIN_TOP + plot_h  # plot origin (bottom-left)
 
     def px(x: float) -> float:
@@ -55,9 +51,9 @@ def render_line_chart(
         return y0 - (y / y_hi) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0 + plot_w:.2f}" y2="{y0:.2f}" '
         'stroke="black" stroke-width="1"/>',
         f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{_MARGIN_TOP:.2f}" '
@@ -84,12 +80,12 @@ def render_line_chart(
         )
 
     parts.append(
-        f'<text x="{x0 + plot_w / 2:.2f}" y="{height - 12:.2f}" font-size="14" '
-        f'text-anchor="middle">{escape(x_label, quote=False)}</text>'
+        f'<text x="{x0 + plot_w / 2:.2f}" y="{_HEIGHT - 12:.2f}" font-size="14" '
+        f'text-anchor="middle">iteration</text>'
     )
     parts.append(
         f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.2f}" font-size="14" text-anchor="middle" '
-        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.2f})">{escape(y_label, quote=False)}</text>'
+        f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.2f})">Gini Coefficient</text>'
     )
 
     for idx, (label, xs, ys) in enumerate(series):

@@ -351,6 +351,36 @@ def test_suite_all_failures_exit_nonzero(tmp_path, capsys):
     assert "error:" in summary
 
 
+def test_suite_summary_survives_a_dead_worker(tmp_path, monkeypatch, capsys):
+    from pdnetsim import experiments
+
+    from conftest import execute_task_or_die
+
+    monkeypatch.setattr(experiments, "execute_task", execute_task_or_die)
+    config_path = tmp_path / "suite.cfg"
+    config_path.write_text(
+        textwrap.dedent(
+            f"""\
+            experiment = 1
+            network = good snap {_write_network(tmp_path, "good", 1)}
+            groups = 2:2:2:2
+            banks = 0
+            seed = 1
+            replicates = 4
+            workers = 2
+            iterations = 3
+            out = {tmp_path / 'out'}
+            """
+        )
+    )
+    assert main(["suite", "--config", str(config_path)]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    rows = (tmp_path / "out" / "suite_summary.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 4
+    assert rows[0].endswith(",ok") and rows[1].endswith(",ok")
+    assert all(",error: a worker process died: " in row for row in rows[2:])
+
+
 def test_suite_non_utf8_network_marks_its_row(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"0 1\n\xff 2\n")

@@ -285,6 +285,10 @@ def test_assignment_rejects_non_agent_values():
         run(g, [C, "cooperator"], SimConfig(seed=1))
     with pytest.raises(ConfigError):
         run(g, [C, 9], SimConfig(seed=1))
+    with pytest.raises(ConfigError, match="non-agent value for node 1"):
+        run(g, [C, 1.5], SimConfig(seed=1))
+    with pytest.raises(ConfigError, match="non-agent value for node 1"):
+        run(g, [C, "1"], SimConfig(seed=1))
 
 
 def test_degree_zero_nodes_are_skipped():
@@ -555,6 +559,34 @@ def test_python_loop(check, python_loop):
     """The checks above run passes through the kernel wherever one can be
     built; here every pass is played by the Python loop instead."""
     check()
+
+
+@pytest.mark.parametrize("tit_for_tat", [(0, 1, 1), (1, 0, 0)], ids=["opens-with-betrayal", "inverted"])
+@pytest.mark.parametrize("passes", ["kernel_calls", "python_loop"])
+def test_every_path_plays_the_decision_table(request, monkeypatch, passes, tit_for_tat):
+    # A Tit-for-Tat row that differs from the built-in one in each column:
+    # whatever the table says, the kernel, the Python loop and decide agree.
+    from pdnetsim import engine, strategies
+
+    g = random_graph(40, 4.0, seed=41)
+    assignment = random_assignment(g.node_count, random.Random(42))
+    cfg = SimConfig(iterations=30, initial_balance=20, bank=Bank(balance=200), seed=43)
+    built_in = reference_run(g, assignment, cfg)
+    table = (*strategies.ACTIONS[:T], tit_for_tat, *strategies.ACTIONS[T + 1 :])
+    monkeypatch.setattr(strategies, "ACTIONS", table)
+    monkeypatch.setattr(engine, "ACTIONS", table)
+    calls = request.getfixturevalue(passes)  # the kernel's pass lengths, or None
+
+    result = run(g, assignment, cfg)
+    ginis, balances, bank_end, converged, stats = reference_run(g, assignment, cfg)
+    assert ginis != built_in[0]  # the patched row changes the game
+    assert result.gini_series == ginis
+    assert result.final_balances == balances
+    assert result.final_bank == bank_end
+    assert result.converged_at == converged
+    assert as_stat_tuples(result) == stats
+    if passes == "kernel_calls":
+        assert len(calls) == result.iterations_executed
 
 
 def test_kernel_plays_every_pass(kernel_calls):

@@ -26,7 +26,7 @@ from pdnetsim import (
 from pdnetsim.experiments import suite_tasks
 from pdnetsim.output import run_file_name, write_gini_series_csv
 
-from conftest import random_graph
+from conftest import execute_task_or_die, random_graph
 
 C, D, T, R = AgentKind.COOPERATOR, AgentKind.DEFECTOR, AgentKind.TIT_FOR_TAT, AgentKind.RANDOM
 
@@ -138,7 +138,7 @@ def test_degree_thirds_exact_for_nine_nodes():
 
 
 def test_degree_third_boundaries():
-    # n=10: boundaries round_half_up(10/3)=3 and round_half_up(20/3)=7 -> 3/4/3
+    # n=10: boundaries 10/3 and 20/3, rounded half up, are 3 and 7 -> 3/4/3
     g = random_graph(10, 3.0, seed=6)
     ranked = degree_ranked_nodes(g)
     b1 = math.floor(10 / 3 + 0.5)
@@ -285,6 +285,28 @@ def test_suite_parallel_matches_serial(tiny_networks):
     assert [(r.network, r.group, r.bank, r.replicate, r.final_gini) for r in serial] == [
         (r.network, r.group, r.bank, r.replicate, r.final_gini) for r in parallel
     ]
+
+
+def test_suite_keeps_its_rows_when_a_worker_dies(tiny_networks, tmp_path, monkeypatch):
+    from pdnetsim import experiments
+
+    monkeypatch.setattr(experiments, "execute_task", execute_task_or_die)
+    spec = SuiteSpec(
+        networks=tiny_networks[:1],
+        experiment=1,
+        groups=EXPERIMENT1_GROUPS[:1],
+        banks=DEFAULT_BANK_SETTINGS[:1],
+        replicates=4,
+        iterations=5,
+        initial_balance=10,
+    )
+    rows = run_suite(spec, series_path_for=lambda *key: str(tmp_path / run_file_name(*key)), workers=2)
+    assert [row.replicate for row in rows] == [0, 1, 2, 3]
+    assert [row.status for row in rows[:2]] == ["ok", "ok"]
+    assert all(row.final_gini is not None for row in rows[:2])
+    for row in rows[2:]:
+        assert row.status.startswith("error: a worker process died: ")
+        assert row.final_gini is None and row.converged_at is None
 
 
 def test_suite_pool_is_capped_at_the_task_count(tiny_networks, monkeypatch):

@@ -56,3 +56,20 @@ def test_unwritable_cache_builds_for_the_process(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(not_a_directory))
     function, reason = _kernel.load.__wrapped__()
     assert function is not None and reason is None
+
+
+@needs_cc
+def test_no_home_directory_builds_for_the_process(monkeypatch):
+    # Without HOME and without a passwd entry, Path.home() raises
+    # RuntimeError; that must read as a cache that cannot be written.
+    import pwd
+
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.delenv("HOME", raising=False)
+
+    def no_entry(uid):
+        raise KeyError(f"getpwuid(): uid not found: {uid}")
+
+    monkeypatch.setattr(pwd, "getpwuid", no_entry)
+    function, reason = _kernel.load.__wrapped__()
+    assert function is not None and reason is None
