@@ -9,10 +9,13 @@
  * balance, bank or flow can leave int64. Neighbor picks and DRAW entries
  * draw from a copy of the run's MT19937 state (CPython's generator, words
  * 0..623 plus the index in word 624), handed over after the node-order
- * shuffle and carried from pass to pass.
+ * shuffle and carried from pass to pass. For the length of a pass the
+ * generator lives in a local struct that holds the current block's 624
+ * tempered outputs, so a draw is one load.
  *
  * pd_gini, in the same library, gives the integer parts of the per-pass
- * Gini coefficient; metrics.py divides them. pd_read_edges and
+ * Gini coefficient, from counts by value when the values span a narrow
+ * range and from a radix sort otherwise; metrics.py divides them. pd_read_edges and
  * pd_edges_csr, at the end, parse edge-list files into the CSR arrays
  * pd_pass plays on.
  */
@@ -34,44 +37,79 @@ enum { P_N, P_LIVE, P_INFINITE, P_REWARD, P_PENALTY, P_TRANSFER, P_ACTIONS };
  * order after the pass and the sum of the balances it holds */
 enum { A_BANK, A_DRAINED, A_PLAYED, A_SKIPPED, A_INFLOW, A_OUTFLOW, A_LIVE, A_TOTAL };
 
-static uint32_t genrand_uint32(uint32_t *mt)
+/* CPython's MT19937 for the length of one pass: the state words, the index
+ * of the next word and the tempered outputs of the current block, so that a
+ * draw is one load. gen_open tempers the block the index points into;
+ * gen_next twists and tempers a whole new block when that one runs out;
+ * gen_close writes the index back to mt[MT_N]. */
+struct gen {
+    uint32_t *mt;
+    uint32_t i;
+    uint32_t out[MT_N];
+};
+
+static void temper_block(struct gen *g)
 {
-    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    int k;
+
+    for (k = 0; k < MT_N; k++) {
+        uint32_t y = g->mt[k];
+        y ^= (y >> 11);
+        y ^= (y << 7) & 0x9d2c5680U;
+        y ^= (y << 15) & 0xefc60000U;
+        y ^= (y >> 18);
+        g->out[k] = y;
+    }
+}
+
+/* The next 624 state words, without a branch on the low bit. */
+static void twist(uint32_t *mt)
+{
     uint32_t y;
     int kk;
 
-    if (mt[MT_N] >= MT_N) {
-        for (kk = 0; kk < MT_N - MT_M; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        for (; kk < MT_N - 1; kk++) {
-            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
-            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
-        }
-        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
-        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
-        mt[MT_N] = 0;
+    for (kk = 0; kk < MT_N - MT_M; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
     }
-    y = mt[mt[MT_N]++];
-    y ^= (y >> 11);
-    y ^= (y << 7) & 0x9d2c5680U;
-    y ^= (y << 15) & 0xefc60000U;
-    y ^= (y >> 18);
-    return y;
+    for (; kk < MT_N - 1; kk++) {
+        y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+        mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+    }
+    y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+    mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+}
+
+static void gen_open(struct gen *g, uint32_t *mt)
+{
+    g->mt = mt;
+    g->i = mt[MT_N];
+    temper_block(g);
+}
+
+static void gen_close(const struct gen *g) { g->mt[MT_N] = g->i; }
+
+static uint32_t gen_next(struct gen *g)
+{
+    if (g->i >= MT_N) {
+        twist(g->mt);
+        temper_block(g);
+        g->i = 0;
+    }
+    return g->out[g->i++];
 }
 
 /* random.random(): 53 random bits, exactly as CPython builds them. */
-static double random_double(uint32_t *mt)
+static double random_double(struct gen *g)
 {
-    uint32_t a = genrand_uint32(mt) >> 5, b = genrand_uint32(mt) >> 6;
+    uint32_t a = gen_next(g) >> 5, b = gen_next(g) >> 6;
     return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
 }
 
-static int8_t act(const int64_t *params, int8_t kind, int8_t code, uint32_t *mt)
+static int8_t act(const int64_t *params, int8_t kind, int8_t code, struct gen *g)
 {
     const int64_t action = params[P_ACTIONS + 3 * kind + code];
-    return action != DRAW ? (int8_t)action : random_double(mt) < 0.5 ? 0 : 1;
+    return action != DRAW ? (int8_t)action : random_double(g) < 0.5 ? 0 : 1;
 }
 
 static int64_t min64(int64_t a, int64_t b) { return a < b ? a : b; }
@@ -93,7 +131,9 @@ int pd_pass(int64_t *order, int64_t m, int64_t *held, const int64_t *offsets,
             drained = acc[A_DRAINED], total = 0, kept;
     int64_t i;
     int converged;
+    struct gen g;
 
+    gen_open(&g, mt);
     memcpy(start, bal, (size_t)n * sizeof *bal);
     for (i = 0; i < m; i++) {
         const int64_t v = order[i], lo = offsets[v], degree = offsets[v + 1] - lo;
@@ -104,13 +144,13 @@ int pd_pass(int64_t *order, int64_t m, int64_t *held, const int64_t *offsets,
             skipped++;
             continue;
         }
-        o = targets[lo + (int64_t)(random_double(mt) * (double)degree)];
+        o = targets[lo + (int64_t)(random_double(&g) * (double)degree)];
         if (eff[o] == 0) {
             skipped++;
             continue;
         }
-        act_v = act(params, kinds[v], last[o], mt);
-        act_o = act(params, kinds[o], last[v], mt);
+        act_v = act(params, kinds[v], last[o], &g);
+        act_o = act(params, kinds[o], last[v], &g);
 
         if (act_v != act_o) { /* the silent player pays the betrayer */
             payer = act_v ? o : v;
@@ -139,6 +179,7 @@ int pd_pass(int64_t *order, int64_t m, int64_t *held, const int64_t *offsets,
         last[o] = act_o;
         played++;
     }
+    gen_close(&g);
     converged = memcmp(bal, start, (size_t)n * sizeof *bal) == 0;
 
     if (drained * 8 > m) {
@@ -163,36 +204,58 @@ int pd_pass(int64_t *order, int64_t m, int64_t *held, const int64_t *offsets,
     return converged;
 }
 
-/* The Gini coefficient of values[0..m) padded with n - m zeros is
- * weighted / (n * total), with weighted = sum_i (2i - n - 1) x_i over the
- * ascending order (1-based ranks; the zeros take the lowest). Writes
- * weighted to out[0..1] and total to out[2..3], low word first, and
- * returns 0; returns -1, writing nothing, when a value is negative, and -2
- * when memory runs out. The caller checks n * m < 2^64, so that no sum
- * below leaves __int128: |partial sums| <= n * total < n * m * 2^63. */
-int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
+/* weighted and total (see pd_gini) from counts by value, for m <= 2^32 - 1
+ * values in [min, min + span] with span < 4 * m and n * m < 2^63. The
+ * values v with count c take the ranks before + 1 .. before + c, whose
+ * coefficients sum to c * (2 * before + c - n) = c * (before - after),
+ * with `after` the count of larger values: at most m * n, so int64. Empty
+ * slots cost one test each. Returns 0, or -2 when memory runs out. */
+static int gini_by_count(const int64_t *values, int64_t m, int64_t n, uint64_t min,
+                         uint64_t span, __int128 *weighted, unsigned __int128 *total)
 {
-    uint64_t *buffer, *keys, *spare, *swap, max = 0;
-    __int128 weighted = 0, coeff = (__int128)n - 2 * (__int128)m + 1;
-    unsigned __int128 total = 0;
+    uint32_t *count = calloc(span + 1, sizeof *count);
+    int64_t before = n - m, after, c, i;
+    uint64_t s;
+    __int128 w = 0;
+    unsigned __int128 t = 0;
+
+    if (count == NULL)
+        return -2;
+    for (i = 0; i < m; i++)
+        count[(uint64_t)values[i] - min]++;
+    for (s = 0; s <= span; s++) {
+        if (count[s] == 0)
+            continue;
+        c = count[s];
+        after = n - before - c;
+        w += (__int128)(min + s) * (c * (before - after));
+        t += (unsigned __int128)(min + s) * (uint64_t)c;
+        before += c;
+    }
+    free(count);
+    *weighted = w;
+    *total = t;
+    return 0;
+}
+
+/* weighted and total (see pd_gini) after an LSD radix sort of the values,
+ * one pass per byte of the maximum; a byte every key shares needs no pass.
+ * Returns 0, or -2 when memory runs out. */
+static int gini_by_sort(const int64_t *values, int64_t m, uint64_t n, uint64_t max,
+                        __int128 *weighted, unsigned __int128 *total)
+{
+    uint64_t *buffer = malloc((2 * (size_t)m + 1) * sizeof *buffer), /* + 1: never malloc(0) */
+        *keys, *spare, *swap;
+    __int128 coeff = (__int128)n - 2 * (__int128)m + 1, w = 0;
+    unsigned __int128 t = 0;
     int64_t i;
     int shift;
 
-    for (i = 0; i < m; i++) {
-        if (values[i] < 0)
-            return -1;
-        if ((uint64_t)values[i] > max)
-            max = (uint64_t)values[i];
-    }
-    buffer = malloc((2 * (size_t)m + 1) * sizeof *buffer); /* + 1: never malloc(0) */
     if (buffer == NULL)
         return -2;
     keys = buffer;
     spare = buffer + m;
     memcpy(keys, values, (size_t)m * sizeof *keys);
-
-    /* LSD radix sort, one pass per byte of the maximum; a byte every key
-     * shares needs no pass. */
     for (shift = 0; shift < 64 && (max >> shift) != 0; shift += 8) {
         int64_t count[256] = {0}, pos = 0, c;
         int d;
@@ -212,12 +275,53 @@ int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
         keys = spare;
         spare = swap;
     }
-
     for (i = 0; i < m; i++, coeff += 2) {
-        weighted += coeff * keys[i];
-        total += keys[i];
+        w += coeff * keys[i];
+        t += keys[i];
     }
     free(buffer);
+    *weighted = w;
+    *total = t;
+    return 0;
+}
+
+/* The Gini coefficient of values[0..m) padded with n - m zeros is
+ * weighted / (n * total), with weighted = sum_i (2i - n - 1) x_i over the
+ * ascending order (1-based ranks; the zeros take the lowest). Writes
+ * weighted to out[0..1] and total to out[2..3], low word first, and
+ * returns 0; returns -1, writing nothing, when a value is negative, and -2
+ * when memory runs out. The caller checks n * m < 2^64, so that no sum
+ * below leaves __int128: |partial sums| <= n * total < n * m * 2^63.
+ *
+ * When the values span a range R = max - min + 1 of at most 4 * m, and
+ * n * m < 2^63, the sums come from counts by value (gini_by_count), with
+ * no sort; otherwise from a radix sort (gini_by_sort). The bound 4 * m
+ * keeps the count buffer (4 bytes a slot) no larger than the sort's
+ * (16 bytes a value), so neither route needs more memory than the other
+ * could. */
+int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
+{
+    uint64_t min = UINT64_MAX, max = 0;
+    __int128 weighted;
+    unsigned __int128 total;
+    int64_t i;
+    int status;
+
+    for (i = 0; i < m; i++) {
+        if (values[i] < 0)
+            return -1;
+        if ((uint64_t)values[i] > max)
+            max = (uint64_t)values[i];
+        if ((uint64_t)values[i] < min)
+            min = (uint64_t)values[i];
+    }
+    if (m > 0 && m <= UINT32_MAX && max - min < 4 * (uint64_t)m
+        && (unsigned __int128)n * (uint64_t)m < (unsigned __int128)1 << 63)
+        status = gini_by_count(values, m, (int64_t)n, min, max - min, &weighted, &total);
+    else
+        status = gini_by_sort(values, m, n, max, &weighted, &total);
+    if (status != 0)
+        return status;
     out[0] = (uint64_t)weighted;
     out[1] = (uint64_t)((unsigned __int128)weighted >> 64);
     out[2] = (uint64_t)total;

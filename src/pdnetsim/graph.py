@@ -46,7 +46,7 @@ class Graph:
     an integer in [0, node_count), so the kernel never reads out of bounds.
     """
 
-    __slots__ = ("offsets", "targets", "id_map", "_adjacency")
+    __slots__ = ("offsets", "targets", "id_map", "_adjacency", "_ranked")
 
     def __init__(self, adjacency: list[list[int]], id_map: dict[int, int]):
         n = len(adjacency)
@@ -60,13 +60,14 @@ class Graph:
         self.offsets = array("q", accumulate(map(len, adjacency), initial=0))
         self.targets = targets
         self.id_map = id_map
-        self._adjacency = None
+        self._adjacency = self._ranked = None
 
     @classmethod
     def _from_csr(cls, offsets: array, targets: array, id_map: dict[int, int]) -> "Graph":
         """A graph of CSR arrays the caller has checked (the C reader's)."""
         graph = cls.__new__(cls)
-        graph.offsets, graph.targets, graph.id_map, graph._adjacency = offsets, targets, id_map, None
+        graph.offsets, graph.targets, graph.id_map = offsets, targets, id_map
+        graph._adjacency = graph._ranked = None
         return graph
 
     @property
@@ -252,6 +253,11 @@ def write_edge_list(graph: Graph, stream: TextIO) -> None:
 
 
 def degree_ranked_nodes(graph: Graph) -> list[int]:
-    """Node ids sorted by degree descending, ties broken by ascending id."""
-    # A reverse sort is stable too, so ties keep their ascending ids.
-    return sorted(range(graph.node_count), key=graph.degrees().__getitem__, reverse=True)
+    """Node ids sorted by degree descending, ties broken by ascending id.
+
+    The ranking is sorted once per graph; each call returns a new list.
+    """
+    if graph._ranked is None:
+        # A reverse sort is stable too, so ties keep their ascending ids.
+        graph._ranked = sorted(range(graph.node_count), key=graph.degrees().__getitem__, reverse=True)
+    return graph._ranked.copy()

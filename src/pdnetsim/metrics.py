@@ -1,7 +1,7 @@
 """Inequality metrics over agent balance vectors.
 
 Two independent routes to the same number are provided on purpose:
-``gini`` is the fast sorted-rank form used by the simulation loop, and
+``gini`` is the fast ranked form used by the simulation loop, and
 ``gini_oracle`` is the O(n^2) mean-absolute-difference form kept as a
 cross-check in the test suite. They agree to ~1e-12 on integer inputs.
 
@@ -29,11 +29,13 @@ def gini(values, n=None) -> float:
     and the weighted sum below is the same integer, and so the same float,
     as for the zero-padded vector. `n` defaults to len(values).
 
-    The vector is sorted ascending and the weighted-rank form
+    It is the weighted-rank form over the ascending order
 
         G = sum_i (2*i - n - 1) * x_i / (n * sum(x))      (1-based rank i)
 
-    is evaluated with exact integer accumulation before the final division.
+    evaluated with exact integer accumulation before the final division.
+    Python sorts the values to rank them; the kernel counts them by value
+    when they span a narrow range and radix-sorts them otherwise.
     Returns a value in [0, 1). An all-zero vector counts as perfect
     equality (every pairwise difference is zero) and returns 0.0.
 
@@ -78,7 +80,7 @@ def _kernel_sums(kernel, values: array, n: int) -> tuple[int, int]:
     if status == -1:
         raise ValueError("gini requires non-negative balances")
     if status != 0:
-        raise MemoryError("pd_gini could not allocate its sort buffer")
+        raise MemoryError("pd_gini could not allocate its buffer")
     return out[1] << 64 | out[0], out[3] << 64 | out[2]
 
 

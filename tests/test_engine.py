@@ -596,6 +596,34 @@ def test_kernel_plays_every_pass(kernel_calls):
     assert len(kernel_calls) == result.iterations_executed == 12
 
 
+# (n, seed, index): the node-order shuffle of n nodes under `seed` leaves
+# the MT19937 index at 623, so the first random() of pass 1 takes one word
+# from the block the kernel tempers on entry and one from the next, or at
+# 624, so pass 1 opens on a spent block and twists before its first draw.
+MT_BLOCK_EDGES = [(413, 38, 623), (416, 2, 624)]
+
+
+@pytest.mark.parametrize("n, seed, index", MT_BLOCK_EDGES, ids=["index-623", "index-624"])
+@pytest.mark.parametrize("bank", [Bank(balance=500), Bank(infinite=True)], ids=["bank-500", "bank-inf"])
+def test_kernel_draws_alike_at_the_edges_of_a_generator_block(kernel_calls, n, seed, index, bank):
+    rng = random.Random(seed)
+    shuffle_order(range(n), rng)
+    assert rng.getstate()[1][624] == index
+    g = random_graph(n, 4.0, seed=n)
+    # Mostly Random agents, so decision-table DRAW entries draw as well.
+    assignment = random.Random(seed).choices([C, D, T, R], weights=[1, 1, 1, 3], k=n)
+    cfg = SimConfig(iterations=20, initial_balance=10, bank=bank, seed=seed)
+
+    result = run(g, assignment, cfg)
+    ginis, balances, bank_end, converged, stats = reference_run(g, assignment, cfg)
+    assert result.gini_series == ginis
+    assert result.final_balances == balances
+    assert result.final_bank == bank_end
+    assert result.converged_at == converged
+    assert as_stat_tuples(result) == stats
+    assert len(kernel_calls) == result.iterations_executed == 20
+
+
 def test_kernel_drops_drained_nodes_and_hands_the_gini_the_live_balances(kernel_calls, monkeypatch):
     from pdnetsim import engine
 

@@ -12,6 +12,7 @@ from pdnetsim import (
     DegreeGroup,
     EXPERIMENT1_GROUPS,
     EXPERIMENT2_GROUPS,
+    Graph,
     NetworkSpec,
     ProportionGroup,
     SuiteSpec,
@@ -165,6 +166,27 @@ def test_degree_assignment_deterministic_per_seed():
     g = random_graph(40, 4.0, seed=8)
     group = DegreeGroup.parse("T,D,C")
     assert assign_by_degree(g, group, random.Random(2)) == assign_by_degree(g, group, random.Random(2))
+
+
+def test_degrees_are_ranked_once_per_graph(monkeypatch):
+    g = random_graph(60, 4.0, seed=11)
+    fresh = sorted(range(g.node_count), key=lambda v: (-g.degree(v), v))
+    calls = []
+    degrees = Graph.degrees
+
+    def counting(graph):
+        calls.append(graph)
+        return degrees(graph)
+
+    monkeypatch.setattr(Graph, "degrees", counting)
+    group = DegreeGroup.parse("D,C,T")
+    assert assign_by_degree(g, group, random.Random(3)) == assign_by_degree(g, group, random.Random(3))
+    assert calls == [g]
+    ranked = degree_ranked_nodes(g)
+    assert ranked == fresh
+    ranked.reverse()  # a caller's copy: the next call still gets the ranking
+    assert degree_ranked_nodes(g) == fresh
+    assert calls == [g]
 
 
 def test_derive_seed_stable_and_distinct():

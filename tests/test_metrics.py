@@ -191,3 +191,45 @@ def test_invalid_input_raises_value_error_on_both_routes(route):
     with pytest.raises(ValueError, match="non-empty"):
         gini(vector([]), 0)
     assert gini(vector([]), 3) == 0.0
+
+
+def _count_and_sort_vectors():
+    """(values, n) on both sides of the bound that picks pd_gini's route:
+    counts by value when R = max - min + 1 <= 4 * m and n * m < 2**63, a
+    radix sort otherwise. Each vector holds its min and max, so R is exact."""
+    rng = random.Random(4039)
+
+    def spread(m, low, r):  # m values in [low, low + r), both ends present
+        values = [low, low + r - 1] + [low + rng.randrange(r) for _ in range(m - 2)]
+        rng.shuffle(values)
+        return values
+
+    for _ in range(60):
+        m = rng.randint(2, 3000)
+        low = rng.choice([0, 1, rng.randrange(10**6), rng.randrange(2**62)])
+        r = rng.randint(1, 4 * m) if rng.random() < 0.5 else rng.randint(4 * m + 1, 64 * m)
+        yield spread(m, low, r), m + rng.choice([0, 1, rng.randint(1, 3 * m)])
+    for m in (2, 7, 1000, 4039):
+        for r in (4 * m, 4 * m + 1):  # the bound itself, and one past it
+            yield spread(m, rng.randrange(10**6), r), m + rng.randint(0, m)
+    yield [5] * 300, 300  # R = 1
+    yield [5] * 300, 1000
+    yield [0] * 300, 700  # all zero
+    yield [0], 1
+    yield [9], 1  # m = 1
+    yield [123456789], 10**9
+    yield [2**63 - 1] * 50, 50  # near 2**63 in a narrow range: counted
+    yield spread(40, 2**63 - 3 * 40, 3 * 40), 100
+    yield [0, 2**63 - 1], 2  # near 2**63 in a wide range: sorted
+    yield spread(500, 2**63 - 2**40, 2**40), 2000
+    yield [2**63 - 1 - rng.randrange(2**62) for _ in range(300)], 301
+    yield [3, 4], 2**62 - 1  # n * m just below 2**63: counted
+    yield [3, 4], 2**62  # n * m = 2**63: sorted
+    yield [2**63 - 1, 2**63 - 2], 2**62
+
+
+@needs_cc
+def test_counted_and_sorted_sums_equal_the_python_sums_bit_for_bit(library):
+    for values, n in _count_and_sort_vectors():
+        expected = metrics._python_sums(values, n)
+        assert metrics._kernel_sums(library, array("q", values), n) == expected, (len(values), n)
