@@ -38,7 +38,6 @@ from .output import (
     write_suite_summary_csv,
     write_summary_txt,
 )
-from .plotting import render_line_chart
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -272,6 +271,8 @@ def cmd_suite(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from .plotting import render_line_chart  # only plot pays for it and its html import
+
     series = []
     for path in args.series:
         xs, ys = read_gini_series_csv(path)

@@ -67,7 +67,7 @@ same library (``metrics.gini``).
 import operator
 import random
 from array import array
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import _kernel
 from .errors import ConfigError
@@ -82,8 +82,45 @@ BALANCE_SEMANTICS = (LIVE, SNAPSHOT)
 _DRAW = 2  # _pass.c's DRAW: the kernel's spelling of a None entry of ACTIONS
 
 
-@dataclass(frozen=True, slots=True)
-class PayoffParams:
+class _Record:
+    """Value semantics for a record whose slots `__init__` sets once.
+
+    `_fields` names the arguments of `__init__` in order. Equality, hashing
+    and the repr go by them, and pickling calls `__init__` again, so an
+    unpickled record has passed the same checks. Assignment after
+    `__init__` raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+class PayoffParams(_Record):
     """Game payoffs in integer capital units.
 
     coop_reward: paid by the bank to each player on mutual silence.
@@ -91,51 +128,49 @@ class PayoffParams:
     betrayal_transfer: moved from the silent player to the betrayer.
     """
 
-    coop_reward: int = 1
-    defect_penalty: int = 2
-    betrayal_transfer: int = 3
+    __slots__ = _fields = ("coop_reward", "defect_penalty", "betrayal_transfer")
 
-    def __post_init__(self):
-        for name in ("coop_reward", "defect_penalty", "betrayal_transfer"):
-            value = getattr(self, name)
+    def __init__(self, coop_reward: int = 1, defect_penalty: int = 2, betrayal_transfer: int = 3):
+        values = (coop_reward, defect_penalty, betrayal_transfer)
+        for name, value in zip(self._fields, values):
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"payoff {name} must be a positive integer, got {value!r}")
+        super().__init__(*values)
 
 
-@dataclass(frozen=True, slots=True)
-class Bank:
+class Bank(_Record):
     """External authority: a finite reservoir with `balance`, or infinite."""
 
-    balance: int = 0
-    infinite: bool = False
+    __slots__ = _fields = ("balance", "infinite")
 
-    def __post_init__(self):
-        if not self.infinite and (not isinstance(self.balance, int) or self.balance < 0):
-            raise ConfigError(f"finite bank balance must be a non-negative integer, got {self.balance!r}")
-
-
-@dataclass(frozen=True, slots=True)
-class SimConfig:
-    iterations: int = 1000
-    initial_balance: int = 100
-    payoff: PayoffParams = PayoffParams()
-    bank: Bank = Bank()
-    seed: int = 0
-    balance_semantics: str = LIVE
-
-    def __post_init__(self):
-        if not isinstance(self.iterations, int) or self.iterations < 1:
-            raise ConfigError(f"iterations must be a positive integer, got {self.iterations!r}")
-        if not isinstance(self.initial_balance, int) or self.initial_balance < 1:
-            raise ConfigError(f"initial_balance must be a positive integer, got {self.initial_balance!r}")
-        if self.balance_semantics not in BALANCE_SEMANTICS:
-            raise ConfigError(
-                f"balance_semantics must be one of {BALANCE_SEMANTICS}, got {self.balance_semantics!r}"
-            )
+    def __init__(self, balance: int = 0, infinite: bool = False):
+        if not infinite and (not isinstance(balance, int) or balance < 0):
+            raise ConfigError(f"finite bank balance must be a non-negative integer, got {balance!r}")
+        super().__init__(balance, infinite)
 
 
-@dataclass(frozen=True, slots=True)
-class IterationStats:
+class SimConfig(_Record):
+    __slots__ = _fields = ("iterations", "initial_balance", "payoff", "bank", "seed", "balance_semantics")
+
+    def __init__(
+        self,
+        iterations: int = 1000,
+        initial_balance: int = 100,
+        payoff: PayoffParams = PayoffParams(),
+        bank: Bank = Bank(),
+        seed: int = 0,
+        balance_semantics: str = LIVE,
+    ):
+        if not isinstance(iterations, int) or iterations < 1:
+            raise ConfigError(f"iterations must be a positive integer, got {iterations!r}")
+        if not isinstance(initial_balance, int) or initial_balance < 1:
+            raise ConfigError(f"initial_balance must be a positive integer, got {initial_balance!r}")
+        if balance_semantics not in BALANCE_SEMANTICS:
+            raise ConfigError(f"balance_semantics must be one of {BALANCE_SEMANTICS}, got {balance_semantics!r}")
+        super().__init__(iterations, initial_balance, payoff, bank, seed, balance_semantics)
+
+
+class IterationStats(NamedTuple):
     """End-of-iteration audit record."""
 
     games_played: int
@@ -146,13 +181,19 @@ class IterationStats:
     total_balance: int
 
 
-@dataclass(slots=True)
-class RunResult:
-    gini_series: list[float]
-    converged_at: int | None
-    final_balances: list[int]
-    final_bank: int | None  # None when the bank is infinite
-    iteration_stats: list[IterationStats] = field(default_factory=list)
+class RunResult(_Record):
+    __slots__ = _fields = ("gini_series", "converged_at", "final_balances", "final_bank", "iteration_stats")
+
+    def __init__(
+        self,
+        gini_series: list[float],
+        converged_at: int | None,
+        final_balances: list[int],
+        final_bank: int | None,  # None when the bank is infinite
+        iteration_stats: list[IterationStats] | None = None,
+    ):
+        stats = [] if iteration_stats is None else iteration_stats
+        super().__init__(gini_series, converged_at, final_balances, final_bank, stats)
 
     @property
     def iterations_executed(self) -> int:

@@ -15,34 +15,31 @@ import functools
 import hashlib
 import random
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import _kernel
-from .engine import LIVE, Bank, PayoffParams, SimConfig, shuffle_order, run
+from .engine import LIVE, Bank, PayoffParams, SimConfig, _Record, shuffle_order, run
 from .errors import ConfigError, PDNetSimError
 from .graph import GRAPH_FORMATS, Graph, degree_ranked_nodes, load_graph
 from .strategies import KIND_LETTERS, LETTER_OF_KIND, AgentKind
 
 
-@dataclass(frozen=True, slots=True)
-class ProportionGroup:
+class ProportionGroup(_Record):
     """Strategy mix in eighths (12.5% steps) of the population, summing to 8.
 
     Stored as eighths so the grid the experiments walk is exact by
     construction; label format is 'D:C:T:R' style, e.g. '3:1:2:2'.
     """
 
-    defector: int
-    cooperator: int
-    tit_for_tat: int
-    random: int
+    __slots__ = _fields = ("defector", "cooperator", "tit_for_tat", "random")
 
-    def __post_init__(self):
-        parts = (self.defector, self.cooperator, self.tit_for_tat, self.random)
+    def __init__(self, defector: int, cooperator: int, tit_for_tat: int, random: int):
+        parts = (defector, cooperator, tit_for_tat, random)
         if any(not isinstance(p, int) or p < 0 for p in parts):
             raise ConfigError(f"proportions must be non-negative eighths, got {parts}")
         if sum(parts) != 8:
             raise ConfigError(f"proportions must sum to 8 eighths (100%), got {parts}")
+        super().__init__(*parts)
 
     @property
     def label(self) -> str:
@@ -60,8 +57,7 @@ class ProportionGroup:
         return cls(d, c, t, r)
 
 
-@dataclass(frozen=True, slots=True)
-class DegreeGroup:
+class DegreeGroup(_Record):
     """Kinds for the top, middle, and bottom degree-ranked thirds.
 
     The triple must be a permutation of Defector, Cooperator, Tit-for-Tat;
@@ -69,14 +65,13 @@ class DegreeGroup:
     agents. Label format is 'D,C,T' style.
     """
 
-    top: AgentKind
-    middle: AgentKind
-    bottom: AgentKind
+    __slots__ = _fields = ("top", "middle", "bottom")
 
-    def __post_init__(self):
+    def __init__(self, top: AgentKind, middle: AgentKind, bottom: AgentKind):
         expected = {AgentKind.DEFECTOR, AgentKind.COOPERATOR, AgentKind.TIT_FOR_TAT}
-        if {self.top, self.middle, self.bottom} != expected:
+        if {top, middle, bottom} != expected:
             raise ConfigError("degree group must be a permutation of Defector, Cooperator, Tit-for-Tat")
+        super().__init__(top, middle, bottom)
 
     @property
     def label(self) -> str:
@@ -113,8 +108,7 @@ def experiment_groups(experiment: int) -> tuple:
     raise ConfigError(f"experiment must be 1 or 2, got {experiment!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class BankSetting:
+class BankSetting(NamedTuple):
     label: str
     bank: Bank
 
@@ -126,49 +120,76 @@ DEFAULT_BANK_SETTINGS = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class NetworkSpec:
-    name: str
-    path: str
-    fmt: str
+class NetworkSpec(_Record):
+    __slots__ = _fields = ("name", "path", "fmt")
 
-    def __post_init__(self):
-        if self.fmt not in GRAPH_FORMATS:
-            raise ConfigError(f"unknown graph format {self.fmt!r} in network {self.name!r}")
+    def __init__(self, name: str, path: str, fmt: str):
+        if fmt not in GRAPH_FORMATS:
+            raise ConfigError(f"unknown graph format {fmt!r} in network {name!r}")
+        super().__init__(name, path, fmt)
 
 
-@dataclass(frozen=True, slots=True)
-class SuiteSpec:
-    networks: tuple
-    experiment: int
-    groups: tuple
-    banks: tuple = DEFAULT_BANK_SETTINGS
-    base_seed: int = 0
-    replicates: int = 5
-    iterations: int = 1000
-    initial_balance: int = 100
-    payoff: PayoffParams = PayoffParams()
-    balance_semantics: str = LIVE
-    # The settings every run shares, validated here once; each task's
-    # config replaces only its bank and seed.
-    template: SimConfig = field(init=False, repr=False, compare=False)
+class SuiteSpec(_Record):
+    _fields = (
+        "networks",
+        "experiment",
+        "groups",
+        "banks",
+        "base_seed",
+        "replicates",
+        "iterations",
+        "initial_balance",
+        "payoff",
+        "balance_semantics",
+    )
+    # template: the settings every run shares, validated here once; each
+    # task's config differs from it only in its bank and seed.
+    __slots__ = (*_fields, "template")
 
-    def __post_init__(self):
-        wanted = experiment_groups(self.experiment)[0]
-        if not self.networks or not self.groups or not self.banks:
+    def __init__(
+        self,
+        networks: tuple,
+        experiment: int,
+        groups: tuple,
+        banks: tuple = DEFAULT_BANK_SETTINGS,
+        base_seed: int = 0,
+        replicates: int = 5,
+        iterations: int = 1000,
+        initial_balance: int = 100,
+        payoff: PayoffParams = PayoffParams(),
+        balance_semantics: str = LIVE,
+    ):
+        wanted = experiment_groups(experiment)[0]
+        if not networks or not groups or not banks:
             raise ConfigError("suite requires at least one network, group, and bank setting")
-        if self.replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {self.replicates!r}")
-        for group in self.groups:
+        if not isinstance(base_seed, int):
+            raise ConfigError(f"base_seed must be an integer, got {base_seed!r}")
+        if not isinstance(replicates, int):
+            raise ConfigError(f"replicates must be an integer, got {replicates!r}")
+        if replicates < 1:
+            raise ConfigError(f"replicates must be >= 1, got {replicates!r}")
+        for group in groups:
             if not isinstance(group, wanted):
                 raise ConfigError(
-                    f"experiment {self.experiment} takes {wanted.__name__} groups, got {type(group).__name__}"
+                    f"experiment {experiment} takes {wanted.__name__} groups, got {type(group).__name__}"
                 )
         template = SimConfig(
-            iterations=self.iterations,
-            initial_balance=self.initial_balance,
-            payoff=self.payoff,
-            balance_semantics=self.balance_semantics,
+            iterations=iterations,
+            initial_balance=initial_balance,
+            payoff=payoff,
+            balance_semantics=balance_semantics,
+        )
+        super().__init__(
+            networks,
+            experiment,
+            groups,
+            banks,
+            base_seed,
+            replicates,
+            iterations,
+            initial_balance,
+            payoff,
+            balance_semantics,
         )
         object.__setattr__(self, "template", template)
 
@@ -229,8 +250,7 @@ def derive_seed(base_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") & ((1 << 63) - 1)
 
 
-@dataclass(frozen=True, slots=True)
-class RunTask:
+class RunTask(NamedTuple):
     """One suite run, as the objects that describe it; all of them pickle.
 
     The run is `run(graph, assignment, cfg)` on the network's graph, with
@@ -249,8 +269,7 @@ class RunTask:
     series_path: str | None
 
 
-@dataclass(slots=True)
-class SuiteRow:
+class SuiteRow(NamedTuple):
     network: str
     group: str
     bank: str
@@ -283,7 +302,10 @@ def suite_tasks(spec: SuiteSpec, series_path_for=None) -> list[RunTask]:
                         raise ConfigError(f"suite runs {other} and {name} both write {series_path}")
                     seen[key] = seen[series_path] = name
                     run_seed = derive_seed(spec.base_seed, *key, "run")
-                    cfg = replace(spec.template, bank=setting.bank, seed=run_seed)
+                    t = spec.template
+                    cfg = SimConfig(
+                        t.iterations, t.initial_balance, t.payoff, setting.bank, run_seed, t.balance_semantics
+                    )
                     assign_seed = derive_seed(spec.base_seed, *key, "assign")
                     tasks.append(RunTask(net, group, setting, rep, assign_seed, cfg, series_path))
     return tasks
@@ -307,7 +329,6 @@ def execute_task(task: RunTask) -> SuiteRow:
     I/O errors read `error: <message>`; any other exception reads
     `error: <Type>: <message>`.
     """
-    row = _task_row(task, "ok")
     try:
         graph = _cached_graph(task.network.path, task.network.fmt)
         rng = random.Random(task.assign_seed)
@@ -322,15 +343,13 @@ def execute_task(task: RunTask) -> SuiteRow:
             write_gini_series_csv(task.series_path, result)
     except Exception as exc:  # a failed run must not lose its siblings
         known = isinstance(exc, (PDNetSimError, OSError))
-        row.status = f"error: {exc}" if known else f"error: {type(exc).__name__}: {exc}"
-        return row
-    row.final_gini = result.gini_series[-1]
-    row.converged_at = result.converged_at
-    return row
+        return _task_row(task, f"error: {exc}" if known else f"error: {type(exc).__name__}: {exc}")
+    return _task_row(task, "ok", result.gini_series[-1], result.converged_at)
 
 
-def _task_row(task: RunTask, status: str) -> SuiteRow:
-    return SuiteRow(task.network.name, task.group.label, task.bank.label, task.replicate, None, None, status)
+def _task_row(task: RunTask, status: str, final_gini=None, converged_at=None) -> SuiteRow:
+    key = (task.network.name, task.group.label, task.bank.label, task.replicate)
+    return SuiteRow(*key, final_gini, converged_at, status)
 
 
 def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=None) -> list[SuiteRow]:

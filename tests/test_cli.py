@@ -566,3 +566,21 @@ def test_a_run_needs_no_numpy(two_node_run):
     assert proc.returncode == 0, proc.stderr
     assert "final_gini=0.000000 converged_at=2" in proc.stdout
     assert (out_dir / "gini_series.csv").exists()
+
+
+def test_a_run_command_loads_only_what_it_uses(two_node_run):
+    # A whole `run`, not only the import. dataclasses (and inspect with it),
+    # the SVG plotter and its html escaper cost start-up time that only
+    # other commands, or none, need; numpy, the process pool and the XML
+    # parser as in the test above.
+    config_path, _ = two_node_run
+    unwanted = ("dataclasses", "inspect", "pdnetsim.plotting", "html", "numpy", "concurrent.futures", "xml.sax")
+    code = (
+        "import sys\n"
+        "from pdnetsim.cli import main\n"
+        f"assert main(['run', '--config', {str(config_path)!r}]) == 0\n"
+        f"print(sorted(m for m in sys.modules for u in {unwanted!r} if m == u or m.startswith(u + '.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from collections import Counter
 from pathlib import Path
@@ -6,15 +7,22 @@ from pathlib import Path
 import pytest
 
 from pdnetsim import (
+    SNAPSHOT,
     AgentKind,
+    Bank,
+    BankSetting,
     ConfigError,
     DEFAULT_BANK_SETTINGS,
     DegreeGroup,
     EXPERIMENT1_GROUPS,
     EXPERIMENT2_GROUPS,
     Graph,
+    IterationStats,
     NetworkSpec,
+    PayoffParams,
     ProportionGroup,
+    RunResult,
+    SimConfig,
     SuiteSpec,
     assign_by_degree,
     assign_proportional,
@@ -24,7 +32,7 @@ from pdnetsim import (
     run,
     run_suite,
 )
-from pdnetsim.experiments import suite_tasks
+from pdnetsim.experiments import RunTask, SuiteRow, suite_tasks
 from pdnetsim.output import run_file_name, write_gini_series_csv
 
 from conftest import execute_task_or_die, random_graph
@@ -401,6 +409,112 @@ def test_suite_spec_validation(tiny_networks):
         SuiteSpec(networks=tiny_networks, experiment=1, groups=EXPERIMENT1_GROUPS, iterations=0)
     with pytest.raises(ConfigError, match="unknown graph format"):
         NetworkSpec(name="x", path="x.txt", fmt="gml")
+
+
+@pytest.mark.parametrize("field", ["replicates", "base_seed"])
+@pytest.mark.parametrize("value", [1.5, "2", None])
+def test_suite_spec_rejects_a_non_integer_replicate_count_or_base_seed(tiny_networks, field, value):
+    # Caught when the spec is built: 1.5 replicates would fail only inside
+    # run_suite, and a base seed of 1.5 would run the suite of base seed 1.
+    with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+        SuiteSpec(networks=tiny_networks, experiment=1, groups=EXPERIMENT1_GROUPS, **{field: value})
+
+
+@pytest.mark.parametrize("experiment", [1, 2])
+def test_suite_tasks_pickle_and_keep_the_template(tiny_networks, experiment):
+    # The process pool ships every task to a worker by pickle.
+    spec = SuiteSpec(
+        networks=tiny_networks[:2],
+        experiment=experiment,
+        groups=(EXPERIMENT1_GROUPS if experiment == 1 else EXPERIMENT2_GROUPS)[:2],
+        base_seed=11,
+        replicates=2,
+        iterations=9,
+        initial_balance=30,
+        payoff=PayoffParams(2, 3, 4),
+        balance_semantics=SNAPSHOT,
+    )
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    tasks = suite_tasks(spec, lambda *key: "/".join(map(str, key)))
+    assert len(tasks) == 2 * 2 * 3 * 2
+    for task in tasks:
+        assert pickle.loads(pickle.dumps(task)) == task
+        key = (task.network.name, task.group.label, task.bank.label, task.replicate)
+        run_seed = derive_seed(11, *key, "run")
+        assert task.cfg == SimConfig(9, 30, PayoffParams(2, 3, 4), task.bank.bank, run_seed, SNAPSHOT)
+        assert task.assign_seed == derive_seed(11, *key, "assign")
+
+
+def test_records_compare_by_value_and_take_their_fields_by_position_or_keyword(tiny_networks):
+    payoff = PayoffParams(2, 3, 4)
+    stats = IterationStats(1, 2, 3, 4, None, 5)
+    cfg = SimConfig(10, 20, payoff, Bank(5), 7, SNAPSHOT)
+    network = tiny_networks[0]
+    cases = [
+        (PayoffParams, dict(coop_reward=2, defect_penalty=3, betrayal_transfer=4)),
+        (Bank, dict(balance=5, infinite=False)),
+        (
+            SimConfig,
+            dict(iterations=10, initial_balance=20, payoff=payoff, bank=Bank(5), seed=7, balance_semantics=SNAPSHOT),
+        ),
+        (
+            IterationStats,
+            dict(games_played=1, games_skipped=2, bank_inflow=3, bank_outflow=4, bank_balance=None, total_balance=5),
+        ),
+        (
+            RunResult,
+            dict(gini_series=[0.5], converged_at=None, final_balances=[7, 3], final_bank=None, iteration_stats=[stats]),
+        ),
+        (ProportionGroup, dict(defector=3, cooperator=1, tit_for_tat=2, random=2)),
+        (DegreeGroup, dict(top=C, middle=T, bottom=D)),
+        (BankSetting, dict(label="5", bank=Bank(5))),
+        (NetworkSpec, dict(name="n", path="n.txt", fmt="snap")),
+        (
+            SuiteSpec,
+            dict(
+                networks=(network,),
+                experiment=1,
+                groups=EXPERIMENT1_GROUPS,
+                banks=DEFAULT_BANK_SETTINGS,
+                base_seed=3,
+                replicates=2,
+                iterations=10,
+                initial_balance=20,
+                payoff=payoff,
+                balance_semantics=SNAPSHOT,
+            ),
+        ),
+        (
+            RunTask,
+            dict(
+                network=network,
+                group=EXPERIMENT1_GROUPS[0],
+                bank=DEFAULT_BANK_SETTINGS[0],
+                replicate=1,
+                assign_seed=9,
+                cfg=cfg,
+                series_path=None,
+            ),
+        ),
+        (
+            SuiteRow,
+            dict(network="n", group="2:2:2:2", bank="0", replicate=1, final_gini=0.5, converged_at=None, status="ok"),
+        ),
+    ]
+    for cls, fields in cases:
+        by_keyword = cls(**fields)
+        assert by_keyword == cls(*fields.values())
+        assert {name: getattr(by_keyword, name) for name in fields} == fields
+    assert PayoffParams() == PayoffParams(1, 2, 3) != payoff
+    assert Bank(5) == Bank(balance=5) != Bank(5, infinite=True)
+    same = SimConfig(10, 20, PayoffParams(2, 3, 4), Bank(5), 7, SNAPSHOT)
+    assert cfg == same != SimConfig(10, 20, payoff, Bank(5), 8, SNAPSHOT)
+    assert hash(cfg) == hash(same)
+    assert RunResult([0.5], None, [7, 3], None).iteration_stats == []
+    with pytest.raises(AttributeError):
+        cfg.seed = 8
+    with pytest.raises(AttributeError):
+        EXPERIMENT1_GROUPS[0].defector = 8
 
 
 def test_default_bank_settings():
