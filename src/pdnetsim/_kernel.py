@@ -1,12 +1,15 @@
-"""Build and load the compiled engine pass, Gini and edge-list reader (`_pass.c`) on first use.
+"""Build and load the compiled engine passes, shuffle, Gini and edge-list reader (`_pass.c`) on first use.
 
 The shared library is compiled once per source, flag set and machine type
 into ``${XDG_CACHE_HOME:-~/.cache}/pdnetsim/`` and reused by later
 processes. Each compile writes a temporary file that is then renamed into
 place, so processes compiling at the same time never load a half-written
-library. When that directory cannot be written, or there is no home
-directory to put it in, the library is compiled into a temporary directory
-for this process only.
+library. A compile then deletes all but the `KEEP` most recently modified
+libraries in that directory, so that edits to the source do not pile up
+libraries, while a few checkouts that share the cache keep theirs. When
+that directory cannot be written, or there is no home directory to put it
+in, the library is compiled into a temporary directory for this process
+only.
 """
 
 import ctypes
@@ -17,10 +20,13 @@ from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_pass.c")
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+KEEP = 4  # libraries a compile leaves in the cache directory, its own included
 
 _SIGNATURES = {  # name: (result type, argument types)
-    # pd_pass(order, m, held, offsets, targets, kinds, last, bal, start, params, acc, mt)
-    "pd_pass": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_int64] + [ctypes.c_void_p] * 10),
+    # pd_run(limit, order, held, offsets, targets, kinds, last, bal, start, params, acc, mt, stats, sums)
+    "pd_run": (ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 13),
+    # pd_shuffle(order, n, mt)
+    "pd_shuffle": (None, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]),
     # pd_gini(values, m, n, out)
     "pd_gini": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p]),
     # pd_read_edges(data, size, format, counts, &reader)
@@ -71,7 +77,8 @@ def load():
 
 
 def _compile(compiler: str, target: Path) -> Path:
-    """Compile SOURCE to `target` unless it is there already."""
+    """Compile SOURCE to `target` unless it is there already, then prune the
+    other libraries beside it."""
     if target.exists():
         return target
     import subprocess
@@ -91,7 +98,28 @@ def _compile(compiler: str, target: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _prune(target.parent)
     return target
+
+
+def _prune(directory: Path) -> None:
+    """Delete all but the KEEP most recently modified libraries in `directory`.
+
+    A process that has a deleted library loaded keeps using it, and one that
+    wants it back compiles it again. Files another process removes meanwhile
+    are skipped.
+    """
+    stamped = []
+    for path in directory.glob("pass-*.so"):
+        try:
+            stamped.append((path.stat().st_mtime_ns, path))
+        except OSError:
+            pass
+    for _, path in sorted(stamped, reverse=True)[KEEP:]:
+        try:
+            path.unlink()
+        except OSError:
+            pass
 
 
 def _open(path: Path):

@@ -1,23 +1,29 @@
-/* One engine pass in C: the same rules, in the same order, as the Python
- * loop in engine.py, which stays the reference this kernel is tested
+/* The engine's passes in C: the same rules, in the same order, as the
+ * Python loop in engine.py, which stays the reference this kernel is tested
  * against.
  *
- * How each kind decides is not written here: pd_pass looks every action up
- * in strategies.ACTIONS, which the caller appends to params. The caller
- * also checks every bound first: each target lies in [0, n), the order
- * holds valid node ids, every kind indexes a row of the table, and no
- * balance, bank or flow can leave int64. Neighbor picks and DRAW entries
- * draw from a copy of the run's MT19937 state (CPython's generator, words
- * 0..623 plus the index in word 624), handed over after the node-order
- * shuffle and carried from pass to pass. For the length of a pass the
+ * pd_run plays up to a given number of passes in one call and stops after
+ * the pass that converges. For each pass it writes the counts and, when
+ * asked, the integer parts of the Gini coefficient into caller buffers;
+ * engine.py divides them. How each kind decides is not written here: every
+ * action is looked up in strategies.ACTIONS, which the caller appends to
+ * params. The caller also checks every bound first: each target lies in
+ * [0, n), the order holds valid node ids, every kind indexes a row of the
+ * table, and no balance, bank or flow can leave int64.
+ *
+ * Every draw comes from a copy of the run's MT19937 state (CPython's
+ * generator, words 0..623 plus the index in word 624). pd_shuffle draws the
+ * node-order shuffle from it as random.Random.randrange would; the caller
+ * writes the state back into the generator, and hands the same state to
+ * pd_run, which carries it from call to call. For the length of a call the
  * generator lives in a local struct that holds the current block's 624
  * tempered outputs, so a draw is one load.
  *
- * pd_gini, in the same library, gives the integer parts of the per-pass
- * Gini coefficient, from counts by value when the values span a narrow
- * range and from a radix sort otherwise; metrics.py divides them. pd_read_edges and
+ * pd_gini gives the integer parts of the Gini coefficient of any int64
+ * array, from counts by value when the values span a narrow range and from
+ * a radix sort otherwise; metrics.py divides them. pd_read_edges and
  * pd_edges_csr, at the end, parse edge-list files into the CSR arrays
- * pd_pass plays on.
+ * pd_run plays on.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -32,12 +38,16 @@
 enum { P_N, P_LIVE, P_INFINITE, P_REWARD, P_PENALTY, P_TRANSFER, P_ACTIONS };
 #define DRAW 2
 
-/* acc: bank_balance and the payers drained since order was last rebuilt
- * (both carried between passes), this pass's counts, then the length of
- * order after the pass and the sum of the balances it holds */
-enum { A_BANK, A_DRAINED, A_PLAYED, A_SKIPPED, A_INFLOW, A_OUTFLOW, A_LIVE, A_TOTAL };
+/* acc, carried from call to call: bank_balance, the payers drained since
+ * order was last rebuilt, the length of order, and whether the last pass
+ * played left every balance where it started */
+enum { A_BANK, A_DRAINED, A_LIVE, A_CONVERGED };
 
-/* CPython's MT19937 for the length of one pass: the state words, the index
+/* One row of pd_run's stats per pass: its counts, the bank balance after it
+ * and the sum of the balances of order */
+enum { S_PLAYED, S_SKIPPED, S_INFLOW, S_OUTFLOW, S_BANK, S_TOTAL, S_FIELDS };
+
+/* CPython's MT19937 for the length of one call: the state words, the index
  * of the next word and the tempered outputs of the current block, so that a
  * draw is one load. gen_open tempers the block the index points into;
  * gen_next twists and tempers a whole new block when that one runs out;
@@ -114,26 +124,23 @@ static int8_t act(const int64_t *params, int8_t kind, int8_t code, struct gen *g
 
 static int64_t min64(int64_t a, int64_t b) { return a < b ? a : b; }
 
-/* Play one pass over order[0..m). Then, once more than an eighth of order
- * has been drained, drop its nodes at zero (in place, keeping the order of
- * the rest), and copy the balances of order[0..acc[A_LIVE]) into held.
+/* Play one pass over order[0..m) and write its counts to row[S_PLAYED ..
+ * S_OUTFLOW], carrying the bank balance and the drained payers in acc.
  * Returns 1 when the pass left every balance where it started (the run has
  * converged), else 0. */
-int pd_pass(int64_t *order, int64_t m, int64_t *held, const int64_t *offsets,
-            const int32_t *targets, const int8_t *kinds, int8_t *last, int64_t *bal,
-            int64_t *start, const int64_t *params, int64_t *acc, uint32_t *mt)
+static int play_pass(const int64_t *order, int64_t m, const int64_t *offsets,
+                     const int32_t *targets, const int8_t *kinds, int8_t *last, int64_t *bal,
+                     int64_t *start, const int64_t *params, int64_t *acc, struct gen *g,
+                     int64_t *row)
 {
     const int64_t n = params[P_N], reward = params[P_REWARD], penalty = params[P_PENALTY],
                   transfer = params[P_TRANSFER];
     const int infinite = (int)params[P_INFINITE];
     const int64_t *eff = params[P_LIVE] ? bal : start;
     int64_t bank = acc[A_BANK], played = 0, skipped = n - m, inflow = 0, outflow = 0,
-            drained = acc[A_DRAINED], total = 0, kept;
+            drained = acc[A_DRAINED];
     int64_t i;
-    int converged;
-    struct gen g;
 
-    gen_open(&g, mt);
     memcpy(start, bal, (size_t)n * sizeof *bal);
     for (i = 0; i < m; i++) {
         const int64_t v = order[i], lo = offsets[v], degree = offsets[v + 1] - lo;
@@ -144,13 +151,13 @@ int pd_pass(int64_t *order, int64_t m, int64_t *held, const int64_t *offsets,
             skipped++;
             continue;
         }
-        o = targets[lo + (int64_t)(random_double(&g) * (double)degree)];
+        o = targets[lo + (int64_t)(random_double(g) * (double)degree)];
         if (eff[o] == 0) {
             skipped++;
             continue;
         }
-        act_v = act(params, kinds[v], last[o], &g);
-        act_o = act(params, kinds[o], last[v], &g);
+        act_v = act(params, kinds[v], last[o], g);
+        act_o = act(params, kinds[o], last[v], g);
 
         if (act_v != act_o) { /* the silent player pays the betrayer */
             payer = act_v ? o : v;
@@ -179,29 +186,13 @@ int pd_pass(int64_t *order, int64_t m, int64_t *held, const int64_t *offsets,
         last[o] = act_o;
         played++;
     }
-    gen_close(&g);
-    converged = memcmp(bal, start, (size_t)n * sizeof *bal) == 0;
-
-    if (drained * 8 > m) {
-        for (i = kept = 0; i < m; i++)
-            if (bal[order[i]] != 0)
-                order[kept++] = order[i];
-        m = kept;
-        drained = 0;
-    }
-    for (i = 0; i < m; i++) {
-        held[i] = bal[order[i]];
-        total += held[i];
-    }
     acc[A_BANK] = bank;
     acc[A_DRAINED] = drained;
-    acc[A_PLAYED] = played;
-    acc[A_SKIPPED] = skipped;
-    acc[A_INFLOW] = inflow;
-    acc[A_OUTFLOW] = outflow;
-    acc[A_LIVE] = m;
-    acc[A_TOTAL] = total;
-    return converged;
+    row[S_PLAYED] = played;
+    row[S_SKIPPED] = skipped;
+    row[S_INFLOW] = inflow;
+    row[S_OUTFLOW] = outflow;
+    return memcmp(bal, start, (size_t)n * sizeof *bal) == 0;
 }
 
 /* weighted and total (see pd_gini) from counts by value, for m <= 2^32 - 1
@@ -285,36 +276,21 @@ static int gini_by_sort(const int64_t *values, int64_t m, uint64_t n, uint64_t m
     return 0;
 }
 
-/* The Gini coefficient of values[0..m) padded with n - m zeros is
- * weighted / (n * total), with weighted = sum_i (2i - n - 1) x_i over the
- * ascending order (1-based ranks; the zeros take the lowest). Writes
- * weighted to out[0..1] and total to out[2..3], low word first, and
- * returns 0; returns -1, writing nothing, when a value is negative, and -2
- * when memory runs out. The caller checks n * m < 2^64, so that no sum
- * below leaves __int128: |partial sums| <= n * total < n * m * 2^63.
- *
- * When the values span a range R = max - min + 1 of at most 4 * m, and
- * n * m < 2^63, the sums come from counts by value (gini_by_count), with
- * no sort; otherwise from a radix sort (gini_by_sort). The bound 4 * m
- * keeps the count buffer (4 bytes a slot) no larger than the sort's
- * (16 bytes a value), so neither route needs more memory than the other
- * could. */
-int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
+/* The Gini sums of values[0..m) padded with n - m zeros (see pd_gini),
+ * given their minimum and maximum: from counts by value when the values
+ * span a range R = max - min + 1 of at most 4 * m and n * m < 2^63, else
+ * from a radix sort. The bound 4 * m keeps the count buffer (4 bytes a
+ * slot) no larger than the sort's (16 bytes a value), so neither route
+ * needs more memory than the other could. Writes weighted to out[0..1] and
+ * total to out[2..3], low word first, and returns 0, or -2 when memory
+ * runs out. */
+static int gini_sums(const int64_t *values, int64_t m, uint64_t n, uint64_t min, uint64_t max,
+                     uint64_t *out)
 {
-    uint64_t min = UINT64_MAX, max = 0;
     __int128 weighted;
     unsigned __int128 total;
-    int64_t i;
     int status;
 
-    for (i = 0; i < m; i++) {
-        if (values[i] < 0)
-            return -1;
-        if ((uint64_t)values[i] > max)
-            max = (uint64_t)values[i];
-        if ((uint64_t)values[i] < min)
-            min = (uint64_t)values[i];
-    }
     if (m > 0 && m <= UINT32_MAX && max - min < 4 * (uint64_t)m
         && (unsigned __int128)n * (uint64_t)m < (unsigned __int128)1 << 63)
         status = gini_by_count(values, m, (int64_t)n, min, max - min, &weighted, &total);
@@ -327,6 +303,110 @@ int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
     out[2] = (uint64_t)total;
     out[3] = (uint64_t)(total >> 64);
     return 0;
+}
+
+/* The Gini coefficient of values[0..m) padded with n - m zeros is
+ * weighted / (n * total), with weighted = sum_i (2i - n - 1) x_i over the
+ * ascending order (1-based ranks; the zeros take the lowest). Writes
+ * weighted and total to out[0..3] (see gini_sums) and returns 0; returns
+ * -1, writing nothing, when a value is negative, and -2 when memory runs
+ * out. The caller checks n * m < 2^64, so that no sum below leaves
+ * __int128: |partial sums| <= n * total < n * m * 2^63. */
+int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
+{
+    uint64_t min = UINT64_MAX, max = 0;
+    int64_t i;
+
+    for (i = 0; i < m; i++) {
+        if (values[i] < 0)
+            return -1;
+        if ((uint64_t)values[i] > max)
+            max = (uint64_t)values[i];
+        if ((uint64_t)values[i] < min)
+            min = (uint64_t)values[i];
+    }
+    return gini_sums(values, m, n, min, max, out);
+}
+
+/* Play up to `limit` passes (limit >= 1) of the run whose state the
+ * arguments hold, and stop after the first pass that converges. After each
+ * pass, once more than an eighth of order has been drained, drop its nodes
+ * at zero (in place, keeping the order of the rest); copy the balances of
+ * order[0..acc[A_LIVE]) into held; write the pass's row of stats
+ * (stats[S_FIELDS * pass ..]); and, when sums is not NULL, the Gini sums
+ * of all n balances (sums[4 * pass ..], as pd_gini writes them). Returns
+ * the number of passes played, or -2 when the Gini runs out of memory. */
+int64_t pd_run(int64_t limit, int64_t *order, int64_t *held, const int64_t *offsets,
+               const int32_t *targets, const int8_t *kinds, int8_t *last, int64_t *bal,
+               int64_t *start, const int64_t *params, int64_t *acc, uint32_t *mt,
+               int64_t *stats, uint64_t *sums)
+{
+    const uint64_t n = (uint64_t)params[P_N];
+    int64_t m = acc[A_LIVE], pass, i, kept, total;
+    uint64_t min, max;
+    int converged = 0, status = 0;
+    struct gen g;
+
+    gen_open(&g, mt);
+    for (pass = 0; pass < limit && !converged && status == 0; pass++) {
+        int64_t *row = stats + S_FIELDS * pass;
+
+        converged = play_pass(order, m, offsets, targets, kinds, last, bal, start, params, acc,
+                              &g, row);
+        if (acc[A_DRAINED] * 8 > m) {
+            for (i = kept = 0; i < m; i++)
+                if (bal[order[i]] != 0)
+                    order[kept++] = order[i];
+            m = kept;
+            acc[A_DRAINED] = 0;
+        }
+        min = UINT64_MAX;
+        max = 0;
+        total = 0;
+        for (i = 0; i < m; i++) {
+            const uint64_t x = (uint64_t)(held[i] = bal[order[i]]);
+            total += held[i];
+            min = x < min ? x : min;
+            max = x > max ? x : max;
+        }
+        row[S_BANK] = acc[A_BANK];
+        row[S_TOTAL] = total;
+        if (sums != NULL)
+            status = gini_sums(held, m, n, min, max, sums + 4 * pass);
+    }
+    gen_close(&g);
+    acc[A_LIVE] = m;
+    acc[A_CONVERGED] = converged;
+    return status != 0 ? status : pass;
+}
+
+/* Fill order[0..n) with 0, 1, ..., n - 1 and shuffle it as
+ * engine.shuffle_order does with a random.Random: for i from n - 1 down to
+ * 1, swap order[i] with order[j], j = randrange(i + 1). CPython draws that
+ * as getrandbits(k), k = (i + 1).bit_length(), until the draw is below
+ * i + 1, and for k <= 32 getrandbits(k) is the top k bits of one output.
+ * Needs n < 2^32. */
+void pd_shuffle(int64_t *order, int64_t n, uint32_t *mt)
+{
+    struct gen g;
+    int64_t i, swap;
+    uint32_t bound, r;
+    int k;
+
+    for (i = 0; i < n; i++)
+        order[i] = i;
+    gen_open(&g, mt);
+    for (i = n - 1; i > 0; i--) {
+        bound = (uint32_t)(i + 1);
+        k = 32 - __builtin_clz(bound); /* (i + 1).bit_length() */
+        do
+            r = gen_next(&g) >> (32 - k);
+        while (r >= bound);
+        swap = order[i];
+        order[i] = order[r];
+        order[r] = swap;
+    }
+    gen_close(&g);
 }
 
 /* Edge-list reader: the rules of graph.graph_from_edges, which stays the

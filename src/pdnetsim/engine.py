@@ -44,24 +44,32 @@ strict update-from-snapshot ordering. Both are one rule: every write is
 ``balances[x] = effective[x] + delta``, where ``effective`` is the live
 balances or the pass's start copy.
 
-Two pass loops: everything around a pass (the shuffle, the Gini call, the
-stats, the hook and the convergence test) is Python, and a pass itself is
-played either by ``_python_passes`` or by ``_pass.c`` through ctypes, on
-``array`` buffers (int64 balances).
-Both apply the rules above in the same order, look every decision up in
-``strategies.ACTIONS`` and give identical outputs.
-The C kernel plays on the graph's CSR arrays whenever it could be built and
-loaded (see ``_kernel``) and no balance, bank balance or flow can leave
-int64 (``_fits_int64``). Otherwise the Python loop runs on
-``graph.adjacency``; it is also the reference the kernel is tested
-against. The shuffle stays in Python; the kernel then takes over the
-generator's MT19937 state (624 words and the index, from ``getstate()``)
-and reproduces CPython's ``random()`` draw for draw. The kernel is
-compiled on first use (by ``load_graph`` or ``run``), not at import, so
-importing the package never starts a compiler.
-After each pass the kernel also rebuilds the order and gathers the live
-balances and their sum, and the Gini of an int64 ``array`` runs in the
-same library (``metrics.gini``).
+Two pass loops: a pass is played either by ``_python_passes`` or by
+``_pass.c`` through ctypes, on ``array`` buffers (int64 balances). Both
+apply the rules above in the same order, look every decision up in
+``strategies.ACTIONS`` and give identical outputs. The C kernel plays on the
+graph's CSR arrays whenever it could be built and loaded (see ``_kernel``)
+and no balance, bank balance or flow can leave int64 (``_fits_int64``).
+Otherwise the Python loop runs on ``graph.adjacency``; it is also the
+reference the kernel is tested against, and everything around its passes
+(the Gini call, the stats, the hook and the convergence test) is Python.
+
+On the kernel path one ``pd_run`` call plays a block of up to ``_BLOCK``
+passes and stops at convergence. It writes each pass's stats and the two
+integer Gini sums into buffers of one block, and Python only divides the
+sums, in the expression ``metrics.gini`` uses, so every float is the same.
+With an ``iteration_hook`` each call plays one pass and the Gini is taken
+by ``gini`` (this module's attribute) on the live balances the kernel
+gathered, as the Python loop does.
+
+The shuffle runs in C too (``pd_shuffle``) when the generator is a plain
+``random.Random`` and the ids are ``range(n)``: it draws each
+``randrange(i + 1)`` as CPython does, from a copy of the generator's
+MT19937 state (624 words and the index, from ``getstate()``), which is
+then written back, so later draws are unchanged. ``pd_run`` carries on
+from that state and reproduces CPython's ``random()`` draw for draw. The
+kernel is compiled on first use (by ``load_graph`` or ``run``), not at
+import, so importing the package never starts a compiler.
 """
 
 import operator
@@ -80,6 +88,9 @@ SNAPSHOT = "snapshot"
 BALANCE_SEMANTICS = (LIVE, SNAPSHOT)
 
 _DRAW = 2  # _pass.c's DRAW: the kernel's spelling of a None entry of ACTIONS
+_BLOCK = 1000  # passes per pd_run call without a hook: its buffers hold this many rows
+_STAT_FIELDS = 6  # _pass.c's S_FIELDS: one row of IterationStats
+_LIVE, _CONVERGED = 2, 3  # _pass.c's A_LIVE and A_CONVERGED slots of acc
 
 
 class _Record:
@@ -205,12 +216,40 @@ def shuffle_order(node_ids, rng: random.Random) -> list[int]:
 
     Spelled out (rather than rng.shuffle) so the draw order is pinned by
     this package, not by stdlib internals: one rng.randrange(i + 1) per
-    position i from len-1 down to 1.
+    position i from len-1 down to 1. For ``range(n)`` and a plain
+    ``random.Random`` the kernel makes the same draws (`_shuffled_range`).
     """
+    if type(node_ids) is range and node_ids == range(len(node_ids)):
+        shuffled = _shuffled_range(len(node_ids), rng)
+        if shuffled is not None:
+            return shuffled.tolist()
     order = list(node_ids)
     for i in range(len(order) - 1, 0, -1):
         j = rng.randrange(i + 1)
         order[i], order[j] = order[j], order[i]
+    return order
+
+
+def _shuffled_range(n: int, rng: random.Random) -> array | None:
+    """shuffle_order(range(n), rng) as an int64 array, shuffled by `_pass.c`.
+
+    None, drawing nothing, unless the kernel loads and rng is exactly a
+    random.Random (a subclass may draw otherwise) with a version-3 state.
+    The kernel draws from a copy of the state, which is then written back,
+    so rng goes on exactly where the Python shuffle would leave it.
+    """
+    if type(rng) is not random.Random or n >= 2**32:
+        return None
+    kernel = _kernel.load()[0]
+    if kernel is None:
+        return None
+    version, words, gauss_next = rng.getstate()
+    if version != 3:
+        return None
+    order = array("q", [0]) * n
+    mt = array("I", words)
+    kernel.pd_shuffle(order.buffer_info()[0], n, mt.buffer_info()[0])
+    rng.setstate((version, tuple(mt), gauss_next))
     return order
 
 
@@ -257,21 +296,13 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
     n = graph.node_count
     strategies = _strategy_codes(n, assignment)
     rng = random.Random(cfg.seed)
-    order = shuffle_order(range(n), rng)
+    shuffled = _shuffled_range(n, rng)
+    if shuffled is not None and _fits_int64(n, cfg):
+        return _kernel_run(graph, strategies, shuffled, rng, cfg, iteration_hook)
+    order = shuffle_order(range(n), rng) if shuffled is None else shuffled.tolist()
 
-    kernel = _kernel.load()[0]
-    state = rng.getstate()
-    if kernel is not None and _fits_int64(n, cfg) and state[0] == 3 and len(state[1]) == 625:
-        balances = array("q", [cfg.initial_balance]) * n
-        to_list = array.tolist
-        passes = _kernel_passes(
-            kernel.pd_pass, graph.offsets, graph.targets, strategies, order, balances, cfg, state[1]
-        )
-    else:
-        balances = [cfg.initial_balance] * n
-        to_list = list.copy
-        passes = _python_passes(graph.adjacency, strategies, order, balances, cfg, rng)
-
+    balances = [cfg.initial_balance] * n
+    passes = _python_passes(graph.adjacency, strategies, order, balances, cfg, rng)
     gini_series: list[float] = []
     stats: list[IterationStats] = []
     converged_at = None
@@ -279,18 +310,11 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
         gini_series.append(gini(held, n))
         stats.append(stat)
         if iteration_hook is not None:
-            iteration_hook(iteration, to_list(balances), stat.bank_balance)
+            iteration_hook(iteration, balances[:], stat.bank_balance)
         if converged:
             converged_at = iteration
             break
-
-    return RunResult(
-        gini_series=gini_series,
-        converged_at=converged_at,
-        final_balances=to_list(balances),
-        final_bank=stats[-1].bank_balance,
-        iteration_stats=stats,
-    )
+    return RunResult(gini_series, converged_at, balances, stats[-1].bank_balance, stats)
 
 
 def _python_passes(adjacency, strategies, order, balances, cfg, rng):
@@ -386,18 +410,20 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
         yield stat, held, balances == start
 
 
-def _kernel_passes(pd_pass, offsets, targets, strategies, order, balances, cfg, mt_state):
-    """`_python_passes` with each pass played by `_pass.c`.
+def _kernel_run(graph, strategies, order, rng, cfg, iteration_hook) -> RunResult:
+    """`run` with every pass played by `_pass.c`'s pd_run.
 
-    `balances` is an int64 array; mt_state holds the 624 MT19937 words and
-    the index of the run's generator after the shuffle. held is an int64
-    array of the live balances, rewritten by every pass.
+    `order` is the shuffled int64 array and rng the generator after the
+    shuffle. Without a hook, each call plays up to _BLOCK passes and writes
+    their stats and Gini sums, so no buffer grows with cfg.iterations. With
+    one, each call plays one pass, and the Gini is taken by `gini` on the
+    live balances, `held`, which pd_run rewrites after every pass.
     """
-    n = len(balances)
+    n = graph.node_count
     payoff = cfg.payoff
     infinite = cfg.bank.infinite
-    order = array("q", order)
-    held = array("q", [0]) * n  # cut to the live length of order after each pass
+    balances = array("q", [cfg.initial_balance]) * n
+    held = array("q", [0]) * n  # cut to the live length of order after each call
     kinds = array("b", strategies)
     last = array("b", [UNRECORDED]) * n
     start = array("q", [0]) * n
@@ -408,19 +434,40 @@ def _kernel_passes(pd_pass, offsets, targets, strategies, order, balances, cfg, 
         + [payoff.coop_reward, payoff.defect_penalty, payoff.betrayal_transfer]
         + [_DRAW if action is None else action for row in ACTIONS for action in row],
     )
-    acc = array("q", [0 if infinite else cfg.bank.balance, 0, 0, 0, 0, 0, 0, 0])
-    mt = array("I", mt_state)
-    arrays = (offsets, targets, kinds, last, balances, start, params, acc, mt)
+    acc = array("q", [0 if infinite else cfg.bank.balance, 0, n, 0])
+    mt = array("I", rng.getstate()[1])
+    block = 1 if iteration_hook is not None else min(_BLOCK, cfg.iterations)
+    rows = array("q", [0]) * (_STAT_FIELDS * block)
+    sums = None if iteration_hook is not None else array("Q", [0]) * (4 * block)
+    arrays = (graph.offsets, graph.targets, kinds, last, balances, start, params, acc, mt, rows)
     pointers = [a.buffer_info()[0] for a in arrays]  # the arrays stay alive in this frame
+    sums_pointer = None if sums is None else sums.buffer_info()[0]
+    pd_run = _kernel.load()[0].pd_run
 
-    m = len(order)
-    while True:
-        converged = pd_pass(order.buffer_info()[0], m, held.buffer_info()[0], *pointers)
-        bank_balance, _, played, skipped, inflow, outflow, m, total = acc
-        if len(held) != m:
-            del held[m:]  # may move the buffer, so its address is read per pass
-        reported_bank = None if infinite else bank_balance
-        yield IterationStats(played, skipped, inflow, outflow, reported_bank, total), held, converged == 1
+    gini_series: list[float] = []
+    stats: list[IterationStats] = []
+    while len(stats) < cfg.iterations and not acc[_CONVERGED]:
+        limit = min(block, cfg.iterations - len(stats))
+        # order and held are read per call: cutting held may move its buffer
+        played = pd_run(limit, order.buffer_info()[0], held.buffer_info()[0], *pointers, sums_pointer)
+        if played < 0:
+            raise MemoryError("pd_run could not allocate a Gini buffer")
+        if len(held) != acc[_LIVE]:
+            del held[acc[_LIVE] :]
+        fields = [rows[f : _STAT_FIELDS * played : _STAT_FIELDS] for f in range(_STAT_FIELDS)]
+        if infinite:
+            fields[4] = [None] * played  # bank_balance
+        stats.extend(map(IterationStats, *fields))
+        if iteration_hook is None:
+            for w_lo, w_hi, t_lo, t_hi in zip(*(sums[f : 4 * played : 4] for f in range(4))):
+                total = t_hi << 64 | t_lo
+                gini_series.append((w_hi << 64 | w_lo) / (n * total) if total else 0.0)
+        else:
+            gini_series.append(gini(held, n))
+            iteration_hook(len(stats), balances.tolist(), stats[-1].bank_balance)
+
+    converged_at = len(stats) if acc[_CONVERGED] else None
+    return RunResult(gini_series, converged_at, balances.tolist(), stats[-1].bank_balance, stats)
 
 
 def _fits_int64(n: int, cfg: SimConfig) -> bool:
@@ -437,10 +484,24 @@ def _fits_int64(n: int, cfg: SimConfig) -> bool:
     return n * cfg.initial_balance + bank + 2 * n * cfg.iterations * largest < _INT64_LIMIT
 
 
-def _strategy_codes(node_count: int, assignment) -> list[int]:
+def _strategy_codes(node_count: int, assignment) -> bytes:
     """Validate that assignment covers 0..n-1 and flatten it to the kind
-    codes, which index the rows of ACTIONS: 1.5 or "1" is no agent kind."""
-    codes = []
+    codes, which index the rows of ACTIONS: 1.5 or "1" is no agent kind.
+
+    A list of length n converts at C speed through bytes(); anything it
+    rejects, or a code outside ACTIONS, goes through the loop below, which
+    names the first bad node. (An element whose __index__ raises anything
+    else raises it in the loop as well.)
+    """
+    if type(assignment) is list and len(assignment) == node_count:
+        try:
+            codes = bytes(assignment)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if not codes.translate(None, bytes(range(len(ACTIONS)))):
+                return codes
+    codes = bytearray()
     for v in range(node_count):
         try:
             code = operator.index(assignment[v])
@@ -451,4 +512,4 @@ def _strategy_codes(node_count: int, assignment) -> list[int]:
         if not 0 <= code < len(ACTIONS):
             raise ConfigError(f"assignment holds invalid agent kind for node {v}")
         codes.append(code)
-    return codes
+    return bytes(codes)

@@ -1,5 +1,7 @@
+import ctypes
 import random
 import shutil
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -14,7 +16,9 @@ from pdnetsim import (
     Bank,
     ConfigError,
     Graph,
+    IterationStats,
     PayoffParams,
+    RunResult,
     SimConfig,
     decide,
     gini,
@@ -32,10 +36,12 @@ C, D, T, R = AgentKind.COOPERATOR, AgentKind.DEFECTOR, AgentKind.TIT_FOR_TAT, Ag
 def reference_run(graph, assignment, cfg):
     """Plain restatement of the run semantics built from the public pieces
     (decide, resolve_game, ActionMemory, shuffle_order). Deliberately slow
-    and simple; the engine's inlined loop must match it exactly."""
+    and simple; the engine's inlined loop must match it exactly. The ids go
+    to shuffle_order as a list, which takes the Python shuffle, so the
+    kernel's shuffle is checked against it too."""
     n = graph.node_count
     rng = random.Random(cfg.seed)
-    order = shuffle_order(range(n), rng)
+    order = shuffle_order(list(range(n)), rng)
     balances = [cfg.initial_balance] * n
     memory = ActionMemory(n)
     bank_balance = 0 if cfg.bank.infinite else cfg.bank.balance
@@ -95,22 +101,37 @@ def python_loop(monkeypatch):
 
 
 @pytest.fixture
-def kernel_calls(monkeypatch):
-    """The order lengths of the passes the compiled kernel plays. Skips only
-    where no C compiler exists; anywhere else the kernel must load."""
+def kernel():
+    """The compiled kernel. Skips only where no C compiler exists; anywhere
+    else it must load."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc)")
     library, reason = _kernel.load()
     assert library is not None, reason
+    return library
+
+
+@pytest.fixture
+def kernel_calls(kernel, monkeypatch):
+    """(passes played, order length at the start) of each pd_run call of the
+    compiled kernel."""
+    from pdnetsim import engine
+
     calls = []
 
     def counting(*args):
-        calls.append(args[1])
-        return library.pd_pass(*args)
+        live = ctypes.c_int64.from_address(args[10] + 8 * engine._LIVE).value  # acc[A_LIVE]
+        played = kernel.pd_run(*args)
+        calls.append((played, live))
+        return played
 
-    counted = SimpleNamespace(pd_pass=counting, pd_gini=library.pd_gini)
+    counted = SimpleNamespace(pd_run=counting, pd_shuffle=kernel.pd_shuffle, pd_gini=kernel.pd_gini)
     monkeypatch.setattr(_kernel, "load", lambda: (counted, None))
     return calls
+
+
+def passes_played(calls):
+    return sum(played for played, _ in calls)
 
 
 def as_stat_tuples(result):
@@ -143,6 +164,37 @@ def test_shuffle_positions_uniform_within_3_sigma():
     for value in range(5):
         for pos in range(5):
             assert abs(counts[value][pos] - mean) <= 3 * sigma
+
+
+@pytest.mark.parametrize("sizes", [range(701), range(1000, 1301)], ids=["0-700", "1000-1300"])
+def test_kernel_shuffle_draws_as_the_python_shuffle(kernel, sizes):
+    # The generators go on from n to n, so the shuffles start at every index
+    # of the MT19937 block, and the next random() checks the state handed back.
+    from pdnetsim import engine
+
+    for seed in (3, 2**40 + 1):
+        kernel_rng, python_rng = random.Random(seed), random.Random(seed)
+        for n in sizes:
+            shuffled = engine._shuffled_range(n, kernel_rng)
+            assert shuffled is not None
+            assert shuffled.tolist() == shuffle_order(list(range(n)), python_rng), n
+            assert kernel_rng.random() == python_rng.random(), n
+    # shuffle_order hands a range to the kernel and returns a list
+    assert shuffle_order(range(999), random.Random(7)) == shuffle_order(list(range(999)), random.Random(7))
+
+
+def test_a_random_subclass_that_draws_otherwise_takes_the_python_shuffle(kernel):
+    class Counting(random.Random):
+        draws = 0
+
+        def getrandbits(self, k):
+            self.draws += 1
+            return super().getrandbits(k)
+
+    rng = Counting(5)
+    order = shuffle_order(range(300), rng)
+    assert rng.draws >= 299
+    assert order == shuffle_order(list(range(300)), random.Random(5))
 
 
 # --- resolve_game ------------------------------------------------------------
@@ -289,6 +341,24 @@ def test_assignment_rejects_non_agent_values():
         run(g, [C, 1.5], SimConfig(seed=1))
     with pytest.raises(ConfigError, match="non-agent value for node 1"):
         run(g, [C, "1"], SimConfig(seed=1))
+
+
+@pytest.mark.parametrize("value", [-1, 4, 256])
+def test_assignment_rejects_kind_codes_out_of_range(value):
+    with pytest.raises(ConfigError, match="invalid agent kind for node 1"):
+        run(path_graph(2), [C, value], SimConfig(seed=1))
+    with pytest.raises(ConfigError, match="invalid agent kind for node 1"):
+        run(path_graph(2), {0: C, 1: value}, SimConfig(seed=1))
+
+
+def test_every_spelling_of_an_assignment_gives_the_same_run():
+    g = random_graph(20, 3.0, seed=2)
+    assignment = random_assignment(g.node_count, random.Random(3))
+    cfg = SimConfig(iterations=10, bank=Bank(balance=100), seed=4)
+    expected = run(g, assignment, cfg)
+    assert run(g, dict(enumerate(assignment)), cfg) == expected
+    assert run(g, [int(kind) for kind in assignment], cfg) == expected
+    assert run(g, [True if kind == D else kind for kind in assignment], cfg) == expected  # True is 1
 
 
 def test_degree_zero_nodes_are_skipped():
@@ -586,14 +656,15 @@ def test_every_path_plays_the_decision_table(request, monkeypatch, passes, tit_f
     assert result.converged_at == converged
     assert as_stat_tuples(result) == stats
     if passes == "kernel_calls":
-        assert len(calls) == result.iterations_executed
+        assert passes_played(calls) == result.iterations_executed
 
 
 def test_kernel_plays_every_pass(kernel_calls):
     g = random_graph(30, 4.0, seed=5)
     cfg = SimConfig(iterations=12, bank=Bank(infinite=True), seed=7)
     result = run(g, random_assignment(g.node_count, random.Random(6)), cfg)
-    assert len(kernel_calls) == result.iterations_executed == 12
+    assert passes_played(kernel_calls) == result.iterations_executed == 12
+    assert len(kernel_calls) == 1  # one block
 
 
 # (n, seed, index): the node-order shuffle of n nodes under `seed` leaves
@@ -621,7 +692,7 @@ def test_kernel_draws_alike_at_the_edges_of_a_generator_block(kernel_calls, n, s
     assert result.final_bank == bank_end
     assert result.converged_at == converged
     assert as_stat_tuples(result) == stats
-    assert len(kernel_calls) == result.iterations_executed == 20
+    assert passes_played(kernel_calls) == result.iterations_executed == 20
 
 
 def test_kernel_drops_drained_nodes_and_hands_the_gini_the_live_balances(kernel_calls, monkeypatch):
@@ -636,9 +707,11 @@ def test_kernel_drops_drained_nodes_and_hands_the_gini_the_live_balances(kernel_
     ends = []
     run(g, assignment, cfg, iteration_hook=lambda iteration, balances, bank: ends.append(balances))
 
-    assert kernel_calls[0] == g.node_count
-    assert kernel_calls[-1] < g.node_count // 2  # the order was rebuilt
-    for previous, m, held, end in zip(kernel_calls, kernel_calls[1:], handed, ends):
+    assert all(played == 1 for played, _ in kernel_calls)  # a hook gets every pass
+    lengths = [m for _, m in kernel_calls]
+    assert lengths[0] == g.node_count
+    assert lengths[-1] < g.node_count // 2  # the order was rebuilt
+    for previous, m, held, end in zip(lengths, lengths[1:], handed, ends):
         alive = sorted(b for b in end if b)
         assert len(held) == m and sorted(b for b in held if b) == alive
         assert m == previous or m == len(alive)  # a rebuild keeps exactly the holders
@@ -658,7 +731,7 @@ def test_python_loop_runs_past_the_int64_bound(kernel_calls, initial_balance, ke
         seed=3,
     )
     result = run(g, [D, C], cfg)
-    assert len(kernel_calls) == kernel_passes
+    assert passes_played(kernel_calls) == kernel_passes
     ginis, balances, bank_end, converged, stats = reference_run(g, [D, C], cfg)
     assert result.gini_series == ginis
     assert result.final_balances == balances
@@ -686,3 +759,50 @@ def test_snapshot_capital_creation_past_int64_stays_exact(kernel_calls):
     ginis, balances, bank_end, converged, stats = reference_run(g, [D, C, D], cfg)
     assert result.gini_series == ginis
     assert as_stat_tuples(result) == stats
+
+
+def _reference_result(g, assignment, cfg):
+    ginis, balances, bank_end, converged, stats = reference_run(g, assignment, cfg)
+    return RunResult(ginis, converged, balances, bank_end, [IterationStats(*stat) for stat in stats])
+
+
+def _run_cases():
+    g = random_graph(30, 4.0, seed=51)
+    assignment = random_assignment(g.node_count, random.Random(52))
+    yield "stops-at-iterations", g, assignment, SimConfig(iterations=40, bank=Bank(balance=300), seed=53), None
+    yield "netting-pass", *NETTING_PASS, 1
+    yield "one-iteration", g, assignment, SimConfig(iterations=1, bank=Bank(balance=300), seed=54), None
+    # Cooperators against an infinite bank gain on every pass: three blocks.
+    g = random_graph(12, 3.0, seed=55)
+    assignment = random.Random(56).choices([C, T, R], weights=[2, 1, 1], k=g.node_count)
+    yield "longer-than-a-block", g, assignment, SimConfig(iterations=2500, bank=Bank(infinite=True), seed=57), None
+
+
+@pytest.mark.parametrize("g, assignment, cfg, converged_at", [pytest.param(*case[1:], id=case[0]) for case in _run_cases()])
+def test_kernel_run_with_and_without_a_hook_matches_the_reference(kernel_calls, g, assignment, cfg, converged_at):
+    from pdnetsim import engine
+
+    plain = run(g, assignment, cfg)
+    blocks = [played for played, _ in kernel_calls]
+    kernel_calls.clear()
+    hooked = run(g, assignment, cfg, iteration_hook=lambda iteration, balances, bank: None)
+
+    assert plain == hooked == _reference_result(g, assignment, cfg)
+    assert plain.converged_at == converged_at
+    executed = plain.iterations_executed
+    assert executed == (converged_at or cfg.iterations)
+    full, rest = divmod(executed, engine._BLOCK)
+    assert blocks == [engine._BLOCK] * full + [rest] * (rest > 0)
+    assert [played for played, _ in kernel_calls] == [1] * executed
+
+
+def test_a_run_allocates_no_buffer_by_its_iteration_limit(kernel_calls):
+    tracemalloc.start()
+    try:
+        result = run(path_graph(2), [D, D], SimConfig(iterations=10**9, bank=Bank(balance=0), seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged_at == 26
+    assert passes_played(kernel_calls) == 26
+    assert peak < 5 * 2**20

@@ -1,3 +1,4 @@
+import os
 import shutil
 import subprocess
 
@@ -28,7 +29,7 @@ def test_load_without_a_compiler_gives_the_reason(monkeypatch):
 @needs_cc
 def test_load_reports_a_compile_failure(tmp_path, monkeypatch):
     broken = tmp_path / "_pass.c"
-    broken.write_text("int pd_pass(void) { return }\n")
+    broken.write_text("int pd_run(void) { return }\n")
     monkeypatch.setattr(_kernel, "SOURCE", broken)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     function, reason = _kernel.load.__wrapped__()
@@ -47,6 +48,27 @@ def test_load_builds_into_the_cache_once(tmp_path, monkeypatch):
     mtime = built[0].stat().st_mtime_ns
     assert _kernel.load.__wrapped__()[0] is not None
     assert built[0].stat().st_mtime_ns == mtime
+
+
+@needs_cc
+def test_a_build_keeps_only_the_newest_libraries_in_the_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    cache = tmp_path / "pdnetsim"
+    cache.mkdir()
+    for age in range(6):  # pass-0.so is the newest of them, and older than any build
+        old = cache / f"pass-{age}.so"
+        old.write_text("")
+        os.utime(old, ns=(10**18 - age * 10**9,) * 2)
+    (cache / "other.txt").write_text("")
+    function, reason = _kernel.load.__wrapped__()
+    assert function is not None and reason is None
+    # The new library and the three newest of the others are left, and
+    # nothing that is not a library is touched.
+    kept = {"pass-0.so", "pass-1.so", "pass-2.so", "other.txt"}
+    left = {path.name for path in cache.iterdir()}
+    assert kept < left
+    (built,) = left - kept
+    assert built.startswith("pass-") and built.endswith(".so")
 
 
 @needs_cc
