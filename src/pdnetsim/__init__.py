@@ -32,18 +32,15 @@ from .graph import (
     Graph,
     degree_ranked_nodes,
     graph_from_edges,
-    load_bitcoin_otc_csv,
     load_graph,
-    load_snap_edge_list,
 )
 from .metrics import gini, gini_oracle
-from .strategies import Action, ActionMemory, AgentKind, decide
+from .strategies import Action, AgentKind, decide
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Action",
-    "ActionMemory",
     "AgentKind",
     "Bank",
     "BankSetting",
@@ -72,9 +69,7 @@ __all__ = [
     "gini",
     "gini_oracle",
     "graph_from_edges",
-    "load_bitcoin_otc_csv",
     "load_graph",
-    "load_snap_edge_list",
     "resolve_game",
     "run",
     "run_suite",

@@ -47,12 +47,15 @@ balances or the pass's start copy.
 Two pass loops: a pass is played either by ``_python_passes`` or by
 ``_pass.c`` through ctypes, on ``array`` buffers (int64 balances). Both
 apply the rules above in the same order, look every decision up in
-``strategies.ACTIONS`` and give identical outputs. The C kernel plays on the
-graph's CSR arrays whenever it could be built and loaded (see ``_kernel``)
-and no balance, bank balance or flow can leave int64 (``_fits_int64``).
-Otherwise the Python loop runs on ``graph.adjacency``; it is also the
-reference the kernel is tested against, and everything around its passes
-(the Gini call, the stats, the hook and the convergence test) is Python.
+``strategies.ACTIONS`` and give identical outputs. The Python loop plays
+each game through ``resolve_game``, the one Python statement of the payoff
+rules, and writes only the games that move capital; ``_pass.c`` states the
+same rules once in C. The C kernel plays on the graph's CSR arrays
+whenever it could be built and loaded (see ``_kernel``) and no balance,
+bank balance or flow can leave int64 (``_fits_int64``). Otherwise the
+Python loop runs on ``graph.adjacency``; it is also the reference the
+kernel is tested against, and everything around its passes (the Gini
+call, the stats, the hook and the convergence test) is Python.
 
 On the kernel path one ``pd_run`` call plays a block of up to ``_BLOCK``
 passes and stops at convergence. It writes each pass's stats and the two
@@ -81,7 +84,7 @@ from . import _kernel
 from .errors import ConfigError
 from .graph import Graph
 from .metrics import _INT64_LIMIT, gini
-from .strategies import ACTIONS, UNRECORDED, ActionMemory
+from .strategies import ACTIONS, UNRECORDED
 
 LIVE = "live"
 SNAPSHOT = "snapshot"
@@ -155,6 +158,8 @@ class Bank(_Record):
     __slots__ = _fields = ("balance", "infinite")
 
     def __init__(self, balance: int = 0, infinite: bool = False):
+        if not isinstance(infinite, bool):
+            raise ConfigError(f"bank infinite must be True or False, got {infinite!r}")
         if not infinite and (not isinstance(balance, int) or balance < 0):
             raise ConfigError(f"finite bank balance must be a non-negative integer, got {balance!r}")
         super().__init__(balance, infinite)
@@ -176,6 +181,8 @@ class SimConfig(_Record):
             raise ConfigError(f"iterations must be a positive integer, got {iterations!r}")
         if not isinstance(initial_balance, int) or initial_balance < 1:
             raise ConfigError(f"initial_balance must be a positive integer, got {initial_balance!r}")
+        if not isinstance(seed, int):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
         if balance_semantics not in BALANCE_SEMANTICS:
             raise ConfigError(f"balance_semantics must be one of {BALANCE_SEMANTICS}, got {balance_semantics!r}")
         super().__init__(iterations, initial_balance, payoff, bank, seed, balance_semantics)
@@ -253,9 +260,10 @@ def _shuffled_range(n: int, rng: random.Random) -> array | None:
     return order
 
 
-def resolve_game(a_action, b_action, a_bal: int, b_bal: int, bank: Bank, payoff: PayoffParams):
+def resolve_game(a_action, b_action, a_bal: int, b_bal: int, bank_balance: int | None, payoff: PayoffParams):
     """Balance deltas for one game: (a_delta, b_delta, bank_delta).
 
+    bank_balance is the bank's balance, or None when the bank is infinite.
     bank_delta is the net flow into the bank (negative when the bank pays
     out, 0 when it is not involved); callers apply it to the bank balance
     only in finite mode but may audit it in both. Requires a_bal > 0 and
@@ -263,7 +271,9 @@ def resolve_game(a_action, b_action, a_bal: int, b_bal: int, bank: Bank, payoff:
 
     Transfers clamp to the payer's balance. A mutual-silence payout is
     all-or-nothing: unless the bank can pay both players in full, neither
-    receives anything (payouts are always symmetric).
+    receives anything (payouts are always symmetric). This is the one
+    statement of these rules in Python: the engine's Python loop plays
+    every game through it, and `_pass.c` restates them in C.
     """
     if a_action != b_action:
         if b_action == 0:  # b silent, a betrays: b pays a
@@ -273,7 +283,7 @@ def resolve_game(a_action, b_action, a_bal: int, b_bal: int, bank: Bank, payoff:
         return -t, t, 0
     if a_action == 0:  # both silent
         reward = payoff.coop_reward
-        if bank.infinite or bank.balance >= 2 * reward:
+        if bank_balance is None or bank_balance >= 2 * reward:
             return reward, reward, -2 * reward
         return 0, 0, 0
     t1 = min(payoff.defect_penalty, a_bal)  # both betray
@@ -326,18 +336,10 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
     """
     n = len(balances)
     payoff = cfg.payoff
-    last = ActionMemory(n).codes
+    last = [UNRECORDED] * n  # each node's memory code: ACTIONS' column
     rows = [ACTIONS[kind] for kind in strategies]  # each node's row of the decision table
-
-    bank_infinite = cfg.bank.infinite
-    bank_balance = 0 if bank_infinite else cfg.bank.balance
+    bank_balance = None if cfg.bank.infinite else cfg.bank.balance
     live = cfg.balance_semantics == LIVE
-
-    reward = payoff.coop_reward
-    reward_cost = 2 * reward
-    penalty = payoff.defect_penalty
-    transfer = payoff.betrayal_transfer
-
     rng_random = rng.random
     drained = 0  # payers left at zero since order was last rebuilt
 
@@ -370,30 +372,17 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
             if act_o is None:
                 act_o = 0 if rng_random() < 0.5 else 1
 
-            if act_v != act_o:  # the silent player pays the betrayer
-                payer, payee = (o, v) if act_v else (v, o)
-                t = min(transfer, effective[payer])
-                balances[payer] = effective[payer] - t
-                balances[payee] = effective[payee] + t
-                if not balances[payer]:
-                    drained += 1
-            elif act_v == 0:  # both silent: bank pays both or neither
-                if bank_infinite or bank_balance >= reward_cost:
-                    balances[v] = effective[v] + reward
-                    balances[o] = effective[o] + reward
-                    bank_balance -= reward_cost
-                    outflow += reward_cost
-            else:  # both betray: both pay the bank
-                t1 = min(penalty, effective[v])
-                t2 = min(penalty, effective[o])
-                balances[v] = effective[v] - t1
-                balances[o] = effective[o] - t2
-                if not balances[v]:
-                    drained += 1
-                if not balances[o]:
-                    drained += 1
-                bank_balance += t1 + t2
-                inflow += t1 + t2
+            dv, do, dbank = resolve_game(act_v, act_o, effective[v], effective[o], bank_balance, payoff)
+            if dv:  # payoffs are positive, so only a blocked payout moves nothing
+                balances[v] = effective[v] + dv
+                balances[o] = effective[o] + do
+                drained += (not balances[v]) + (not balances[o])
+                if bank_balance is not None:
+                    bank_balance += dbank
+                if dbank > 0:
+                    inflow += dbank
+                else:
+                    outflow -= dbank
 
             last[v] = act_v
             last[o] = act_o
@@ -405,8 +394,7 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
         # Every node outside order is at zero, so below half alive it is
         # cheaper to gather the rest than to convert all n balances.
         held = [balances[v] for v in order] if 2 * len(order) <= n else balances
-        reported_bank = None if bank_infinite else bank_balance
-        stat = IterationStats(played, skipped, inflow, outflow, reported_bank, sum(held))
+        stat = IterationStats(played, skipped, inflow, outflow, bank_balance, sum(held))
         yield stat, held, balances == start
 
 

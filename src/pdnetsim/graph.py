@@ -91,9 +91,6 @@ class Graph:
         offsets = self.offsets
         return [hi - lo for lo, hi in zip(offsets, offsets[1:])]
 
-    def degree(self, node: int) -> int:
-        return self.offsets[node + 1] - self.offsets[node]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once as (u, v) with u < v, ascending."""
         offsets, flat = self.offsets, self.targets.tolist()
@@ -183,25 +180,6 @@ def graph_from_edges(edges: Iterable[tuple[int, int]]) -> Graph:
     for node, neighbors in enumerate(adjacency):
         adjacency[node] = sorted(set(neighbors))  # merges duplicate and reverse-duplicate edges
     return Graph(adjacency, id_map)
-
-
-def load_snap_edge_list(lines: Iterable[str]) -> Graph:
-    """Load a plain-text edge list: '#' comment lines, two integer labels per data line.
-
-    Blank lines are tolerated. Raises ParseError (with the 1-based line
-    number) on non-integer tokens, wrong field counts, or an empty edge set.
-    """
-    return graph_from_edges(_label_pairs(lines, "snap"))
-
-
-def load_bitcoin_otc_csv(lines: Iterable[str]) -> Graph:
-    """Load a SOURCE,TARGET,RATING,TIME ratings CSV as an undirected, unweighted graph.
-
-    Rating and time columns are discarded, as is edge direction: (u, v)
-    and (v, u) merge into a single undirected edge. Raises ParseError on
-    a wrong column count or non-integer endpoint.
-    """
-    return graph_from_edges(_label_pairs(lines, "bitcoin_otc"))
 
 
 def load_graph(path: str, fmt: str) -> Graph:

@@ -1,10 +1,12 @@
-"""Agent decision models and the global last-action memory.
+"""Agent decision models and the codes of the global last-action memory.
 
 A node's memory holds its single most recent action from any game with
-any partner. Tit-for-Tat mirrors that global last action, so it can
-answer different opponents differently only because those opponents
-carry different histories. ACTIONS is the one statement of how each kind
-decides, for `decide`, the engine's Python loop and `_pass.c` alike.
+any partner, as a memory code: the Action value, or UNRECORDED before its
+first game. The engine keeps one code per node. Tit-for-Tat mirrors that
+global last action, so it can answer different opponents differently only
+because those opponents carry different histories. ACTIONS is the one
+statement of how each kind decides, for `decide`, the engine's Python loop
+and `_pass.c` alike.
 """
 
 import random
@@ -51,23 +53,3 @@ def decide(kind: AgentKind, opponent_last: Action | None, rng: random.Random) ->
     if action is None:
         return Action.SILENT if rng.random() < 0.5 else Action.BETRAY
     return Action(action)
-
-
-class ActionMemory:
-    """Last recorded action per node; a node is absent until its first game.
-
-    `codes` is the raw backing list of memory codes (UNRECORDED, else the
-    Action value); the simulation loop reads and writes it directly.
-    """
-
-    __slots__ = ("codes",)
-
-    def __init__(self, node_count: int):
-        self.codes: list[int] = [UNRECORDED] * node_count
-
-    def record(self, node: int, action: Action) -> None:
-        self.codes[node] = int(action)
-
-    def last(self, node: int) -> Action | None:
-        code = self.codes[node]
-        return None if code == UNRECORDED else Action(code)

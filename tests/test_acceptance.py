@@ -168,14 +168,12 @@ def test_criterion_3_gini_oracle():
 
 def test_criterion_4_corner_fixtures():
     payoff = PayoffParams()
-    bank0 = Bank(balance=0)
-    # balances 2 and 4, betrayer holds 2: the silent side forsakes 3 of its 4 units
-    first = resolve_game(Action.BETRAY, Action.SILENT, 2, 4, bank0, payoff)
+    # balances 2 and 4, betrayer holds 2, bank 0: the silent side forsakes 3 of its 4 units
+    first = resolve_game(Action.BETRAY, Action.SILENT, 2, 4, 0, payoff)
     # the other way around: the silent side yields its 2 remaining units
-    second = resolve_game(Action.SILENT, Action.BETRAY, 2, 4, bank0, payoff)
+    second = resolve_game(Action.SILENT, Action.BETRAY, 2, 4, 0, payoff)
     # bank holding 1 cannot pay two cooperators: nothing moves, bank stays at 1
-    bank1 = Bank(balance=1)
-    third = resolve_game(Action.SILENT, Action.SILENT, 50, 50, bank1, payoff)
+    third = resolve_game(Action.SILENT, Action.SILENT, 50, 50, 1, payoff)
     ok = first == (3, -3, 0) and second == (-2, 2, 0) and third == (0, 0, 0)
     report(
         "4 (corner fixtures)",

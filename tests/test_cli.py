@@ -507,9 +507,9 @@ def test_convert_bitcoin_to_edge_list(tmp_path):
     assert main(["convert", str(csv_path), "--format", "bitcoin_otc", "--out", str(out_path)]) == EXIT_OK
     dump = out_path.read_text()
     assert dump.startswith("# nodes=3 edges=2\n")
-    from pdnetsim import load_snap_edge_list
+    from pdnetsim import load_graph
 
-    g = load_snap_edge_list(dump.splitlines())
+    g = load_graph(str(out_path), "snap")
     assert g.node_count == 3
     assert g.edge_count == 2
 

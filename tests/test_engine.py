@@ -11,7 +11,6 @@ from pdnetsim import (
     LIVE,
     SNAPSHOT,
     Action,
-    ActionMemory,
     AgentKind,
     Bank,
     ConfigError,
@@ -35,16 +34,17 @@ C, D, T, R = AgentKind.COOPERATOR, AgentKind.DEFECTOR, AgentKind.TIT_FOR_TAT, Ag
 
 def reference_run(graph, assignment, cfg):
     """Plain restatement of the run semantics built from the public pieces
-    (decide, resolve_game, ActionMemory, shuffle_order). Deliberately slow
-    and simple; the engine's inlined loop must match it exactly. The ids go
-    to shuffle_order as a list, which takes the Python shuffle, so the
-    kernel's shuffle is checked against it too."""
+    (decide, resolve_game, shuffle_order) and a list of each node's last
+    Action, None before its first game. Deliberately slow and simple; the
+    engine must match it exactly. The ids go to shuffle_order as a list,
+    which takes the Python shuffle, so the kernel's shuffle is checked
+    against it too."""
     n = graph.node_count
     rng = random.Random(cfg.seed)
     order = shuffle_order(list(range(n)), rng)
     balances = [cfg.initial_balance] * n
-    memory = ActionMemory(n)
-    bank_balance = 0 if cfg.bank.infinite else cfg.bank.balance
+    memory = [None] * n
+    bank_balance = None if cfg.bank.infinite else cfg.bank.balance
     live = cfg.balance_semantics == LIVE
 
     ginis, stats, converged = [], [], None
@@ -64,11 +64,10 @@ def reference_run(graph, assignment, cfg):
             if effective[o] == 0:
                 skipped += 1
                 continue
-            act_v = decide(assignment[v], memory.last(o), rng)
-            act_o = decide(assignment[o], memory.last(v), rng)
-            bank_now = Bank(balance=bank_balance, infinite=cfg.bank.infinite)
+            act_v = decide(assignment[v], memory[o], rng)
+            act_o = decide(assignment[o], memory[v], rng)
             dv, do, dbank = resolve_game(
-                act_v, act_o, effective[v], effective[o], bank_now, cfg.payoff
+                act_v, act_o, effective[v], effective[o], bank_balance, cfg.payoff
             )
             if dv or do or dbank:  # a blocked bank payout writes nothing
                 if live:
@@ -77,21 +76,21 @@ def reference_run(graph, assignment, cfg):
                 else:
                     balances[v] = start[v] + dv
                     balances[o] = start[o] + do
-                if not cfg.bank.infinite:
+                if bank_balance is not None:
                     bank_balance += dbank
                 if dbank > 0:
                     inflow += dbank
                 else:
                     outflow += -dbank
-            memory.record(v, act_v)
-            memory.record(o, act_o)
+            memory[v] = act_v
+            memory[o] = act_o
             played += 1
         ginis.append(gini(balances))
-        stats.append((played, skipped, inflow, outflow, None if cfg.bank.infinite else bank_balance, sum(balances)))
+        stats.append((played, skipped, inflow, outflow, bank_balance, sum(balances)))
         if balances == start:
             converged = iteration
             break
-    return ginis, balances, None if cfg.bank.infinite else bank_balance, converged, stats
+    return ginis, balances, bank_balance, converged, stats
 
 
 @pytest.fixture
@@ -199,7 +198,7 @@ def test_a_random_subclass_that_draws_otherwise_takes_the_python_shuffle(kernel)
 
 # --- resolve_game ------------------------------------------------------------
 
-FIN0 = Bank(balance=0)
+FIN0 = 0  # a finite bank holding nothing
 P = PayoffParams()
 
 
@@ -215,15 +214,15 @@ def test_betrayal_caps_at_victim_balance_poor_victim():
 
 def test_coop_payout_blocked_by_poor_bank_is_symmetric():
     # bank holds 1 < 2 * reward: nobody receives anything
-    assert resolve_game(Action.SILENT, Action.SILENT, 10, 10, Bank(balance=1), P) == (0, 0, 0)
+    assert resolve_game(Action.SILENT, Action.SILENT, 10, 10, 1, P) == (0, 0, 0)
 
 
 def test_coop_payout_exact_bank():
-    assert resolve_game(Action.SILENT, Action.SILENT, 10, 10, Bank(balance=2), P) == (1, 1, -2)
+    assert resolve_game(Action.SILENT, Action.SILENT, 10, 10, 2, P) == (1, 1, -2)
 
 
 def test_coop_payout_infinite_bank():
-    assert resolve_game(Action.SILENT, Action.SILENT, 1, 1, Bank(infinite=True), P) == (1, 1, -2)
+    assert resolve_game(Action.SILENT, Action.SILENT, 1, 1, None, P) == (1, 1, -2)
 
 
 def test_mutual_betrayal_clamps_each_side():
@@ -244,7 +243,7 @@ def test_asymmetric_games_are_zero_sum():
 def test_symmetric_games_never_one_sided():
     rng = random.Random(4)
     for _ in range(200):
-        bank = Bank(balance=rng.randint(0, 5))
+        bank = rng.randint(0, 5)
         payoff = PayoffParams(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 5))
         da, db, dbank = resolve_game(
             Action.SILENT, Action.SILENT, rng.randint(1, 9), rng.randint(1, 9), bank, payoff
@@ -293,6 +292,45 @@ def test_two_defectors_drain_to_bank():
     assert result.iterations_executed == 26
     assert all(value == 0.0 for value in result.gini_series)
     assert result.iteration_stats[-1].games_skipped == 2
+
+
+def test_a_bank_of_exactly_two_rewards_pays_one_mutual_silence():
+    # pass 1: the first game takes the bank's 2 = 2 * reward (+1 each, bank
+    # 2 -> 0), the second is blocked; pass 2 changes nothing and converges
+    g = path_graph(2)
+    cfg = SimConfig(iterations=1000, bank=Bank(balance=2), seed=5)
+    result = run(g, [C, C], cfg)
+    assert result.final_balances == [101, 101]
+    assert result.final_bank == 0
+    assert result.converged_at == 2
+    assert [s.bank_outflow for s in result.iteration_stats] == [2, 0]
+
+
+def test_betrayal_transfer_clamps_to_the_silent_balance():
+    # the cooperator pays 3 of its 5, then only its last 2; pass 2 skips both
+    # turns, since every game would involve the drained cooperator. The
+    # order is the same in both runs, so the clamped second game is opened
+    # by the cooperator in one and by the defector in the other.
+    g = path_graph(2)
+    cfg = SimConfig(iterations=1000, initial_balance=5, bank=Bank(balance=0), seed=5)
+    for assignment, balances in (([D, C], [10, 0]), ([C, D], [0, 10])):
+        result = run(g, assignment, cfg)
+        assert result.final_balances == balances
+        assert result.final_bank == 0
+        assert result.converged_at == 2
+        assert result.gini_series == [0.5, 0.5]
+        assert [s.games_skipped for s in result.iteration_stats] == [0, 2]
+
+
+def test_mutual_betrayal_penalty_clamps_to_each_balance():
+    # each defector pays 2 of its 3, then only its last 1: the bank takes 6
+    g = path_graph(2)
+    cfg = SimConfig(iterations=1000, initial_balance=3, bank=Bank(balance=0), seed=5)
+    result = run(g, [D, D], cfg)
+    assert result.final_balances == [0, 0]
+    assert result.final_bank == 6
+    assert result.converged_at == 2
+    assert [s.bank_inflow for s in result.iteration_stats] == [6, 0]
 
 
 def test_all_cooperators_bank_zero_converge_immediately():
@@ -381,6 +419,21 @@ def test_config_validation():
         PayoffParams(coop_reward=0)
     with pytest.raises(ConfigError):
         Bank(balance=-1)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "1"])
+def test_seed_must_be_an_integer(seed):
+    # seed=None would seed from the clock: two runs of one config would differ
+    with pytest.raises(ConfigError, match=f"seed must be an integer, got {seed!r}"):
+        SimConfig(seed=seed)
+
+
+@pytest.mark.parametrize("infinite", ["no", 1, None])
+@pytest.mark.parametrize("passes", ["kernel", "python_loop"])
+def test_bank_infinite_must_be_a_bool(request, passes, infinite):
+    request.getfixturevalue(passes)
+    with pytest.raises(ConfigError, match=f"bank infinite must be True or False, got {infinite!r}"):
+        run(path_graph(2), [C, C], SimConfig(iterations=1, bank=Bank(balance=0, infinite=infinite), seed=1))
 
 
 # --- run: properties ----------------------------------------------------------
@@ -618,6 +671,13 @@ def test_live_and_snapshot_semantics_can_diverge():
 @pytest.mark.parametrize(
     "check",
     [
+        test_two_cooperators_infinite_bank,
+        test_two_cooperators_bank_of_three,
+        test_a_bank_of_exactly_two_rewards_pays_one_mutual_silence,
+        test_two_defectors_drain_to_bank,
+        test_betrayal_transfer_clamps_to_the_silent_balance,
+        test_mutual_betrayal_penalty_clamps_to_each_balance,
+        test_tit_for_tat_mirrors_global_last_action,
         test_engine_matches_reference_implementation,
         test_convergence_is_an_end_of_pass_equality_not_a_change_flag,
         test_zero_balance_is_absorbing,
@@ -627,7 +687,9 @@ def test_live_and_snapshot_semantics_can_diverge():
 )
 def test_python_loop(check, python_loop):
     """The checks above run passes through the kernel wherever one can be
-    built; here every pass is played by the Python loop instead."""
+    built; here every pass is played by the Python loop instead. The
+    reference shares resolve_game with the Python loop, so the hand-traced
+    fixtures are what check the payoff rules on this path."""
     check()
 
 

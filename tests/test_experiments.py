@@ -178,7 +178,8 @@ def test_degree_assignment_deterministic_per_seed():
 
 def test_degrees_are_ranked_once_per_graph(monkeypatch):
     g = random_graph(60, 4.0, seed=11)
-    fresh = sorted(range(g.node_count), key=lambda v: (-g.degree(v), v))
+    by_degree = g.degrees()
+    fresh = sorted(range(g.node_count), key=lambda v: (-by_degree[v], v))
     calls = []
     degrees = Graph.degrees
 

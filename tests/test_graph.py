@@ -1,4 +1,3 @@
-import io
 import random
 import shutil
 
@@ -11,35 +10,33 @@ from pdnetsim import (
     _kernel,
     degree_ranked_nodes,
     graph_from_edges,
-    load_bitcoin_otc_csv,
     load_graph,
-    load_snap_edge_list,
 )
 from pdnetsim import graph as graph_module
 
 from conftest import path_graph, require_dataset, star_graph, triangle_graph
 
 
-def test_snap_dedup_and_self_loop_removal():
-    g = load_snap_edge_list(io.StringIO("# c\n0 1\n1 0\n1 1\n"))
+def test_snap_dedup_and_self_loop_removal(tmp_path):
+    g = _python_read(tmp_path, "# c\n0 1\n1 0\n1 1\n")
     assert g.node_count == 2
     assert g.edge_count == 1
     assert g.adjacency == [[1], [0]]
 
 
-def test_labels_remap_in_first_appearance_order():
-    g = load_snap_edge_list(io.StringIO("5 7\n7 9\n"))
+def test_labels_remap_in_first_appearance_order(tmp_path):
+    g = _python_read(tmp_path, "5 7\n7 9\n")
     assert g.id_map == {5: 0, 7: 1, 9: 2}
     assert g.adjacency == [[1], [0, 2], [1]]
 
 
-def test_self_loop_only_labels_do_not_become_nodes():
-    g = load_snap_edge_list(io.StringIO("0 1\n2 2\n"))
+def test_self_loop_only_labels_do_not_become_nodes(tmp_path):
+    g = _python_read(tmp_path, "0 1\n2 2\n")
     assert g.node_count == 2
 
 
-def test_blank_lines_tolerated():
-    g = load_snap_edge_list(io.StringIO("\n0 1\n\n"))
+def test_blank_lines_tolerated(tmp_path):
+    g = _python_read(tmp_path, "\n0 1\n\n")
     assert g.edge_count == 1
 
 
@@ -51,31 +48,31 @@ def test_blank_lines_tolerated():
         ("0\n", "line 1"),
     ],
 )
-def test_snap_malformed_line_reports_line_number(content, fragment):
+def test_snap_malformed_line_reports_line_number(content, fragment, tmp_path):
     with pytest.raises(ParseError, match=fragment):
-        load_snap_edge_list(io.StringIO(content))
+        _python_read(tmp_path, content)
 
 
-def test_empty_edge_set_rejected():
+def test_empty_edge_set_rejected(tmp_path):
     with pytest.raises(ParseError, match="empty edge set"):
-        load_snap_edge_list(io.StringIO("# only comments\n"))
+        _python_read(tmp_path, "# only comments\n")
 
 
-def test_bitcoin_direction_and_weight_discarded():
-    g = load_bitcoin_otc_csv(io.StringIO("6,2,4,1289241911.7\n2,6,5,1289241911.8\n"))
+def test_bitcoin_direction_and_weight_discarded(tmp_path):
+    g = _python_read(tmp_path, "6,2,4,1289241911.7\n2,6,5,1289241911.8\n", "bitcoin_otc")
     assert g.node_count == 2
     assert g.edge_count == 1
     assert g.id_map == {6: 0, 2: 1}
 
 
-def test_bitcoin_self_loop_only_input_rejected():
+def test_bitcoin_self_loop_only_input_rejected(tmp_path):
     with pytest.raises(ParseError, match="empty edge set"):
-        load_bitcoin_otc_csv(io.StringIO("1,1,10,0\n"))
+        _python_read(tmp_path, "1,1,10,0\n", "bitcoin_otc")
 
 
-def test_bitcoin_wrong_column_count_reports_line_number():
+def test_bitcoin_wrong_column_count_reports_line_number(tmp_path):
     with pytest.raises(ParseError, match="line 2: expected 4 columns, got 3"):
-        load_bitcoin_otc_csv(io.StringIO("1,2,3,4\n1,2,3\n"))
+        _python_read(tmp_path, "1,2,3,4\n1,2,3\n", "bitcoin_otc")
 
 
 def test_degree_ranking_star():
@@ -121,6 +118,13 @@ def _python_load(path, fmt):
         return load_graph(str(path), fmt)
 
 
+def _python_read(tmp_path, text, fmt="snap"):
+    """The Python reader on `text`, written to a file."""
+    path = tmp_path / "graph"
+    path.write_text(text)
+    return _python_load(path, fmt)
+
+
 def _as_tuple(g):
     return (g.node_count, g.edge_count, g.adjacency, list(g.id_map.items()))
 
@@ -128,10 +132,7 @@ def _as_tuple(g):
 def test_loaded_graphs_satisfy_invariants(tmp_path):
     rng = random.Random(42)
     path = tmp_path / "graph"
-    for fmt, load, row in (
-        ("snap", load_snap_edge_list, "{} {}\n"),
-        ("bitcoin_otc", load_bitcoin_otc_csv, "{},{},5,1289241911.7\n"),
-    ):
+    for fmt, row in (("snap", "{} {}\n"), ("bitcoin_otc", "{},{},5,1289241911.7\n")):
         for _ in range(25):
             n = rng.randint(2, 40)
             pairs = []
@@ -148,30 +149,29 @@ def test_loaded_graphs_satisfy_invariants(tmp_path):
             text = "".join(row.format(u, v) for u, v in pairs)
             path.write_text(text)
             try:
-                g = load(io.StringIO(text))
+                g = _python_load(path, fmt)
             except ParseError:
                 assert all(u == v for u, v in pairs)
-                for read in (load_graph, _python_load):
-                    with pytest.raises(ParseError, match="empty edge set"):
-                        read(str(path), fmt)
+                with pytest.raises(ParseError, match="empty edge set"):
+                    load_graph(str(path), fmt)
                 continue
-            # The stream loader, the file loader (the C reader wherever the
-            # kernel loads) and the file loader with the Python reader alone.
-            for loaded in (g, load_graph(str(path), fmt), _python_load(path, fmt)):
+            # The file loader with the Python reader alone, and the file
+            # loader as it reads (the C reader wherever the kernel loads).
+            for loaded in (g, load_graph(str(path), fmt)):
                 loaded.validate()
-                assert _as_tuple(loaded) == _normalized_by_brute_force(pairs)
-                n = loaded.node_count
-                assert [loaded.degree(v) for v in range(n)] == loaded.degrees() == list(map(len, loaded.adjacency))
+                expected = _normalized_by_brute_force(pairs)
+                assert _as_tuple(loaded) == expected
+                assert loaded.degrees() == list(map(len, expected[2]))
                 ranked = degree_ranked_nodes(loaded)
                 assert sorted(ranked) == list(range(loaded.node_count))
             # reload determinism
-            assert load(io.StringIO(text)) == g
+            assert _python_load(path, fmt) == g
 
 
-def test_graph_from_edges_matches_loader():
+def test_graph_from_edges_matches_loader(tmp_path):
     edges = [(0, 1), (1, 2), (2, 0), (1, 0)]
     text = "".join(f"{u} {v}\n" for u, v in edges)
-    assert graph_from_edges(edges) == load_snap_edge_list(io.StringIO(text))
+    assert graph_from_edges(edges) == _python_read(tmp_path, text)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import random
 
-from pdnetsim import Action, ActionMemory, AgentKind, decide
+from pdnetsim import Action, AgentKind, decide
 
 
 def test_cooperator_always_silent():
@@ -44,26 +44,3 @@ def test_non_random_kinds_leave_rng_untouched():
     for kind in (AgentKind.COOPERATOR, AgentKind.DEFECTOR, AgentKind.TIT_FOR_TAT):
         decide(kind, Action.BETRAY, rng)
     assert rng.getstate() == state
-
-
-def test_memory_record_and_lookup():
-    mem = ActionMemory(5)
-    assert mem.last(3) is None
-    mem.record(3, Action.BETRAY)
-    assert mem.last(3) == Action.BETRAY
-
-
-def test_memory_last_write_wins():
-    mem = ActionMemory(2)
-    mem.record(0, Action.SILENT)
-    mem.record(0, Action.BETRAY)
-    assert mem.last(0) == Action.BETRAY
-    assert mem.last(1) is None
-
-
-def test_memory_is_global_per_node_not_per_pair():
-    # one slot per node: a decision against any partner overwrites it
-    mem = ActionMemory(3)
-    mem.record(1, Action.BETRAY)  # game against node 0
-    mem.record(1, Action.SILENT)  # game against node 2
-    assert mem.last(1) == Action.SILENT
