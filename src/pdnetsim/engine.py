@@ -160,7 +160,7 @@ class Bank(_Record):
     def __init__(self, balance: int = 0, infinite: bool = False):
         if not isinstance(infinite, bool):
             raise ConfigError(f"bank infinite must be True or False, got {infinite!r}")
-        if not infinite and (not isinstance(balance, int) or balance < 0):
+        if not isinstance(balance, int) or balance < 0:
             raise ConfigError(f"finite bank balance must be a non-negative integer, got {balance!r}")
         super().__init__(balance, infinite)
 

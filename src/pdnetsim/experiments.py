@@ -13,8 +13,9 @@ any single run of a sweep can be reproduced in isolation.
 
 import functools
 import hashlib
+import os
 import random
-from contextlib import ExitStack
+from collections import deque
 from typing import NamedTuple
 
 from . import _kernel
@@ -359,39 +360,110 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
     given, names the per-run Gini series CSV each worker writes. Rows come
     back in task order regardless of worker completion order, so repeated
     invocations produce identical summaries. A failed run lands in its
-    row's status; sibling runs proceed, and when a pool worker dies, every
-    row not yet back says so. Raises ConfigError, before any run, when
-    `workers` is below 1 or two runs collide.
+    row's status; sibling runs proceed, and when a worker process dies,
+    only the row of the task it was running says so. Raises ConfigError,
+    before any run, when `workers` is below 1 or two runs collide.
     """
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     tasks = suite_tasks(spec, series_path_for)
-    workers = min(workers, len(tasks))  # a pool forks all its workers up front
+    workers = min(workers, len(tasks))  # every worker is forked up front
+    if workers > 1:
+        _kernel.load()  # here, so that forked workers inherit it instead of each loading it
+        results = _forked_rows(tasks, workers)
+    else:
+        results = map(execute_task, tasks)
     rows: list[SuiteRow] = []
-    with ExitStack() as stack:
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor  # only pools pay for its import
-
-            _kernel.load()  # here, so that forked workers inherit it instead of each loading it
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            chunksize = max(1, len(tasks) // (workers * 4))
-            results = _until_the_pool_breaks(pool.map(execute_task, tasks, chunksize=chunksize), tasks)
-        else:
-            results = map(execute_task, tasks)
-        for done, row in enumerate(results, start=1):
-            rows.append(row)
-            if progress is not None:
-                progress(done, len(tasks), row)
+    for done, row in enumerate(results, start=1):
+        rows.append(row)
+        if progress is not None:
+            progress(done, len(tasks), row)
     return rows
 
 
-def _until_the_pool_breaks(results, tasks):
-    """The pool's rows, then an error row for each task lost with a dead worker."""
-    from concurrent.futures import BrokenExecutor
+def _forked_rows(tasks: list[RunTask], workers: int):
+    """The row of each task, in task order, as `workers` forked processes run them.
 
-    done = 0
+    Each worker inherits `tasks` through the fork and has a task pipe and a
+    row pipe of its own. The parent writes an idle worker the next task's
+    index and reads back the pickled row. EOF on a row pipe means that
+    worker died: only the task it was running gets the error row. A task
+    dealt to a worker already gone never started, and goes to another one;
+    once no worker is left, every task not yet run gets the error row.
+    """
+    import multiprocessing  # only pools pay for these imports
+    import pickle
+    import select
+
+    context = multiprocessing.get_context("fork")  # the workers inherit the tasks and the kernel
+    parent_ends: list[int] = []  # the pipe ends every worker forked later must close
+    pool = {}  # row pipe fd -> (process, task pipe fd, row reader)
+    running = {}  # row pipe fd -> index of the task its worker runs
     try:
-        for done, row in enumerate(results, start=1):
-            yield row
-    except BrokenExecutor as exc:
-        yield from (_task_row(task, f"error: a worker process died: {exc}") for task in tasks[done:])
+        for _ in range(workers):
+            (task_r, task_w), (row_r, row_w) = os.pipe(), os.pipe()
+            parent_ends += (task_w, row_r)
+            process = context.Process(target=_work, args=(tasks, task_r, row_w, parent_ends), daemon=True)
+            process.start()
+            os.close(task_r)
+            os.close(row_w)
+            pool[row_r] = (process, task_w, open(row_r, "rb"))
+        idle = list(pool)
+        todo = deque(range(len(tasks)))
+        done = {}  # index -> row, until the rows before it are out
+        next_row = 0
+        while next_row < len(tasks):
+            while idle and todo:
+                fd = idle.pop()
+                try:
+                    os.write(pool[fd][1], todo[0].to_bytes(4, "little"))
+                except BrokenPipeError:  # the worker is gone; the task never started
+                    died = _reap(pool.pop(fd))
+                    continue
+                running[fd] = todo.popleft()
+            if not running:  # no worker left
+                done.update((i, _task_row(tasks[i], f"error: a worker process died: {died}")) for i in todo)
+                todo.clear()
+            else:
+                for fd in select.select(list(running), [], [])[0]:
+                    index = running.pop(fd)
+                    try:
+                        done[index] = pickle.load(pool[fd][2])
+                        idle.append(fd)
+                    except (EOFError, pickle.UnpicklingError):  # the worker died while running it
+                        died = _reap(pool.pop(fd))
+                        done[index] = _task_row(tasks[index], f"error: a worker process died: {died}")
+            while next_row in done:
+                yield done.pop(next_row)
+                next_row += 1
+    finally:
+        for fd, (process, task_w, reader) in pool.items():
+            os.close(task_w)  # an idle worker reads EOF and exits
+            reader.close()
+            if fd in running:  # left early, by an exception
+                process.terminate()
+        for process, _, _ in pool.values():
+            process.join()
+
+
+def _work(tasks: list[RunTask], task_r: int, row_w: int, parent_ends: list[int]) -> None:
+    """A forked worker: run the task of each index it reads, until EOF."""
+    import pickle
+
+    for fd in parent_ends:  # so that each pipe closes with its own worker and the parent
+        os.close(fd)
+    with open(row_w, "wb") as rows:
+        while index := os.read(task_r, 4):
+            # execute_task is looked up here, at call time, so a wrapper set on the module runs.
+            pickle.dump(execute_task(tasks[int.from_bytes(index, "little")]), rows)
+            rows.flush()
+
+
+def _reap(worker) -> str:
+    """Close a dead worker's pipes, wait for it and say how it ended."""
+    process, task_w, reader = worker
+    os.close(task_w)
+    reader.close()
+    process.join()
+    code = process.exitcode
+    return f"exit code {code}" if code >= 0 else f"signal {-code}"

@@ -43,7 +43,8 @@ class Graph:
     `adjacency` is the same rows as lists, built on first access. id_map
     maps original dataset labels to ids 0..node_count-1. The constructor
     takes adjacency lists and raises ConfigError on a neighbor that is not
-    an integer in [0, node_count), so the kernel never reads out of bounds.
+    an integer in [0, node_count), so the kernel never reads out of bounds,
+    or on a self-loop, which the kernel and the Python loop play apart.
     """
 
     __slots__ = ("offsets", "targets", "id_map", "_adjacency", "_ranked")
@@ -55,7 +56,7 @@ class Graph:
             targets = array("i", flat)
         except (TypeError, OverflowError):  # not integers that fit int32
             raise _bad_neighbor(adjacency) from None
-        if flat and (min(flat) < 0 or max(flat) >= n):
+        if flat and (min(flat) < 0 or max(flat) >= n) or any(u in row for u, row in enumerate(adjacency)):
             raise _bad_neighbor(adjacency)
         self.offsets = array("q", accumulate(map(len, adjacency), initial=0))
         self.targets = targets
@@ -122,7 +123,8 @@ class Graph:
 
 
 def _bad_neighbor(adjacency) -> ConfigError:
-    """The error naming the first neighbor that is not an integer in [0, n)."""
+    """The error naming the first neighbor that is not an integer in [0, n),
+    or the node itself (a self-loop)."""
     n = len(adjacency)
     for node, neighbors in enumerate(adjacency):
         for v in neighbors:
@@ -132,6 +134,8 @@ def _bad_neighbor(adjacency) -> ConfigError:
                 valid = False
             if not valid:
                 return ConfigError(f"neighbor {v!r} of node {node} is not an integer in [0, {n})")
+            if v == node:
+                return ConfigError(f"node {node} is its own neighbor (a self-loop)")
     return ConfigError(f"{n} nodes do not fit int32 ids")
 
 

@@ -9,13 +9,11 @@ data directory other than <repo>/data.
 
 import os
 import random
-import time
 
 import pytest
 
 from pdnetsim import Graph, graph_from_edges
 from pdnetsim.experiments import execute_task
-from pdnetsim.output import run_file_name
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -96,18 +94,8 @@ def fb_scale_graph() -> Graph:
 
 
 def execute_task_or_die(task):
-    """`execute_task`, except that the process running replicate 2 dies, as
-    a pool worker killed by a signal or by the OOM killer does. It waits
-    for the series files of replicates 0 and 1 first, and then a little
-    longer, so that their rows have come back to the parent; the suite must
-    therefore write series files."""
+    """`execute_task`, except that the worker process running replicate 2
+    dies at once with exit code 1, as one killed by a crash does."""
     if task.replicate == 2:
-        runs = os.path.dirname(task.series_path)
-        key = (task.network.name, task.group.label, task.bank.label)
-        siblings = [os.path.join(runs, run_file_name(*key, r)) for r in (0, 1)]
-        deadline = time.monotonic() + 30
-        while not all(map(os.path.exists, siblings)) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        time.sleep(0.3)
         os._exit(1)
     return execute_task(task)

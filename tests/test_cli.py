@@ -351,12 +351,7 @@ def test_suite_all_failures_exit_nonzero(tmp_path, capsys):
     assert "error:" in summary
 
 
-def test_suite_summary_survives_a_dead_worker(tmp_path, monkeypatch, capsys):
-    from pdnetsim import experiments
-
-    from conftest import execute_task_or_die
-
-    monkeypatch.setattr(experiments, "execute_task", execute_task_or_die)
+def _four_replicate_suite(tmp_path):
     config_path = tmp_path / "suite.cfg"
     config_path.write_text(
         textwrap.dedent(
@@ -373,12 +368,47 @@ def test_suite_summary_survives_a_dead_worker(tmp_path, monkeypatch, capsys):
             """
         )
     )
+    return config_path
+
+
+def test_suite_summary_survives_a_dead_worker(tmp_path, monkeypatch, capsys):
+    from pdnetsim import experiments
+
+    from conftest import execute_task_or_die
+
+    config_path = _four_replicate_suite(tmp_path)
+    serial = tmp_path / "serial"
+    assert main(["suite", "--config", str(config_path), "--workers", "1", "--out", str(serial)]) == EXIT_OK
+    monkeypatch.setattr(experiments, "execute_task", execute_task_or_die)
     assert main(["suite", "--config", str(config_path)]) == EXIT_OK
     assert "Traceback" not in capsys.readouterr().err
     rows = (tmp_path / "out" / "suite_summary.csv").read_text().strip().split("\n")[1:]
+    serial_rows = (serial / "suite_summary.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 4
-    assert rows[0].endswith(",ok") and rows[1].endswith(",ok")
-    assert all(",error: a worker process died: " in row for row in rows[2:])
+    # Only replicate 2, whose worker died, is lost; replicate 3 ran on the other worker.
+    assert rows[2] == "good,2:2:2:2,0,2,,,error: a worker process died: exit code 1"
+    assert rows[:2] + rows[3:] == serial_rows[:2] + serial_rows[3:]
+    assert all(row.endswith(",ok") for row in serial_rows)
+    runs = sorted(path.name for path in (tmp_path / "out" / "runs").iterdir())
+    assert len(runs) == 3 and "good__2-2-2-2__b0__r2.csv" not in runs
+    for name in runs:
+        assert (tmp_path / "out" / "runs" / name).read_bytes() == (serial / "runs" / name).read_bytes()
+
+
+def test_suite_whose_every_worker_dies_still_writes_its_summary(tmp_path):
+    # In a process of its own, so that a suite that hangs fails the test.
+    code = (
+        "import os, sys\n"
+        "from pdnetsim import experiments\n"
+        "from pdnetsim.cli import main\n"
+        "experiments.execute_task = lambda task: os._exit(3)\n"
+        f"sys.exit(main(['suite', '--config', {str(_four_replicate_suite(tmp_path))!r}]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "error: all suite runs failed" in proc.stderr and "Traceback" not in proc.stderr
+    rows = (tmp_path / "out" / "suite_summary.csv").read_text().strip().split("\n")[1:]
+    assert rows == [f"good,2:2:2:2,0,{r},,,error: a worker process died: exit code 3" for r in range(4)]
 
 
 def test_suite_non_utf8_network_marks_its_row(tmp_path):
@@ -566,6 +596,22 @@ def test_a_run_needs_no_numpy(two_node_run):
     assert proc.returncode == 0, proc.stderr
     assert "final_gini=0.000000 converged_at=2" in proc.stdout
     assert (out_dir / "gini_series.csv").exists()
+
+
+def test_a_suite_with_workers_loads_no_process_pool(suite_config):
+    # The workers are forked multiprocessing processes fed over pipes:
+    # concurrent.futures was a start-up cost that no command needs.
+    config_path, out_dir = suite_config
+    code = (
+        "import sys\n"
+        "from pdnetsim.cli import main\n"
+        f"assert main(['suite', '--config', {str(config_path)!r}, '--workers', '2']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'concurrent' or m.startswith('concurrent.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    assert (out_dir / "suite_summary.csv").exists()
 
 
 def test_a_run_command_loads_only_what_it_uses(two_node_run):

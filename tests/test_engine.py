@@ -417,8 +417,10 @@ def test_config_validation():
         SimConfig(balance_semantics="lazy")
     with pytest.raises(ConfigError):
         PayoffParams(coop_reward=0)
-    with pytest.raises(ConfigError):
-        Bank(balance=-1)
+    for balance in (-1, "x"):
+        for infinite in (False, True):  # an infinite bank never pays from its balance, but it is checked too
+            with pytest.raises(ConfigError, match=f"bank balance must be a non-negative integer, got {balance!r}"):
+                Bank(balance=balance, infinite=infinite)
 
 
 @pytest.mark.parametrize("seed", [None, 1.5, "1"])

@@ -1,4 +1,5 @@
 import math
+import os
 import pickle
 import random
 from collections import Counter
@@ -318,11 +319,8 @@ def test_suite_parallel_matches_serial(tiny_networks):
     ]
 
 
-def test_suite_keeps_its_rows_when_a_worker_dies(tiny_networks, tmp_path, monkeypatch):
-    from pdnetsim import experiments
-
-    monkeypatch.setattr(experiments, "execute_task", execute_task_or_die)
-    spec = SuiteSpec(
+def _four_replicates(tiny_networks):
+    return SuiteSpec(
         networks=tiny_networks[:1],
         experiment=1,
         groups=EXPERIMENT1_GROUPS[:1],
@@ -331,34 +329,84 @@ def test_suite_keeps_its_rows_when_a_worker_dies(tiny_networks, tmp_path, monkey
         iterations=5,
         initial_balance=10,
     )
-    rows = run_suite(spec, series_path_for=lambda *key: str(tmp_path / run_file_name(*key)), workers=2)
+
+
+def _suite_files(spec, runs, workers):
+    """The rows of `spec` run on `workers` workers, and its series files by name."""
+    runs.mkdir()
+    rows = run_suite(spec, series_path_for=lambda *key: str(runs / run_file_name(*key)), workers=workers)
+    return rows, {path.name: path.read_bytes() for path in runs.iterdir()}
+
+
+def test_suite_keeps_its_rows_when_a_worker_dies(tiny_networks, tmp_path, monkeypatch):
+    from pdnetsim import experiments
+
+    spec = _four_replicates(tiny_networks)
+    serial, serial_files = _suite_files(spec, tmp_path / "serial", 1)
+    monkeypatch.setattr(experiments, "execute_task", execute_task_or_die)
+    rows, files = _suite_files(spec, tmp_path / "pool", 2)
     assert [row.replicate for row in rows] == [0, 1, 2, 3]
-    assert [row.status for row in rows[:2]] == ["ok", "ok"]
-    assert all(row.final_gini is not None for row in rows[:2])
-    for row in rows[2:]:
-        assert row.status.startswith("error: a worker process died: ")
-        assert row.final_gini is None and row.converged_at is None
+    # Only the task the dead worker was running is lost.
+    assert rows[2] == serial[2]._replace(final_gini=None, converged_at=None, status="error: a worker process died: exit code 1")
+    assert rows[:2] + rows[3:] == serial[:2] + serial[3:]
+    assert all(row.status == "ok" for row in serial)
+    lost = run_file_name(*rows[2][:4])
+    assert lost not in files
+    assert files == {name: data for name, data in serial_files.items() if name != lost}
+
+
+def test_suite_finishes_when_every_worker_dies(tiny_networks, monkeypatch):
+    import signal
+
+    from pdnetsim import experiments
+
+    monkeypatch.setattr(experiments, "execute_task", lambda task: os.kill(os.getpid(), signal.SIGKILL))
+    seen = []
+    rows = run_suite(_four_replicates(tiny_networks), workers=2, progress=lambda done, total, row: seen.append(done))
+    assert seen == [1, 2, 3, 4]
+    assert [row.replicate for row in rows] == [0, 1, 2, 3]
+    assert all(row.status == f"error: a worker process died: signal {int(signal.SIGKILL)}" for row in rows)
+    assert all(row.final_gini is None and row.converged_at is None for row in rows)
+
+
+def test_a_task_dealt_to_a_worker_already_gone_runs_on_another(tiny_networks, tmp_path, monkeypatch):
+    import multiprocessing.context
+
+    from pdnetsim import experiments
+
+    spec = _four_replicates(tiny_networks)
+    serial, serial_files = _suite_files(spec, tmp_path / "serial", 1)
+    first = []  # the first worker, once it has started
+    real_work, real_start = experiments._work, multiprocessing.context.ForkProcess.start
+
+    def work_unless_first(*args):
+        if first:  # as forked from a parent that has started a worker already
+            real_work(*args)
+
+    def start_and_let_the_first_leave(process):
+        real_start(process)
+        if not first:
+            process.join(60)  # it left before any task, so a write to its task pipe breaks
+            first.append(process)
+
+    monkeypatch.setattr(experiments, "_work", work_unless_first)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_and_let_the_first_leave)
+    rows, files = _suite_files(spec, tmp_path / "pool", 2)
+    assert first[0].exitcode == 0
+    assert rows == serial and files == serial_files
 
 
 def test_suite_pool_is_capped_at_the_task_count(tiny_networks, monkeypatch):
-    import concurrent.futures  # run_suite imports the pool from here when it needs one
+    import multiprocessing.context
 
-    sizes = []
+    started = []
+    real_start = multiprocessing.context.ForkProcess.start
 
-    class RecordingPool:  # runs the tasks in this process; starts no worker
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting_start(process):
+        started.append(process)
+        real_start(process)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
     spec = SuiteSpec(
         networks=tiny_networks[:1],
         experiment=1,
@@ -369,7 +417,8 @@ def test_suite_pool_is_capped_at_the_task_count(tiny_networks, monkeypatch):
         initial_balance=10,
     )
     rows = run_suite(spec, workers=64)
-    assert sizes == [2]
+    assert len(started) == 2
+    assert [process.exitcode for process in started] == [0, 0]
     assert [row.status for row in rows] == ["ok", "ok"]
 
 
@@ -423,7 +472,8 @@ def test_suite_spec_rejects_a_non_integer_replicate_count_or_base_seed(tiny_netw
 
 @pytest.mark.parametrize("experiment", [1, 2])
 def test_suite_tasks_pickle_and_keep_the_template(tiny_networks, experiment):
-    # The process pool ships every task to a worker by pickle.
+    # Workers inherit the tasks through the fork and pickle only the rows
+    # back, but a task is still a plain record: it pickles and compares.
     spec = SuiteSpec(
         networks=tiny_networks[:2],
         experiment=experiment,

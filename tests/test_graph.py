@@ -180,8 +180,11 @@ def test_graph_from_edges_matches_loader(tmp_path):
         ([[1], [2]], "neighbor 2 of node 1 is not an integer in [0, 2)"),
         ([[1], [0], [-1]], "neighbor -1 of node 2 is not an integer in [0, 3)"),
         ([[1.0], [0]], "neighbor 1.0 of node 0 is not an integer in [0, 2)"),
+        # The loaders drop self-loops; the kernel and the Python loop would play one apart.
+        ([[0, 1], [0]], "node 0 is its own neighbor (a self-loop)"),
+        ([[1], [0, 1]], "node 1 is its own neighbor (a self-loop)"),
     ],
-    ids=["neighbor-out-of-range", "negative-neighbor", "non-integer-neighbor"],
+    ids=["neighbor-out-of-range", "negative-neighbor", "non-integer-neighbor", "self-loop", "self-loop-last"],
 )
 def test_graph_rejects_a_neighbor_outside_its_nodes(adjacency, message):
     with pytest.raises(ConfigError) as caught:
