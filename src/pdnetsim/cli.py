@@ -70,6 +70,8 @@ def parse_kv_config(path: str) -> dict[str, list[str]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if "\0" in line:  # no path or label can hold one; open() would raise ValueError
+            raise ConfigError(f"{path}: line {lineno}: contains a NUL byte")
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")

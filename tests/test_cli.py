@@ -139,6 +139,22 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     assert "missing required" in err
 
 
+@pytest.mark.parametrize("key", ["graph", "out"])
+def test_run_rejects_a_nul_byte_in_a_path_before_the_load(two_node_run, monkeypatch, capsys, key):
+    from pdnetsim import cli
+
+    config_path, out_dir = two_node_run
+    lines = config_path.read_text().splitlines()
+    (lineno,) = [i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} = ")]
+    lines[lineno - 1] += "\0x"
+    config_path.write_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(cli, "load_graph", lambda *args: pytest.fail("the graph was loaded"))
+    assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {config_path}: line {lineno}: contains a NUL byte"]
+    assert not out_dir.exists()
+
+
 def test_run_with_balances_beyond_int64(tmp_path, capsys):
     # 10**19 does not fit a 64-bit integer. On a triangle of two defectors
     # and a cooperator, a defector takes the cooperator's whole balance,
@@ -271,6 +287,21 @@ def test_suite_rejects_fewer_than_one_worker_before_any_run(suite_config, monkey
     assert main(argv) == EXIT_CONFIG
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert errors == [f"error: workers must be a positive integer, got {workers}"]
+    assert started == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", ["out", "network"])
+def test_suite_rejects_a_nul_byte_in_a_path_before_any_run(suite_config, monkeypatch, capsys, key):
+    config_path, out_dir = suite_config
+    lines = config_path.read_text().splitlines()
+    lineno = [i for i, line in enumerate(lines, start=1) if line.startswith(f"{key} = ")][-1]
+    lines[lineno - 1] += "\0x"  # for network, the PATH of the last entry
+    config_path.write_text("\n".join(lines) + "\n")
+    started = _runs_started(monkeypatch)
+    assert main(["suite", "--config", str(config_path)]) == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {config_path}: line {lineno}: contains a NUL byte"]
     assert started == []
     assert not out_dir.exists()
 

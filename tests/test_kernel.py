@@ -21,6 +21,16 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_kernel_flags_keep_floats_exact_and_the_library_portable():
+    # Contracting a*b+c into one fused rounding, or fast-math, would change
+    # the floats the Gini sums and random() give, which must match the
+    # Python loop bit for bit. The cache key names only the machine type, so
+    # a library tuned to this CPU could be loaded on another of that type.
+    assert "-ffp-contract=off" in _kernel.FLAGS
+    for flag in ("-ffast-math", "-Ofast", "-march=native", "-mtune=native"):
+        assert flag not in _kernel.FLAGS
+
+
 def test_load_without_a_compiler_gives_the_reason(monkeypatch):
     monkeypatch.setattr(shutil, "which", lambda name: None)
     assert _kernel.load.__wrapped__() == (None, "no C compiler (cc) found")
