@@ -34,7 +34,7 @@ from .graph import (
     graph_from_edges,
     load_graph,
 )
-from .metrics import gini, gini_oracle
+from .metrics import gini
 from .strategies import Action, AgentKind, decide
 
 __version__ = "0.1.0"
@@ -67,7 +67,6 @@ __all__ = [
     "degree_ranked_nodes",
     "derive_seed",
     "gini",
-    "gini_oracle",
     "graph_from_edges",
     "load_graph",
     "resolve_game",

@@ -59,8 +59,8 @@ call, the stats, the hook and the convergence test) is Python.
 
 On the kernel path one ``pd_run`` call plays a block of up to ``_BLOCK``
 passes and stops at convergence. It writes each pass's stats and the two
-integer Gini sums into buffers of one block, and Python only divides the
-sums, in the expression ``metrics.gini`` uses, so every float is the same.
+integer Gini sums into buffers of one block, and ``metrics.gini_of_sums``,
+which ``gini`` ends with too, turns each pass's sums into its float.
 With an ``iteration_hook`` each call plays one pass and the Gini is taken
 by ``gini`` (this module's attribute) on the live balances the kernel
 gathered, as the Python loop does.
@@ -83,7 +83,7 @@ from typing import NamedTuple
 from . import _kernel
 from .errors import ConfigError
 from .graph import Graph
-from .metrics import _INT64_LIMIT, gini
+from .metrics import gini, gini_of_sums
 from .strategies import ACTIONS, UNRECORDED
 
 LIVE = "live"
@@ -94,6 +94,7 @@ _DRAW = 2  # _pass.c's DRAW: the kernel's spelling of a None entry of ACTIONS
 _BLOCK = 1000  # passes per pd_run call without a hook: its buffers hold this many rows
 _STAT_FIELDS = 6  # _pass.c's S_FIELDS: one row of IterationStats
 _LIVE, _CONVERGED = 2, 3  # _pass.c's A_LIVE and A_CONVERGED slots of acc
+_INT64_LIMIT = 2**63
 
 
 class _Record:
@@ -208,10 +209,9 @@ class RunResult(_Record):
         converged_at: int | None,
         final_balances: list[int],
         final_bank: int | None,  # None when the bank is infinite
-        iteration_stats: list[IterationStats] | None = None,
+        iteration_stats: list[IterationStats],
     ):
-        stats = [] if iteration_stats is None else iteration_stats
-        super().__init__(gini_series, converged_at, final_balances, final_bank, stats)
+        super().__init__(gini_series, converged_at, final_balances, final_bank, iteration_stats)
 
     @property
     def iterations_executed(self) -> int:
@@ -448,8 +448,7 @@ def _kernel_run(graph, strategies, order, rng, cfg, iteration_hook) -> RunResult
         stats.extend(map(IterationStats, *fields))
         if iteration_hook is None:
             for w_lo, w_hi, t_lo, t_hi in zip(*(sums[f : 4 * played : 4] for f in range(4))):
-                total = t_hi << 64 | t_lo
-                gini_series.append((w_hi << 64 | w_lo) / (n * total) if total else 0.0)
+                gini_series.append(gini_of_sums(w_hi << 64 | w_lo, t_hi << 64 | t_lo, n))
         else:
             gini_series.append(gini(held, n))
             iteration_hook(len(stats), balances.tolist(), stats[-1].bank_balance)

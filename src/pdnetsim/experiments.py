@@ -131,7 +131,7 @@ class NetworkSpec(_Record):
 
 
 class SuiteSpec(_Record):
-    _fields = (
+    __slots__ = _fields = (
         "networks",
         "experiment",
         "groups",
@@ -143,9 +143,6 @@ class SuiteSpec(_Record):
         "payoff",
         "balance_semantics",
     )
-    # template: the settings every run shares, validated here once; each
-    # task's config differs from it only in its bank and seed.
-    __slots__ = (*_fields, "template")
 
     def __init__(
         self,
@@ -174,12 +171,8 @@ class SuiteSpec(_Record):
                 raise ConfigError(
                     f"experiment {experiment} takes {wanted.__name__} groups, got {type(group).__name__}"
                 )
-        template = SimConfig(
-            iterations=iterations,
-            initial_balance=initial_balance,
-            payoff=payoff,
-            balance_semantics=balance_semantics,
-        )
+        # The settings every run shares, checked here once, before any run.
+        SimConfig(iterations, initial_balance, payoff, balance_semantics=balance_semantics)
         super().__init__(
             networks,
             experiment,
@@ -192,7 +185,6 @@ class SuiteSpec(_Record):
             payoff,
             balance_semantics,
         )
-        object.__setattr__(self, "template", template)
 
 
 def assign_proportional(node_count: int, group: ProportionGroup, rng: random.Random) -> list[AgentKind]:
@@ -256,7 +248,7 @@ class RunTask(NamedTuple):
 
     The run is `run(graph, assignment, cfg)` on the network's graph, with
     the assignment for `group` drawn from `random.Random(assign_seed)`.
-    `cfg` is the suite's template with this row's bank and its run
+    `cfg` holds the suite's shared settings, this row's bank and its run
     sub-seed as `cfg.seed`; both sub-seeds hash the run key (network name,
     group label, bank label, replicate).
     """
@@ -289,6 +281,7 @@ def suite_tasks(spec: SuiteSpec, series_path_for=None) -> list[RunTask]:
     """
     tasks = []
     seen = {}  # run key or series path -> the run that claimed it
+    shared = spec.iterations, spec.initial_balance, spec.payoff  # the SimConfig fields before bank and seed
     for net in spec.networks:
         for group in spec.groups:
             for setting in spec.banks:
@@ -303,10 +296,7 @@ def suite_tasks(spec: SuiteSpec, series_path_for=None) -> list[RunTask]:
                         raise ConfigError(f"suite runs {other} and {name} both write {series_path}")
                     seen[key] = seen[series_path] = name
                     run_seed = derive_seed(spec.base_seed, *key, "run")
-                    t = spec.template
-                    cfg = SimConfig(
-                        t.iterations, t.initial_balance, t.payoff, setting.bank, run_seed, t.balance_semantics
-                    )
+                    cfg = SimConfig(*shared, setting.bank, run_seed, spec.balance_semantics)
                     assign_seed = derive_seed(spec.base_seed, *key, "assign")
                     tasks.append(RunTask(net, group, setting, rep, assign_seed, cfg, series_path))
     return tasks

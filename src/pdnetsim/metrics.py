@@ -1,13 +1,9 @@
 """Inequality metrics over agent balance vectors.
 
-Two independent routes to the same number are provided on purpose:
-``gini`` is the fast ranked form used by the simulation loop, and
-``gini_oracle`` is the O(n^2) mean-absolute-difference form kept as a
-cross-check in the test suite. They agree to ~1e-12 on integer inputs.
-
 ``gini`` is exact for integers of any size: it sums in Python integers, or
-in C (``pd_gini`` in ``_pass.c``) in 128 bits where no sum can leave them,
-and divides the two integer sums in Python either way.
+in C (``pd_gini`` in ``_pass.c``) in 128 bits where no sum can leave them.
+Either way ``gini_of_sums`` turns the two integer sums into the float; the
+engine's kernel path, which takes the sums in ``pd_run``, calls it too.
 """
 
 from array import array
@@ -15,7 +11,6 @@ from operator import index, mul
 
 from . import _kernel
 
-_INT64_LIMIT = 2**63
 _UINT64_LIMIT = 2**64
 
 
@@ -59,9 +54,13 @@ def gini(values, n=None) -> float:
     if isinstance(values, array) and values.typecode == "q" and n * m < _UINT64_LIMIT:
         kernel = _kernel.load()[0]
     weighted, total = _python_sums(values, n) if kernel is None else _kernel_sums(kernel, values, n)
-    if total == 0:
-        return 0.0
-    return weighted / (n * total)
+    return gini_of_sums(weighted, total, n)
+
+
+def gini_of_sums(weighted: int, total: int, n: int) -> float:
+    """The Gini of n balances from their weighted rank sum and their total,
+    both exact integers: 0.0 when the total is 0 (every balance zero)."""
+    return weighted / (n * total) if total else 0.0
 
 
 def _python_sums(values, n: int) -> tuple[int, int]:
@@ -82,31 +81,3 @@ def _kernel_sums(kernel, values: array, n: int) -> tuple[int, int]:
     if status != 0:
         raise MemoryError("pd_gini could not allocate its buffer")
     return out[1] << 64 | out[0], out[3] << 64 | out[2]
-
-
-def gini_oracle(balances) -> float:
-    """Reference Gini: average absolute difference over all balance pairs.
-
-    Computes sum_{i,j} |x_i - x_j| / (2 * n * sum(x)) directly, without
-    sorting. Quadratic in the vector length; intended for tests, not for
-    per-iteration use. Accumulates in int64 only when the sums provably
-    fit, and otherwise in exact Python integers. Needs numpy, which the
-    simulator itself does not.
-    """
-    import numpy as np
-
-    try:
-        x = np.asarray(balances, dtype=np.int64)
-    except OverflowError:  # an entry does not fit in 64 bits
-        x = np.array([int(v) for v in balances], dtype=object)
-    if x.size == 0:
-        raise ValueError("gini_oracle requires a non-empty balance vector")
-    if x.min() < 0:
-        raise ValueError("gini_oracle requires non-negative balances")
-    if x.size * x.size * int(x.max()) >= _INT64_LIMIT:  # the pair sum could leave int64
-        x = x.astype(object)
-    total = int(x.sum())
-    if total == 0:
-        return 0.0
-    pair_diffs = int(np.abs(x[:, None] - x[None, :]).sum())
-    return pair_diffs / (2 * x.size * total)

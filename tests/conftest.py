@@ -1,5 +1,5 @@
-"""Shared fixtures: tiny graph builders, seeded random graphs, and discovery
-of the optional real-world dataset files.
+"""Shared fixtures: tiny graph builders, seeded random graphs, the Gini
+oracle, and discovery of the optional real-world dataset files.
 
 The three benchmark networks are large public downloads that are not
 bundled with the repository; tests that need them skip with a pointer to
@@ -38,6 +38,34 @@ def require_dataset(name: str) -> tuple[str, str]:
     if not os.path.exists(path):
         pytest.skip(f"dataset {name!r} not found at {path}; see README 'Datasets' for the fetch steps")
     return path, fmt
+
+
+def gini_oracle(balances) -> float:
+    """Reference Gini: average absolute difference over all balance pairs.
+
+    Computes sum_{i,j} |x_i - x_j| / (2 * n * sum(x)) directly, without
+    sorting, as a cross-check of `pdnetsim.gini`'s ranked form; the two
+    agree to ~1e-12 on integer inputs. Quadratic in the vector length.
+    Accumulates in int64 only when the sums provably fit, and otherwise in
+    exact Python integers. Needs numpy, which the simulator itself does not.
+    """
+    import numpy as np
+
+    try:
+        x = np.asarray(balances, dtype=np.int64)
+    except OverflowError:  # an entry does not fit in 64 bits
+        x = np.array([int(v) for v in balances], dtype=object)
+    if x.size == 0:
+        raise ValueError("gini_oracle requires a non-empty balance vector")
+    if x.min() < 0:
+        raise ValueError("gini_oracle requires non-negative balances")
+    if x.size * x.size * int(x.max()) >= 2**63:  # the pair sum could leave int64
+        x = x.astype(object)
+    total = int(x.sum())
+    if total == 0:
+        return 0.0
+    pair_diffs = int(np.abs(x[:, None] - x[None, :]).sum())
+    return pair_diffs / (2 * x.size * total)
 
 
 def path_graph(n: int) -> Graph:

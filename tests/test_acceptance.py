@@ -26,7 +26,6 @@ from pdnetsim import (
     SuiteSpec,
     assign_proportional,
     gini,
-    gini_oracle,
     load_graph,
     resolve_game,
     run,
@@ -35,7 +34,7 @@ from pdnetsim import (
 from pdnetsim.cli import main
 from pdnetsim.output import read_gini_series_csv, run_file_name
 
-from conftest import dataset_path, random_graph
+from conftest import dataset_path, gini_oracle, random_graph
 
 BASE_SEED = 20240809
 REPLICATES = 5

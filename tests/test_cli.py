@@ -1,9 +1,12 @@
+import ast
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
+import pdnetsim
 from pdnetsim import _kernel
 from pdnetsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_PARSE, main
 
@@ -627,6 +630,26 @@ def test_a_run_needs_no_numpy(two_node_run):
     assert proc.returncode == 0, proc.stderr
     assert "final_gini=0.000000 converged_at=2" in proc.stdout
     assert (out_dir / "gini_series.csv").exists()
+
+
+def test_no_package_module_imports_numpy():
+    # The tests above run commands; this reads every module, so an import
+    # on a path no command takes is caught too. numpy is a test dependency.
+    package = Path(pdnetsim.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    assert package / "engine.py" in sources
+    importers = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(f"{path.name}:{node.lineno}")
+    assert importers == []
 
 
 def test_a_suite_with_workers_loads_no_process_pool(suite_config):

@@ -438,6 +438,17 @@ def test_bank_infinite_must_be_a_bool(request, passes, infinite):
         run(path_graph(2), [C, C], SimConfig(iterations=1, bank=Bank(balance=0, infinite=infinite), seed=1))
 
 
+@pytest.mark.parametrize("passes", ["kernel", "hook", "python_loop"])
+def test_a_graph_without_nodes_is_a_config_error_on_every_path(request, passes):
+    # Refused when the graph is built, before any draw: the kernel's block
+    # path used to report a Gini of 0.0 converged at pass 1, and the hook
+    # path and the Python loop a bare ValueError from gini.
+    request.getfixturevalue("kernel" if passes == "hook" else passes)
+    hook = (lambda *state: None) if passes == "hook" else None
+    with pytest.raises(ConfigError, match="a graph needs at least one node"):
+        run(Graph([], {}), [], SimConfig(iterations=3, seed=1), hook)
+
+
 # --- run: properties ----------------------------------------------------------
 
 

@@ -33,6 +33,7 @@ from pdnetsim import (
     run,
     run_suite,
 )
+from pdnetsim.engine import _Record
 from pdnetsim.experiments import RunTask, SuiteRow, suite_tasks
 from pdnetsim.output import run_file_name, write_gini_series_csv
 
@@ -561,11 +562,21 @@ def test_records_compare_by_value_and_take_their_fields_by_position_or_keyword(t
     same = SimConfig(10, 20, PayoffParams(2, 3, 4), Bank(5), 7, SNAPSHOT)
     assert cfg == same != SimConfig(10, 20, payoff, Bank(5), 8, SNAPSHOT)
     assert hash(cfg) == hash(same)
-    assert RunResult([0.5], None, [7, 3], None).iteration_stats == []
+    with pytest.raises(TypeError):  # both engine paths pass the stats
+        RunResult([0.5], None, [7, 3], None)
     with pytest.raises(AttributeError):
         cfg.seed = 8
     with pytest.raises(AttributeError):
         EXPERIMENT1_GROUPS[0].defector = 8
+
+
+def test_every_record_holds_its_fields_and_nothing_else():
+    # A slot outside _fields would be a second copy of some field, which
+    # neither equality nor pickling sees.
+    records = {PayoffParams, Bank, SimConfig, RunResult, ProportionGroup, DegreeGroup, NetworkSpec, SuiteSpec}
+    assert set(_Record.__subclasses__()) == records
+    for cls in records:
+        assert cls.__slots__ == cls._fields, cls.__name__
 
 
 def test_default_bank_settings():

@@ -6,7 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from pdnetsim import _kernel, gini, gini_oracle, metrics
+from pdnetsim import _kernel, gini, metrics
+
+from conftest import gini_oracle
 
 
 def test_uniform_vector_is_perfect_equality():
