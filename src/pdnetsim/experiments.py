@@ -13,7 +13,6 @@ any single run of a sweep can be reproduced in isolation.
 
 import functools
 import hashlib
-import os
 import random
 from collections import deque
 from typing import NamedTuple
@@ -304,9 +303,11 @@ def suite_tasks(spec: SuiteSpec, series_path_for=None) -> list[RunTask]:
 
 @functools.cache
 def _cached_graph(path: str, fmt: str) -> Graph:
-    """The graph of one network file, loaded once per process.
+    """The graph of one network file, loaded once per process and suite.
 
     Suites run tasks grouped by network, so each worker loads each file once.
+    `run_suite` empties the cache when it returns, so the next suite reads
+    the files again and its workers inherit no graph.
     """
     return load_graph(path, fmt)
 
@@ -364,96 +365,91 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
     else:
         results = map(execute_task, tasks)
     rows: list[SuiteRow] = []
-    for done, row in enumerate(results, start=1):
-        rows.append(row)
-        if progress is not None:
-            progress(done, len(tasks), row)
+    try:
+        for done, row in enumerate(results, start=1):
+            rows.append(row)
+            if progress is not None:
+                progress(done, len(tasks), row)
+    finally:
+        _cached_graph.cache_clear()
     return rows
 
 
 def _forked_rows(tasks: list[RunTask], workers: int):
     """The row of each task, in task order, as `workers` forked processes run them.
 
-    Each worker inherits `tasks` through the fork and has a task pipe and a
-    row pipe of its own. The parent writes an idle worker the next task's
-    index and reads back the pickled row. EOF on a row pipe means that
-    worker died: only the task it was running gets the error row. A task
-    dealt to a worker already gone never started, and goes to another one;
-    once no worker is left, every task not yet run gets the error row.
+    Each worker inherits `tasks` through the fork and shares one connection
+    with the parent. The parent sends an idle worker the next task's index
+    and receives the row. EOF on a connection means that worker died: only
+    the task it was running gets the error row. A task dealt to a worker
+    already gone never started, and goes to another one; once no worker is
+    left, every task not yet run gets the error row.
     """
     import multiprocessing  # only pools pay for these imports
-    import pickle
-    import select
+    from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")  # the workers inherit the tasks and the kernel
-    parent_ends: list[int] = []  # the pipe ends every worker forked later must close
-    pool = {}  # row pipe fd -> (process, task pipe fd, row reader)
-    running = {}  # row pipe fd -> index of the task its worker runs
+    pool = {}  # the parent's end of each worker's connection -> that worker
+    running = {}  # parent's end -> index of the task its worker runs
     try:
         for _ in range(workers):
-            (task_r, task_w), (row_r, row_w) = os.pipe(), os.pipe()
-            parent_ends += (task_w, row_r)
-            process = context.Process(target=_work, args=(tasks, task_r, row_w, parent_ends), daemon=True)
+            conn, child_end = context.Pipe()
+            process = context.Process(target=_work, args=(tasks, child_end, [*pool, conn]), daemon=True)
             process.start()
-            os.close(task_r)
-            os.close(row_w)
-            pool[row_r] = (process, task_w, open(row_r, "rb"))
+            child_end.close()
+            pool[conn] = process
         idle = list(pool)
         todo = deque(range(len(tasks)))
         done = {}  # index -> row, until the rows before it are out
         next_row = 0
         while next_row < len(tasks):
             while idle and todo:
-                fd = idle.pop()
+                conn = idle.pop()
                 try:
-                    os.write(pool[fd][1], todo[0].to_bytes(4, "little"))
+                    conn.send(todo[0])
                 except BrokenPipeError:  # the worker is gone; the task never started
-                    died = _reap(pool.pop(fd))
+                    died = _reap(conn, pool.pop(conn))
                     continue
-                running[fd] = todo.popleft()
+                running[conn] = todo.popleft()
             if not running:  # no worker left
                 done.update((i, _task_row(tasks[i], f"error: a worker process died: {died}")) for i in todo)
                 todo.clear()
             else:
-                for fd in select.select(list(running), [], [])[0]:
-                    index = running.pop(fd)
+                for conn in wait(list(running)):
+                    index = running.pop(conn)
                     try:
-                        done[index] = pickle.load(pool[fd][2])
-                        idle.append(fd)
-                    except (EOFError, pickle.UnpicklingError):  # the worker died while running it
-                        died = _reap(pool.pop(fd))
+                        done[index] = conn.recv()
+                        idle.append(conn)
+                    except (EOFError, ConnectionResetError):  # the worker died running it, or before reading it
+                        died = _reap(conn, pool.pop(conn))
                         done[index] = _task_row(tasks[index], f"error: a worker process died: {died}")
             while next_row in done:
                 yield done.pop(next_row)
                 next_row += 1
     finally:
-        for fd, (process, task_w, reader) in pool.items():
-            os.close(task_w)  # an idle worker reads EOF and exits
-            reader.close()
-            if fd in running:  # left early, by an exception
+        for conn, process in pool.items():
+            conn.close()  # an idle worker reads EOF and exits
+            if conn in running:  # left early, by an exception
                 process.terminate()
-        for process, _, _ in pool.values():
+        for process in pool.values():
             process.join()
 
 
-def _work(tasks: list[RunTask], task_r: int, row_w: int, parent_ends: list[int]) -> None:
-    """A forked worker: run the task of each index it reads, until EOF."""
-    import pickle
-
-    for fd in parent_ends:  # so that each pipe closes with its own worker and the parent
-        os.close(fd)
-    with open(row_w, "wb") as rows:
-        while index := os.read(task_r, 4):
+def _work(tasks: list[RunTask], conn, parent_ends: list) -> None:
+    """A forked worker: run the task of each index it receives, until the parent closes its end."""
+    for end in parent_ends:  # its own included, so that each connection closes with its worker and the parent
+        end.close()
+    try:
+        while True:
             # execute_task is looked up here, at call time, so a wrapper set on the module runs.
-            pickle.dump(execute_task(tasks[int.from_bytes(index, "little")]), rows)
-            rows.flush()
+            conn.send(execute_task(tasks[conn.recv()]))
+    except (EOFError, BrokenPipeError, ConnectionResetError):  # the parent is done, or gone (reset: with a row unread)
+        pass
 
 
-def _reap(worker) -> str:
-    """Close a dead worker's pipes, wait for it and say how it ended."""
-    process, task_w, reader = worker
-    os.close(task_w)
-    reader.close()
+def _reap(conn, process) -> str:
+    """Close a dead worker's connection, wait for it and say how it ended."""
+    conn.close()
     process.join()
     code = process.exitcode
     return f"exit code {code}" if code >= 0 else f"signal {-code}"

@@ -397,6 +397,119 @@ def test_a_task_dealt_to_a_worker_already_gone_runs_on_another(tiny_networks, tm
     assert rows == serial and files == serial_files
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_suite_reads_a_graph_file_that_changed_since_the_last_suite(tiny_networks, workers):
+    spec = _four_replicates(tiny_networks)
+    before = run_suite(spec, workers=1)
+    _write_edge_file(Path(tiny_networks[0].path), random_graph(16, 3.0, seed=999))
+    after = run_suite(spec, workers=workers)
+    assert after == run_suite(spec, workers=1)
+    assert [row.final_gini for row in after] != [row.final_gini for row in before]
+
+
+def test_a_worker_that_dies_before_reading_its_task_loses_only_that_row(tiny_networks, tmp_path, monkeypatch):
+    # The task waits unread in the dead worker's connection, so the parent
+    # reads a reset, not EOF: still only that worker's row is lost.
+    from pdnetsim import experiments
+
+    spec = _four_replicates(tiny_networks)
+    serial = run_suite(spec, workers=1)
+    real_work = experiments._work
+
+    def work_unless_first_dealt(tasks, conn, parent_ends):
+        conn.poll(60)
+        try:
+            open(tmp_path / "first", "x").close()
+        except FileExistsError:
+            real_work(tasks, conn, parent_ends)
+        else:
+            os._exit(1)
+
+    monkeypatch.setattr(experiments, "_work", work_unless_first_dealt)
+    rows = run_suite(spec, workers=2)
+    lost = [i for i, row in enumerate(rows) if row != serial[i]]
+    assert len(lost) == 1 and lost[0] in (0, 1)
+    assert rows[lost[0]].status == "error: a worker process died: exit code 1"
+
+
+KILLED_PARENT = """
+import os, sys, time
+from pdnetsim import experiments
+from pdnetsim.experiments import EXPERIMENT1_GROUPS, DEFAULT_BANK_SETTINGS, NetworkSpec, SuiteSpec, run_suite
+
+graph, marks, stall = sys.argv[1], sys.argv[2], sys.argv[3] == "stall"
+real_task = experiments.execute_task
+
+
+def marked_task(task):
+    row = real_task(task)
+    open(os.path.join(marks, f"{os.getpid()}.{task.replicate}"), "w").close()
+    time.sleep(task.replicate if stall else 1)
+    return row
+
+
+def progress(done, total, row):
+    if stall:  # the parent hangs with the next row unread
+        open(os.path.join(marks, "stalled"), "w").close()
+        time.sleep(60)
+
+
+experiments.execute_task = marked_task
+spec = SuiteSpec(networks=(NetworkSpec("g", graph, "snap"),), experiment=1, groups=EXPERIMENT1_GROUPS[:1],
+                 banks=DEFAULT_BANK_SETTINGS[:1], replicates=4, iterations=5, initial_balance=10)
+run_suite(spec, workers=2, progress=progress)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="tells a zombie from a live process through /proc")
+@pytest.mark.parametrize("stall", [False, True], ids=["workers-busy", "row-unread"])
+def test_a_killed_suite_parent_leaves_no_worker_and_no_traceback(tiny_networks, tmp_path, stall):
+    # Each worker has closed every parent end it inherited, so the parent's
+    # death reaches it as a broken pipe, or a reset when its row went
+    # unread, and it exits quietly instead of waiting forever.
+    import signal
+    import subprocess
+    import sys
+    import time
+
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    want = {"0", "1", "stalled"} if stall else {"0", "1"}
+    with open(tmp_path / "stderr.txt", "wb") as stderr:
+        parent = subprocess.Popen(
+            [sys.executable, "-c", KILLED_PARENT, tiny_networks[0].path, str(marks), "stall" if stall else "busy"],
+            stderr=stderr,
+        )
+    try:
+        deadline = time.monotonic() + 60
+        while not want <= {path.suffix.lstrip(".") or path.name for path in marks.iterdir()}:
+            assert parent.poll() is None and time.monotonic() < deadline, "the suite never had both workers busy"
+            time.sleep(0.02)
+        if stall:
+            time.sleep(1.5)  # replicate 1's row is sent while the parent hangs
+    finally:
+        parent.kill()
+        parent.wait()
+    workers = {int(path.stem) for path in marks.iterdir() if path.suffix}
+    assert len(workers) == 2
+
+    def alive(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                return stat.read().rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has exited
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + 30
+    while any(map(alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if alive(pid)]
+    for pid in left:
+        os.kill(pid, signal.SIGKILL)
+    assert left == []
+    assert "Traceback" not in (tmp_path / "stderr.txt").read_text()
+
+
 def test_suite_pool_is_capped_at_the_task_count(tiny_networks, monkeypatch):
     import multiprocessing.context
 
@@ -472,7 +585,7 @@ def test_suite_spec_rejects_a_non_integer_replicate_count_or_base_seed(tiny_netw
 
 
 @pytest.mark.parametrize("experiment", [1, 2])
-def test_suite_tasks_pickle_and_keep_the_template(tiny_networks, experiment):
+def test_suite_tasks_pickle_and_carry_the_spec_settings(tiny_networks, experiment):
     # Workers inherit the tasks through the fork and pickle only the rows
     # back, but a task is still a plain record: it pickles and compares.
     spec = SuiteSpec(
