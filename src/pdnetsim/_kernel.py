@@ -3,7 +3,8 @@
 The shared library is compiled with `FLAGS` (-O3, with every float rounded
 as the source states it) once per source, flag set and machine type
 into ``${XDG_CACHE_HOME:-~/.cache}/pdnetsim/`` and reused by later
-processes. Each compile writes a temporary file that is then renamed into
+processes; as the XDG base directory spec says, a relative XDG_CACHE_HOME
+is ignored. Each compile writes a temporary file that is then renamed into
 place, so processes compiling at the same time never load a half-written
 library. A compile then deletes all but the `KEEP` most recently modified
 libraries in that directory, so that edits to the source do not pile up
@@ -71,7 +72,8 @@ def load():
     name = f"pass-{key.hexdigest()}.so"
     try:
         try:
-            cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "pdnetsim"
+            xdg = os.environ.get("XDG_CACHE_HOME", "")
+            cache = Path(xdg if os.path.isabs(xdg) else Path.home() / ".cache") / "pdnetsim"
             return _open(_compile(compiler, cache / name))
         except (OSError, RuntimeError):  # an unwritable cache, or no home directory: build for this process only
             import tempfile

@@ -7,6 +7,7 @@ and 4 for I/O failures.
 """
 
 import argparse
+import atexit
 import errno
 import os
 import random
@@ -15,13 +16,10 @@ import sys
 from . import _kernel
 from .engine import LIVE, Bank, PayoffParams, SimConfig, run
 from .errors import ConfigError, ParseError
+# suite.cmd_suite calls run_suite and write_suite_summary_csv through this
+# module, so a wrapper set on either attribute here runs.
 from .experiments import (
-    DEFAULT_BANK_SETTINGS,
-    BankSetting,
-    DegreeGroup,
-    NetworkSpec,
     ProportionGroup,
-    SuiteSpec,
     assign_by_degree,
     assign_proportional,
     derive_seed,
@@ -33,7 +31,6 @@ from .output import (
     _write_atomically,
     format_gini,
     read_gini_series_csv,
-    run_file_name,
     write_gini_series_csv,
     write_suite_summary_csv,
     write_summary_txt,
@@ -54,8 +51,6 @@ _SIM_KEYS = {
     "betrayal_transfer",
 }
 _RUN_REQUIRED = {"graph", "graph_format", "experiment", "group", "bank", "seed", "out"}
-_SUITE_REQUIRED = {"experiment", "network", "seed", "out"}
-_SUITE_OPTIONAL = _SIM_KEYS | {"groups", "banks", "replicates", "workers"}
 
 
 def parse_kv_config(path: str) -> dict[str, list[str]]:
@@ -195,81 +190,10 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_network_entries(entries: list[str]) -> tuple[NetworkSpec, ...]:
-    networks = []
-    for entry in entries:
-        fields = entry.split()
-        if len(fields) != 3:
-            raise ConfigError(f"network entry must be 'NAME FORMAT PATH', got {entry!r}")
-        name, fmt, path = fields
-        networks.append(NetworkSpec(name=name, path=path, fmt=fmt))
-    return tuple(networks)
-
-
-def _parse_groups(experiment: int, text: str | None):
-    group_type, defaults = experiment_groups(experiment)
-    if text is None or text.strip().lower() == "default":
-        return defaults
-    # Degree-group labels contain commas, so entries are separated by ';'.
-    separator = ";" if group_type is DegreeGroup else ","
-    return tuple(group_type.parse(part) for part in text.split(separator) if part.strip())
-
-
-def _parse_banks(text: str | None) -> tuple[BankSetting, ...]:
-    if text is None or text.strip().lower() == "default":
-        return DEFAULT_BANK_SETTINGS
-    settings = []
-    for part in text.split(","):
-        label = part.strip()
-        if label:
-            settings.append(BankSetting(label=label, bank=_bank_from_label(label)))
-    if not settings:
-        raise ConfigError("banks list is empty")
-    return tuple(settings)
-
-
 def cmd_suite(args) -> int:
-    values = parse_kv_config(args.config)
-    _check_keys(values, _SUITE_REQUIRED, _SUITE_OPTIONAL, args.config)
+    from .suite import cmd_suite  # only a suite compiles the sweep code
 
-    experiment = _int_value(values, "experiment")
-    spec = SuiteSpec(
-        experiment=experiment,
-        groups=_parse_groups(experiment, _single(values, "groups")),
-        networks=_parse_network_entries(values["network"]),
-        banks=_parse_banks(_single(values, "banks")),
-        base_seed=args.seed if args.seed is not None else _int_value(values, "seed"),
-        replicates=(
-            args.replicates if args.replicates is not None else _int_value(values, "replicates", 5)
-        ),
-        **_sim_settings(values),
-    )
-    workers = args.workers if args.workers is not None else _int_value(values, "workers", 1)
-    out_dir = args.out if args.out is not None else _single(values, "out")
-
-    runs_dir = os.path.join(out_dir, "runs")
-    summary_path = os.path.join(out_dir, "suite_summary.csv")
-    _check_outputs(runs_dir, summary_path)
-
-    def series_path_for(network, group_label, bank_label, replicate):
-        return os.path.join(runs_dir, run_file_name(network, group_label, bank_label, replicate))
-
-    def progress(done, total, row):
-        if args.verbose:
-            print(
-                f"[{done}/{total}] {row.network} {row.group} b={row.bank} r{row.replicate}: {row.status}",
-                file=sys.stderr,
-            )
-
-    _note_python_fallback()
-    rows = run_suite(spec, series_path_for=series_path_for, workers=workers, progress=progress)
-    write_suite_summary_csv(summary_path, rows)
-    failed = sum(1 for row in rows if row.status != "ok")
-    print(f"suite: {len(rows) - failed}/{len(rows)} runs ok -> {out_dir}")
-    if failed == len(rows):
-        print("error: all suite runs failed; see suite_summary.csv", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
+    return cmd_suite(args)
 
 
 def cmd_plot(args) -> int:
@@ -345,3 +269,25 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+
+
+def entry() -> None:
+    """`python -m pdnetsim` and the `pdnetsim` script: run `main` on
+    sys.argv and end the process with its exit code.
+
+    Once `main` returns, the atexit handlers run and stdout and stderr are
+    flushed; then `os._exit` ends the process without the interpreter's
+    teardown, which costs a short command more time than its Gini passes.
+    Every output file is closed by then, no thread runs, and a suite has
+    joined its workers. When `main` raises (argparse's SystemExit included)
+    or a flush fails, the process ends through `sys.exit`, as it did before.
+    """
+    code = main()
+    atexit._run_exitfuncs()  # multiprocessing's among them; they run once
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except Exception:
+        sys.exit(code)
+    os._exit(code)

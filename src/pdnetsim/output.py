@@ -5,7 +5,6 @@ fixed column order, '\n' newlines, and Gini values serialized with six
 decimal places. Identical inputs therefore produce byte-identical files.
 """
 
-import csv
 import io
 import math
 import os
@@ -71,14 +70,16 @@ def _write_atomically(path: str):
 
 
 def write_gini_series_csv(path: str, result: RunResult) -> None:
+    # Formatted without csv: no field can hold a comma, quote or newline,
+    # so csv.writer would write the same bytes. One write of the joined rows
+    # takes about half the time of a write per row.
+    rows = "".join(
+        f"{i},{g:.6f},{'inf' if s.bank_balance is None else s.bank_balance},"
+        f"{s.total_balance},{s.games_played},{s.games_skipped}\n"
+        for i, (g, s) in enumerate(zip(result.gini_series, result.iteration_stats), start=1)
+    )
     with _write_atomically(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(GINI_SERIES_COLUMNS)
-        for i, (g, stats) in enumerate(zip(result.gini_series, result.iteration_stats), start=1):
-            bank = "inf" if stats.bank_balance is None else str(stats.bank_balance)
-            writer.writerow(
-                [i, format_gini(g), bank, stats.total_balance, stats.games_played, stats.games_skipped]
-            )
+        handle.write(",".join(GINI_SERIES_COLUMNS) + "\n" + rows)
 
 
 def write_summary_txt(path: str, result: RunResult, seed: int) -> None:
@@ -95,6 +96,8 @@ def write_summary_txt(path: str, result: RunResult, seed: int) -> None:
 
 def write_suite_summary_csv(path: str, rows) -> None:
     """rows: iterable with network/group/bank/replicate/final_gini/converged_at/status attrs."""
+    import csv  # a status can hold any text, so it may need quoting
+
     with _write_atomically(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(SUITE_SUMMARY_COLUMNS)
@@ -108,6 +111,8 @@ def write_suite_summary_csv(path: str, rows) -> None:
 
 def read_gini_series_csv(path: str) -> tuple[list[float], list[float]]:
     """Read (iterations, gini values) back from a series CSV, for plotting."""
+    import csv
+
     with open(path, "r", encoding="utf-8", newline="") as handle:
         try:
             text = handle.read()

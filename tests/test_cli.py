@@ -670,11 +670,23 @@ def test_a_suite_with_workers_loads_no_process_pool(suite_config):
 
 def test_a_run_command_loads_only_what_it_uses(two_node_run):
     # A whole `run`, not only the import. dataclasses (and inspect with it),
-    # the SVG plotter and its html escaper cost start-up time that only
-    # other commands, or none, need; numpy, the process pool and the XML
-    # parser as in the test above.
+    # the SVG plotter and its html escaper, the suite's orchestration and
+    # its multiprocessing, and csv (the series is written without it) cost
+    # start-up time that only other commands, or none, need; numpy, the
+    # process pool and the XML parser as in the test above.
     config_path, _ = two_node_run
-    unwanted = ("dataclasses", "inspect", "pdnetsim.plotting", "html", "numpy", "concurrent.futures", "xml.sax")
+    unwanted = (
+        "dataclasses",
+        "inspect",
+        "pdnetsim.plotting",
+        "html",
+        "pdnetsim.suite",
+        "multiprocessing",
+        "csv",
+        "numpy",
+        "concurrent.futures",
+        "xml.sax",
+    )
     code = (
         "import sys\n"
         "from pdnetsim.cli import main\n"

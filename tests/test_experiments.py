@@ -34,8 +34,9 @@ from pdnetsim import (
     run_suite,
 )
 from pdnetsim.engine import _Record
-from pdnetsim.experiments import RunTask, SuiteRow, suite_tasks
+from pdnetsim.experiments import RunTask, SuiteRow
 from pdnetsim.output import run_file_name, write_gini_series_csv
+from pdnetsim.suite import suite_tasks
 
 from conftest import execute_task_or_die, random_graph
 
@@ -373,12 +374,12 @@ def test_suite_finishes_when_every_worker_dies(tiny_networks, monkeypatch):
 def test_a_task_dealt_to_a_worker_already_gone_runs_on_another(tiny_networks, tmp_path, monkeypatch):
     import multiprocessing.context
 
-    from pdnetsim import experiments
+    from pdnetsim import suite
 
     spec = _four_replicates(tiny_networks)
     serial, serial_files = _suite_files(spec, tmp_path / "serial", 1)
     first = []  # the first worker, once it has started
-    real_work, real_start = experiments._work, multiprocessing.context.ForkProcess.start
+    real_work, real_start = suite._work, multiprocessing.context.ForkProcess.start
 
     def work_unless_first(*args):
         if first:  # as forked from a parent that has started a worker already
@@ -390,7 +391,7 @@ def test_a_task_dealt_to_a_worker_already_gone_runs_on_another(tiny_networks, tm
             process.join(60)  # it left before any task, so a write to its task pipe breaks
             first.append(process)
 
-    monkeypatch.setattr(experiments, "_work", work_unless_first)
+    monkeypatch.setattr(suite, "_work", work_unless_first)
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_and_let_the_first_leave)
     rows, files = _suite_files(spec, tmp_path / "pool", 2)
     assert first[0].exitcode == 0
@@ -410,11 +411,11 @@ def test_a_suite_reads_a_graph_file_that_changed_since_the_last_suite(tiny_netwo
 def test_a_worker_that_dies_before_reading_its_task_loses_only_that_row(tiny_networks, tmp_path, monkeypatch):
     # The task waits unread in the dead worker's connection, so the parent
     # reads a reset, not EOF: still only that worker's row is lost.
-    from pdnetsim import experiments
+    from pdnetsim import suite
 
     spec = _four_replicates(tiny_networks)
     serial = run_suite(spec, workers=1)
-    real_work = experiments._work
+    real_work = suite._work
 
     def work_unless_first_dealt(tasks, conn, parent_ends):
         conn.poll(60)
@@ -425,7 +426,7 @@ def test_a_worker_that_dies_before_reading_its_task_loses_only_that_row(tiny_net
         else:
             os._exit(1)
 
-    monkeypatch.setattr(experiments, "_work", work_unless_first_dealt)
+    monkeypatch.setattr(suite, "_work", work_unless_first_dealt)
     rows = run_suite(spec, workers=2)
     lost = [i for i, row in enumerate(rows) if row != serial[i]]
     assert len(lost) == 1 and lost[0] in (0, 1)

@@ -1,6 +1,8 @@
 import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,3 +107,19 @@ def test_no_home_directory_builds_for_the_process(monkeypatch):
     monkeypatch.setattr(pwd, "getpwuid", no_entry)
     function, reason = _kernel.load.__wrapped__()
     assert function is not None and reason is None
+
+
+@needs_cc
+def test_a_relative_xdg_cache_home_is_ignored(tmp_path):
+    # The XDG base directory spec says to ignore a relative path; taken as
+    # it is, it put a cache under whatever directory a command ran in.
+    home, cwd = tmp_path / "home", tmp_path / "cwd"
+    home.mkdir()
+    cwd.mkdir()
+    package_root = str(Path(_kernel.__file__).parents[1])
+    env = dict(os.environ, HOME=str(home), XDG_CACHE_HOME="relcache", PYTHONPATH=package_root)
+    code = "from pdnetsim import _kernel; library, reason = _kernel.load(); assert library is not None, reason"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert list(cwd.iterdir()) == []
+    assert [path.suffix for path in (home / ".cache" / "pdnetsim").iterdir()] == [".so"]

@@ -1,10 +1,12 @@
+import csv
 import os
+import random
 from types import SimpleNamespace
 
 import pytest
 
-from pdnetsim.engine import IterationStats
-from pdnetsim.output import write_gini_series_csv, write_suite_summary_csv
+from pdnetsim.engine import IterationStats, RunResult
+from pdnetsim.output import GINI_SERIES_COLUMNS, format_gini, write_gini_series_csv, write_suite_summary_csv
 
 
 ROW = SimpleNamespace(
@@ -43,3 +45,38 @@ def test_written_files_get_the_mode_of_a_plain_open(tmp_path):
     path = tmp_path / "new" / "suite_summary.csv"
     write_suite_summary_csv(str(path), [ROW])
     assert os.stat(path).st_mode == os.stat(plain).st_mode
+
+
+def _csv_writer_series(path, result):
+    """The series writer as it was, through csv.writer: the oracle for its bytes."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(GINI_SERIES_COLUMNS)
+        for i, (g, stats) in enumerate(zip(result.gini_series, result.iteration_stats), start=1):
+            bank = "inf" if stats.bank_balance is None else str(stats.bank_balance)
+            writer.writerow(
+                [i, format_gini(g), bank, stats.total_balance, stats.games_played, stats.games_skipped]
+            )
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_series_writer_writes_what_csv_writer_wrote(tmp_path, seed):
+    rng = random.Random(seed)
+    infinite = seed % 2 == 1
+    passes = rng.randint(1, 300)
+    gini_series = [rng.choice([0.0, 1.0, 0.5, 1e-7, 0.0000005, rng.random()]) for _ in range(passes)]
+    stats = [
+        IterationStats(
+            games_played=rng.randrange(10**rng.randint(1, 7)),
+            games_skipped=rng.randrange(10**rng.randint(1, 7)),
+            bank_inflow=0,
+            bank_outflow=0,
+            bank_balance=None if infinite else rng.randrange(10 ** rng.randint(1, 20)),
+            total_balance=rng.randrange(10 ** rng.randint(1, 20)),
+        )
+        for _ in range(passes)
+    ]
+    result = RunResult(gini_series, None, [], None if infinite else stats[-1].bank_balance, stats)
+    write_gini_series_csv(str(tmp_path / "new.csv"), result)
+    _csv_writer_series(tmp_path / "old.csv", result)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
