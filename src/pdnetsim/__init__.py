@@ -4,7 +4,6 @@ authority and per-iteration Gini tracking."""
 from .engine import (
     LIVE,
     SNAPSHOT,
-    Bank,
     IterationStats,
     PayoffParams,
     RunResult,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Action",
     "AgentKind",
-    "Bank",
     "BankSetting",
     "ConfigError",
     "DEFAULT_BANK_SETTINGS",

@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import _kernel
-from .engine import LIVE, Bank, PayoffParams, SimConfig, run
+from .engine import LIVE, PayoffParams, SimConfig, run
 from .errors import ConfigError, ParseError
 # suite.cmd_suite calls run_suite and write_suite_summary_csv through this
 # module, so a wrapper set on either attribute here runs.
@@ -121,11 +121,12 @@ def _sim_settings(values: dict) -> dict:
     }
 
 
-def _bank_from_label(label: str) -> Bank:
+def _bank_from_label(label: str) -> int | None:
+    """The bank's starting balance, or None for 'inf'; SimConfig rejects a negative one."""
     if label.lower() in ("inf", "infinite"):
-        return Bank(infinite=True)
+        return None
     try:
-        return Bank(balance=int(label))
+        return int(label)
     except ValueError:
         raise ConfigError(f"bank must be a non-negative integer or 'inf', got {label!r}") from None
 

@@ -153,19 +153,6 @@ class PayoffParams(_Record):
         super().__init__(*values)
 
 
-class Bank(_Record):
-    """External authority: a finite reservoir with `balance`, or infinite."""
-
-    __slots__ = _fields = ("balance", "infinite")
-
-    def __init__(self, balance: int = 0, infinite: bool = False):
-        if not isinstance(infinite, bool):
-            raise ConfigError(f"bank infinite must be True or False, got {infinite!r}")
-        if not isinstance(balance, int) or balance < 0:
-            raise ConfigError(f"finite bank balance must be a non-negative integer, got {balance!r}")
-        super().__init__(balance, infinite)
-
-
 class SimConfig(_Record):
     __slots__ = _fields = ("iterations", "initial_balance", "payoff", "bank", "seed", "balance_semantics")
 
@@ -174,7 +161,7 @@ class SimConfig(_Record):
         iterations: int = 1000,
         initial_balance: int = 100,
         payoff: PayoffParams = PayoffParams(),
-        bank: Bank = Bank(),
+        bank: int | None = 0,  # the bank's starting balance; None when it is infinite
         seed: int = 0,
         balance_semantics: str = LIVE,
     ):
@@ -182,6 +169,8 @@ class SimConfig(_Record):
             raise ConfigError(f"iterations must be a positive integer, got {iterations!r}")
         if not isinstance(initial_balance, int) or initial_balance < 1:
             raise ConfigError(f"initial_balance must be a positive integer, got {initial_balance!r}")
+        if bank is not None and (type(bank) is bool or not isinstance(bank, int) or bank < 0):
+            raise ConfigError(f"finite bank balance must be a non-negative integer, got {bank!r}")
         if not isinstance(seed, int):
             raise ConfigError(f"seed must be an integer, got {seed!r}")
         if balance_semantics not in BALANCE_SEMANTICS:
@@ -338,7 +327,7 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
     payoff = cfg.payoff
     last = [UNRECORDED] * n  # each node's memory code: ACTIONS' column
     rows = [ACTIONS[kind] for kind in strategies]  # each node's row of the decision table
-    bank_balance = None if cfg.bank.infinite else cfg.bank.balance
+    bank_balance = cfg.bank
     live = cfg.balance_semantics == LIVE
     rng_random = rng.random
     drained = 0  # payers left at zero since order was last rebuilt
@@ -409,7 +398,7 @@ def _kernel_run(graph, strategies, order, rng, cfg, iteration_hook) -> RunResult
     """
     n = graph.node_count
     payoff = cfg.payoff
-    infinite = cfg.bank.infinite
+    infinite = cfg.bank is None
     balances = array("q", [cfg.initial_balance]) * n
     held = array("q", [0]) * n  # cut to the live length of order after each call
     kinds = array("b", strategies)
@@ -422,7 +411,7 @@ def _kernel_run(graph, strategies, order, rng, cfg, iteration_hook) -> RunResult
         + [payoff.coop_reward, payoff.defect_penalty, payoff.betrayal_transfer]
         + [_DRAW if action is None else action for row in ACTIONS for action in row],
     )
-    acc = array("q", [0 if infinite else cfg.bank.balance, 0, n, 0])
+    acc = array("q", [cfg.bank or 0, 0, n, 0])
     mt = array("I", rng.getstate()[1])
     block = 1 if iteration_hook is not None else min(_BLOCK, cfg.iterations)
     rows = array("q", [0]) * (_STAT_FIELDS * block)
@@ -467,8 +456,7 @@ def _fits_int64(n: int, cfg: SimConfig) -> bool:
     """
     payoff = cfg.payoff
     largest = max(payoff.coop_reward, payoff.defect_penalty, payoff.betrayal_transfer)
-    bank = 0 if cfg.bank.infinite else cfg.bank.balance
-    return n * cfg.initial_balance + bank + 2 * n * cfg.iterations * largest < _INT64_LIMIT
+    return n * cfg.initial_balance + (cfg.bank or 0) + 2 * n * cfg.iterations * largest < _INT64_LIMIT
 
 
 def _strategy_codes(node_count: int, assignment) -> bytes:

@@ -17,7 +17,7 @@ import hashlib
 import random
 from typing import NamedTuple
 
-from .engine import LIVE, Bank, PayoffParams, SimConfig, _Record, shuffle_order, run
+from .engine import LIVE, PayoffParams, SimConfig, _Record, shuffle_order, run
 from .errors import ConfigError, PDNetSimError
 from .graph import GRAPH_FORMATS, Graph, degree_ranked_nodes, load_graph
 from .strategies import KIND_LETTERS, LETTER_OF_KIND, AgentKind
@@ -109,14 +109,10 @@ def experiment_groups(experiment: int) -> tuple:
 
 class BankSetting(NamedTuple):
     label: str
-    bank: Bank
+    bank: int | None  # the bank's starting balance; None when it is infinite
 
 
-DEFAULT_BANK_SETTINGS = (
-    BankSetting("0", Bank(balance=0)),
-    BankSetting("10000", Bank(balance=10000)),
-    BankSetting("inf", Bank(infinite=True)),
-)
+DEFAULT_BANK_SETTINGS = (BankSetting("0", 0), BankSetting("10000", 10000), BankSetting("inf", None))
 
 
 class NetworkSpec(_Record):
@@ -169,8 +165,9 @@ class SuiteSpec(_Record):
                 raise ConfigError(
                     f"experiment {experiment} takes {wanted.__name__} groups, got {type(group).__name__}"
                 )
-        # The settings every run shares, checked here once, before any run.
-        SimConfig(iterations, initial_balance, payoff, balance_semantics=balance_semantics)
+        # The settings of every run, checked here once, before any run.
+        for setting in banks:
+            SimConfig(iterations, initial_balance, payoff, setting.bank, balance_semantics=balance_semantics)
         super().__init__(
             networks,
             experiment,

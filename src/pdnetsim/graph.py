@@ -218,10 +218,18 @@ def _read_csr(path: str, fmt: str) -> Graph | None:
 
 
 def write_edge_list(graph: Graph, stream: TextIO) -> None:
-    """Dump the normalized graph as a reloadable edge list (one 'u v' line per edge)."""
+    """Dump the normalized graph as a reloadable edge list (one 'u v' line per edge).
+
+    Each node v's edges 'u v' with u < v follow in id order of v, highest u
+    first, so a reload meets the labels in id order and keeps every id: a
+    loaded graph numbers nodes by first appearance, so a node k with no lower
+    neighbor was first seen beside the new label k + 1, and 'k k+1' opens
+    the lines of k + 1.
+    """
     stream.write(f"# nodes={graph.node_count} edges={graph.edge_count}\n")
-    for u, v in graph.edges():
-        stream.write(f"{u} {v}\n")
+    offsets, flat = graph.offsets, graph.targets.tolist()
+    for v, (lo, hi) in enumerate(zip(offsets, offsets[1:])):
+        stream.writelines(f"{u} {v}\n" for u in sorted(flat[lo:hi], reverse=True) if u < v)
 
 
 def degree_ranked_nodes(graph: Graph) -> list[int]:

@@ -16,7 +16,6 @@ import pytest
 from pdnetsim import (
     Action,
     AgentKind,
-    Bank,
     BankSetting,
     EXPERIMENT2_GROUPS,
     NetworkSpec,
@@ -40,9 +39,9 @@ BASE_SEED = 20240809
 REPLICATES = 5
 ITERATIONS = 1000
 
-BANK_0 = BankSetting("0", Bank(balance=0))
-BANK_10K = BankSetting("10000", Bank(balance=10000))
-BANK_INF = BankSetting("inf", Bank(infinite=True))
+BANK_0 = BankSetting("0", 0)
+BANK_10K = BankSetting("10000", 10000)
+BANK_INF = BankSetting("inf", None)
 
 
 def _workers() -> int:
@@ -105,7 +104,7 @@ def randomized_finite_runs():
             iterations=rng.randint(40, 120),
             initial_balance=100,
             payoff=PayoffParams(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 5)),
-            bank=Bank(balance=bank_initial),
+            bank=bank_initial,
             seed=rng.randrange(2**63),
         )
         assignment = [rng.choice(list(AgentKind)) for _ in range(graph.node_count)]
@@ -258,13 +257,13 @@ def test_full_run_completes_inside_budget(fb_scale_graph):
     assignment = assign_proportional(
         graph.node_count, ProportionGroup.parse("2:2:2:2"), random.Random(BASE_SEED)
     )
-    cfg = SimConfig(iterations=ITERATIONS, bank=Bank(infinite=True), seed=BASE_SEED)
+    cfg = SimConfig(iterations=ITERATIONS, bank=None, seed=BASE_SEED)
     start = time.perf_counter()
     result = run(graph, assignment, cfg)
     mixed = time.perf_counter() - start
 
     # worst case: every turn plays a game, nothing ever skips
-    cfg = SimConfig(iterations=ITERATIONS, bank=Bank(infinite=True), seed=BASE_SEED)
+    cfg = SimConfig(iterations=ITERATIONS, bank=None, seed=BASE_SEED)
     start = time.perf_counter()
     run(graph, [AgentKind.COOPERATOR] * graph.node_count, cfg)
     all_coop = time.perf_counter() - start

@@ -91,6 +91,26 @@ def test_run_missing_graph_is_io_error(tmp_path, capsys):
     assert "nope.txt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bank, message",
+    [
+        ("-5", "finite bank balance must be a non-negative integer, got -5"),
+        ("x", "bank must be a non-negative integer or 'inf', got 'x'"),
+    ],
+    ids=["negative", "not-an-integer"],
+)
+def test_run_rejects_a_bad_bank_before_the_load(two_node_run, monkeypatch, capsys, bank, message):
+    from pdnetsim import cli
+
+    config_path, out_dir = two_node_run
+    config_path.write_text(config_path.read_text().replace("bank = 3", f"bank = {bank}"))
+    monkeypatch.setattr(cli, "load_graph", lambda *args: pytest.fail("the graph was loaded"))
+    assert main(["run", "--config", str(config_path)]) == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {message}"]
+    assert not out_dir.exists()
+
+
 def test_run_malformed_graph_is_parse_error(tmp_path, capsys):
     graph_path = tmp_path / "bad.txt"
     graph_path.write_text("0 1\n1 x\n")
@@ -261,8 +281,13 @@ def _runs_started(monkeypatch):
 
 @pytest.mark.parametrize(
     "setting, message",
-    [("iterations = 0", "iterations must be"), ("balance_semantics = bogus", "balance_semantics must be")],
-    ids=["iterations", "balance_semantics"],
+    [
+        ("iterations = 0", "iterations must be"),
+        ("balance_semantics = bogus", "balance_semantics must be"),
+        ("banks = 0,-5", "finite bank balance must be a non-negative integer, got -5"),
+        ("banks = 0,x", "bank must be a non-negative integer or 'inf', got 'x'"),
+    ],
+    ids=["iterations", "balance_semantics", "banks-negative", "banks-not-an-integer"],
 )
 def test_suite_settings_are_validated_once_before_any_run(suite_config, monkeypatch, capsys, setting, message):
     config_path, out_dir = suite_config

@@ -12,7 +12,6 @@ from pdnetsim import (
     SNAPSHOT,
     Action,
     AgentKind,
-    Bank,
     ConfigError,
     Graph,
     IterationStats,
@@ -44,7 +43,7 @@ def reference_run(graph, assignment, cfg):
     order = shuffle_order(list(range(n)), rng)
     balances = [cfg.initial_balance] * n
     memory = [None] * n
-    bank_balance = None if cfg.bank.infinite else cfg.bank.balance
+    bank_balance = cfg.bank
     live = cfg.balance_semantics == LIVE
 
     ginis, stats, converged = [], [], None
@@ -258,7 +257,7 @@ def test_symmetric_games_never_one_sided():
 def test_two_cooperators_infinite_bank():
     # two games per pass, +1 each per game: +2 per node per pass
     g = path_graph(2)
-    cfg = SimConfig(iterations=3, bank=Bank(infinite=True), seed=5)
+    cfg = SimConfig(iterations=3, bank=None, seed=5)
     result = run(g, [C, C], cfg)
     assert result.final_balances == [106, 106]
     assert result.gini_series == [0.0, 0.0, 0.0]
@@ -271,7 +270,7 @@ def test_two_cooperators_bank_of_three():
     # pass 1: first game pays both (+1, bank 3 -> 1), second is blocked (1 < 2);
     # pass 2: no balance changes, so the run converges
     g = path_graph(2)
-    cfg = SimConfig(iterations=1000, bank=Bank(balance=3), seed=5)
+    cfg = SimConfig(iterations=1000, bank=3, seed=5)
     result = run(g, [C, C], cfg)
     assert result.final_balances == [101, 101]
     assert result.final_bank == 1
@@ -284,7 +283,7 @@ def test_two_defectors_drain_to_bank():
     # each node loses 2 per game, two games per pass: broke after pass 25,
     # all-skipped pass 26 fires the convergence break
     g = path_graph(2)
-    cfg = SimConfig(iterations=1000, bank=Bank(balance=0), seed=5)
+    cfg = SimConfig(iterations=1000, bank=0, seed=5)
     result = run(g, [D, D], cfg)
     assert result.final_balances == [0, 0]
     assert result.final_bank == 200
@@ -298,7 +297,7 @@ def test_a_bank_of_exactly_two_rewards_pays_one_mutual_silence():
     # pass 1: the first game takes the bank's 2 = 2 * reward (+1 each, bank
     # 2 -> 0), the second is blocked; pass 2 changes nothing and converges
     g = path_graph(2)
-    cfg = SimConfig(iterations=1000, bank=Bank(balance=2), seed=5)
+    cfg = SimConfig(iterations=1000, bank=2, seed=5)
     result = run(g, [C, C], cfg)
     assert result.final_balances == [101, 101]
     assert result.final_bank == 0
@@ -312,7 +311,7 @@ def test_betrayal_transfer_clamps_to_the_silent_balance():
     # order is the same in both runs, so the clamped second game is opened
     # by the cooperator in one and by the defector in the other.
     g = path_graph(2)
-    cfg = SimConfig(iterations=1000, initial_balance=5, bank=Bank(balance=0), seed=5)
+    cfg = SimConfig(iterations=1000, initial_balance=5, bank=0, seed=5)
     for assignment, balances in (([D, C], [10, 0]), ([C, D], [0, 10])):
         result = run(g, assignment, cfg)
         assert result.final_balances == balances
@@ -325,7 +324,7 @@ def test_betrayal_transfer_clamps_to_the_silent_balance():
 def test_mutual_betrayal_penalty_clamps_to_each_balance():
     # each defector pays 2 of its 3, then only its last 1: the bank takes 6
     g = path_graph(2)
-    cfg = SimConfig(iterations=1000, initial_balance=3, bank=Bank(balance=0), seed=5)
+    cfg = SimConfig(iterations=1000, initial_balance=3, bank=0, seed=5)
     result = run(g, [D, D], cfg)
     assert result.final_balances == [0, 0]
     assert result.final_bank == 6
@@ -335,7 +334,7 @@ def test_mutual_betrayal_penalty_clamps_to_each_balance():
 
 def test_all_cooperators_bank_zero_converge_immediately():
     g = path_graph(4)
-    cfg = SimConfig(iterations=100, bank=Bank(balance=0), seed=2)
+    cfg = SimConfig(iterations=100, bank=0, seed=2)
     result = run(g, [C, C, C, C], cfg)
     assert result.converged_at == 1
     assert result.gini_series == [0.0]
@@ -345,7 +344,7 @@ def test_all_cooperators_bank_zero_converge_immediately():
 def test_same_seed_reproduces_run_bit_for_bit():
     g = random_graph(40, 5.0, seed=77)
     assignment = [random.Random(1).choice([C, D, T, R]) for _ in range(g.node_count)]
-    cfg = SimConfig(iterations=60, bank=Bank(balance=500), seed=99)
+    cfg = SimConfig(iterations=60, bank=500, seed=99)
     first = run(g, assignment, cfg)
     second = run(g, assignment, cfg)
     assert first.gini_series == second.gini_series
@@ -358,8 +357,8 @@ def test_different_seed_changes_outcome():
     g = random_graph(40, 5.0, seed=77)
     rng = random.Random(1)
     assignment = [rng.choice([C, D, T, R]) for _ in range(g.node_count)]
-    a = run(g, assignment, SimConfig(iterations=40, bank=Bank(balance=500), seed=1))
-    b = run(g, assignment, SimConfig(iterations=40, bank=Bank(balance=500), seed=2))
+    a = run(g, assignment, SimConfig(iterations=40, bank=500, seed=1))
+    b = run(g, assignment, SimConfig(iterations=40, bank=500, seed=2))
     assert a.final_balances != b.final_balances
 
 
@@ -392,7 +391,7 @@ def test_assignment_rejects_kind_codes_out_of_range(value):
 def test_every_spelling_of_an_assignment_gives_the_same_run():
     g = random_graph(20, 3.0, seed=2)
     assignment = random_assignment(g.node_count, random.Random(3))
-    cfg = SimConfig(iterations=10, bank=Bank(balance=100), seed=4)
+    cfg = SimConfig(iterations=10, bank=100, seed=4)
     expected = run(g, assignment, cfg)
     assert run(g, dict(enumerate(assignment)), cfg) == expected
     assert run(g, [int(kind) for kind in assignment], cfg) == expected
@@ -401,7 +400,7 @@ def test_every_spelling_of_an_assignment_gives_the_same_run():
 
 def test_degree_zero_nodes_are_skipped():
     g = Graph([[], [2], [1]], {0: 0, 1: 1, 2: 2})
-    cfg = SimConfig(iterations=5, bank=Bank(infinite=True), seed=3)
+    cfg = SimConfig(iterations=5, bank=None, seed=3)
     result = run(g, [C, C, C], cfg)
     assert result.final_balances[0] == 100
     assert all(s.games_skipped == 1 for s in result.iteration_stats)
@@ -417,10 +416,6 @@ def test_config_validation():
         SimConfig(balance_semantics="lazy")
     with pytest.raises(ConfigError):
         PayoffParams(coop_reward=0)
-    for balance in (-1, "x"):
-        for infinite in (False, True):  # an infinite bank never pays from its balance, but it is checked too
-            with pytest.raises(ConfigError, match=f"bank balance must be a non-negative integer, got {balance!r}"):
-                Bank(balance=balance, infinite=infinite)
 
 
 @pytest.mark.parametrize("seed", [None, 1.5, "1"])
@@ -430,12 +425,11 @@ def test_seed_must_be_an_integer(seed):
         SimConfig(seed=seed)
 
 
-@pytest.mark.parametrize("infinite", ["no", 1, None])
-@pytest.mark.parametrize("passes", ["kernel", "python_loop"])
-def test_bank_infinite_must_be_a_bool(request, passes, infinite):
-    request.getfixturevalue(passes)
-    with pytest.raises(ConfigError, match=f"bank infinite must be True or False, got {infinite!r}"):
-        run(path_graph(2), [C, C], SimConfig(iterations=1, bank=Bank(balance=0, infinite=infinite), seed=1))
+@pytest.mark.parametrize("bank", ["no", "inf", 1.5, -1, True])
+def test_bank_must_be_a_non_negative_integer_or_none(bank):
+    # True is no balance: taken as an int it would play as a bank of 1
+    with pytest.raises(ConfigError, match=f"finite bank balance must be a non-negative integer, got {bank!r}"):
+        SimConfig(bank=bank)
 
 
 @pytest.mark.parametrize("passes", ["kernel", "hook", "python_loop"])
@@ -465,7 +459,7 @@ def test_conservation_and_non_negativity_on_random_runs():
             iterations=rng.randint(5, 50),
             initial_balance=100,
             payoff=PayoffParams(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 5)),
-            bank=Bank(balance=bank_initial),
+            bank=bank_initial,
             seed=rng.randrange(10**9),
         )
         expected_total = bank_initial + g.node_count * 100
@@ -485,7 +479,7 @@ def test_non_negativity_under_snapshot_semantics():
         g = random_graph(30, 4.0, seed=rng.randrange(10**6))
         cfg = SimConfig(
             iterations=30,
-            bank=Bank(balance=rng.randint(0, 300)),
+            bank=rng.randint(0, 300),
             seed=rng.randrange(10**9),
             balance_semantics=SNAPSHOT,
         )
@@ -508,7 +502,7 @@ def test_zero_balance_is_absorbing():
             iterations=60,
             initial_balance=rng.randint(2, 15),
             payoff=PayoffParams(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 5)),
-            bank=Bank(infinite=True) if case % 4 == 3 else Bank(balance=rng.randint(0, 200)),
+            bank=None if case % 4 == 3 else rng.randint(0, 200),
             seed=rng.randrange(10**9),
             balance_semantics=LIVE if case % 2 == 0 else SNAPSHOT,
         )
@@ -524,7 +518,7 @@ def test_zero_balance_is_absorbing():
 
 def test_games_played_plus_skipped_covers_every_turn():
     g = random_graph(25, 3.0, seed=4)
-    cfg = SimConfig(iterations=30, bank=Bank(balance=50), seed=8)
+    cfg = SimConfig(iterations=30, bank=50, seed=8)
     result = run(g, random_assignment(g.node_count, random.Random(3)), cfg)
     for stats in result.iteration_stats:
         assert stats.games_played + stats.games_skipped == g.node_count
@@ -532,14 +526,14 @@ def test_games_played_plus_skipped_covers_every_turn():
 
 def test_convergence_means_last_two_gini_values_equal():
     g = path_graph(2)
-    result = run(g, [D, D], SimConfig(iterations=1000, bank=Bank(balance=0), seed=5))
+    result = run(g, [D, D], SimConfig(iterations=1000, bank=0, seed=5))
     assert result.converged_at is not None
     assert result.gini_series[-1] == result.gini_series[-2]
 
 
 def test_gini_series_stays_in_range():
     g = random_graph(30, 4.0, seed=10)
-    cfg = SimConfig(iterations=50, bank=Bank(infinite=True), seed=11)
+    cfg = SimConfig(iterations=50, bank=None, seed=11)
     result = run(g, random_assignment(g.node_count, random.Random(12)), cfg)
     assert all(0.0 <= value < 1.0 for value in result.gini_series)
 
@@ -551,13 +545,13 @@ def test_tit_for_tat_mirrors_global_last_action():
     # into the (1, 2) relationship: node 2 sees "betray", betrays a silent
     # node 1, and profits.
     g = path_graph(3)
-    cfg = SimConfig(iterations=1, bank=Bank(balance=0), seed=6)
+    cfg = SimConfig(iterations=1, bank=0, seed=6)
     result = run(g, [D, T, T], cfg)
     assert result.final_balances == [101, 92, 103]
     assert result.final_bank == 4
     # not a quirk of one seed: the leak shows up across many orderings
     hits = sum(
-        run(g, [D, T, T], SimConfig(iterations=1, bank=Bank(balance=0), seed=s)).final_balances[2]
+        run(g, [D, T, T], SimConfig(iterations=1, bank=0, seed=s)).final_balances[2]
         > 100
         for s in range(40)
     )
@@ -574,7 +568,7 @@ def _reference_cases():
         g = random_graph(rng.randint(4, 14), rng.uniform(1.0, 4.0), seed=rng.randrange(10**6))
         assignment = random_assignment(g.node_count, rng)
         infinite = rng.random() < 0.3
-        bank = Bank(infinite=True) if infinite else Bank(balance=rng.randint(0, 60))
+        bank = None if infinite else rng.randint(0, 60)
         yield g, assignment, SimConfig(
             iterations=rng.randint(1, 25),
             initial_balance=rng.randint(1, 12),
@@ -594,7 +588,7 @@ def _reference_cases():
             iterations=rng.randint(60, 150),
             initial_balance=rng.randint(3, 20),
             payoff=PayoffParams(rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 5)),
-            bank=Bank(balance=0),
+            bank=0,
             seed=rng.randrange(10**9),
             balance_semantics=LIVE if case % 2 == 0 else SNAPSHOT,
         )
@@ -605,7 +599,7 @@ def _reference_cases():
         g = random_graph(rng.randint(4, 30), rng.uniform(1.0, 4.0), seed=rng.randrange(10**6))
         isolated = rng.randint(1, 5)
         g = Graph(g.adjacency + [[] for _ in range(isolated)], {})
-        bank = Bank(infinite=True) if case % 4 == 3 else Bank(balance=rng.randint(0, 60))
+        bank = None if case % 4 == 3 else rng.randint(0, 60)
         yield g, random_assignment(g.node_count, rng), SimConfig(
             iterations=rng.randint(1, 40),
             initial_balance=rng.randint(1, 12),
@@ -629,7 +623,7 @@ NETTING_PASS = (
         iterations=35,
         initial_balance=9,
         payoff=PayoffParams(3, 3, 3),
-        bank=Bank(infinite=True),
+        bank=None,
         seed=236039528,
     ),
 )
@@ -664,11 +658,11 @@ def test_live_and_snapshot_semantics_can_diverge():
     for seed in range(80):
         g = random_graph(10, 3.0, seed=123)
         assignment = random_assignment(g.node_count, random.Random(seed))
-        live_cfg = SimConfig(iterations=12, initial_balance=5, bank=Bank(balance=20), seed=seed)
+        live_cfg = SimConfig(iterations=12, initial_balance=5, bank=20, seed=seed)
         snap_cfg = SimConfig(
             iterations=12,
             initial_balance=5,
-            bank=Bank(balance=20),
+            bank=20,
             seed=seed,
             balance_semantics=SNAPSHOT,
         )
@@ -715,7 +709,7 @@ def test_every_path_plays_the_decision_table(request, monkeypatch, passes, tit_f
 
     g = random_graph(40, 4.0, seed=41)
     assignment = random_assignment(g.node_count, random.Random(42))
-    cfg = SimConfig(iterations=30, initial_balance=20, bank=Bank(balance=200), seed=43)
+    cfg = SimConfig(iterations=30, initial_balance=20, bank=200, seed=43)
     built_in = reference_run(g, assignment, cfg)
     table = (*strategies.ACTIONS[:T], tit_for_tat, *strategies.ACTIONS[T + 1 :])
     monkeypatch.setattr(strategies, "ACTIONS", table)
@@ -736,7 +730,7 @@ def test_every_path_plays_the_decision_table(request, monkeypatch, passes, tit_f
 
 def test_kernel_plays_every_pass(kernel_calls):
     g = random_graph(30, 4.0, seed=5)
-    cfg = SimConfig(iterations=12, bank=Bank(infinite=True), seed=7)
+    cfg = SimConfig(iterations=12, bank=None, seed=7)
     result = run(g, random_assignment(g.node_count, random.Random(6)), cfg)
     assert passes_played(kernel_calls) == result.iterations_executed == 12
     assert len(kernel_calls) == 1  # one block
@@ -750,7 +744,7 @@ MT_BLOCK_EDGES = [(413, 38, 623), (416, 2, 624)]
 
 
 @pytest.mark.parametrize("n, seed, index", MT_BLOCK_EDGES, ids=["index-623", "index-624"])
-@pytest.mark.parametrize("bank", [Bank(balance=500), Bank(infinite=True)], ids=["bank-500", "bank-inf"])
+@pytest.mark.parametrize("bank", [500, None], ids=["bank-500", "bank-inf"])
 def test_kernel_draws_alike_at_the_edges_of_a_generator_block(kernel_calls, n, seed, index, bank):
     rng = random.Random(seed)
     shuffle_order(range(n), rng)
@@ -776,7 +770,7 @@ def test_kernel_drops_drained_nodes_and_hands_the_gini_the_live_balances(kernel_
     rng = random.Random(31)
     g = random_graph(200, 6.0, seed=32)
     assignment = rng.choices([D, C, T, R], weights=[5, 1, 1, 1], k=g.node_count)
-    cfg = SimConfig(iterations=80, initial_balance=6, bank=Bank(balance=0), seed=33)
+    cfg = SimConfig(iterations=80, initial_balance=6, bank=0, seed=33)
     handed = []
     monkeypatch.setattr(engine, "gini", lambda held, n: handed.append(held.tolist()) or gini(held, n))
     ends = []
@@ -802,7 +796,7 @@ def test_python_loop_runs_past_the_int64_bound(kernel_calls, initial_balance, ke
         iterations=1,
         initial_balance=initial_balance,
         payoff=PayoffParams(1, 1, 1),
-        bank=Bank(balance=0),
+        bank=0,
         seed=3,
     )
     result = run(g, [D, C], cfg)
@@ -824,7 +818,7 @@ def test_snapshot_capital_creation_past_int64_stays_exact(kernel_calls):
         iterations=2,
         initial_balance=2**61,
         payoff=PayoffParams(1, 1, 2**61),
-        bank=Bank(balance=0),
+        bank=0,
         seed=1,
         balance_semantics=SNAPSHOT,
     )
@@ -844,13 +838,13 @@ def _reference_result(g, assignment, cfg):
 def _run_cases():
     g = random_graph(30, 4.0, seed=51)
     assignment = random_assignment(g.node_count, random.Random(52))
-    yield "stops-at-iterations", g, assignment, SimConfig(iterations=40, bank=Bank(balance=300), seed=53), None
+    yield "stops-at-iterations", g, assignment, SimConfig(iterations=40, bank=300, seed=53), None
     yield "netting-pass", *NETTING_PASS, 1
-    yield "one-iteration", g, assignment, SimConfig(iterations=1, bank=Bank(balance=300), seed=54), None
+    yield "one-iteration", g, assignment, SimConfig(iterations=1, bank=300, seed=54), None
     # Cooperators against an infinite bank gain on every pass: three blocks.
     g = random_graph(12, 3.0, seed=55)
     assignment = random.Random(56).choices([C, T, R], weights=[2, 1, 1], k=g.node_count)
-    yield "longer-than-a-block", g, assignment, SimConfig(iterations=2500, bank=Bank(infinite=True), seed=57), None
+    yield "longer-than-a-block", g, assignment, SimConfig(iterations=2500, bank=None, seed=57), None
 
 
 @pytest.mark.parametrize("g, assignment, cfg, converged_at", [pytest.param(*case[1:], id=case[0]) for case in _run_cases()])
@@ -874,7 +868,7 @@ def test_kernel_run_with_and_without_a_hook_matches_the_reference(kernel_calls, 
 def test_a_run_allocates_no_buffer_by_its_iteration_limit(kernel_calls):
     tracemalloc.start()
     try:
-        result = run(path_graph(2), [D, D], SimConfig(iterations=10**9, bank=Bank(balance=0), seed=5))
+        result = run(path_graph(2), [D, D], SimConfig(iterations=10**9, bank=0, seed=5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

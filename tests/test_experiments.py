@@ -10,7 +10,6 @@ import pytest
 from pdnetsim import (
     SNAPSHOT,
     AgentKind,
-    Bank,
     BankSetting,
     ConfigError,
     DEFAULT_BANK_SETTINGS,
@@ -614,14 +613,13 @@ def test_suite_tasks_pickle_and_carry_the_spec_settings(tiny_networks, experimen
 def test_records_compare_by_value_and_take_their_fields_by_position_or_keyword(tiny_networks):
     payoff = PayoffParams(2, 3, 4)
     stats = IterationStats(1, 2, 3, 4, None, 5)
-    cfg = SimConfig(10, 20, payoff, Bank(5), 7, SNAPSHOT)
+    cfg = SimConfig(10, 20, payoff, 5, 7, SNAPSHOT)
     network = tiny_networks[0]
     cases = [
         (PayoffParams, dict(coop_reward=2, defect_penalty=3, betrayal_transfer=4)),
-        (Bank, dict(balance=5, infinite=False)),
         (
             SimConfig,
-            dict(iterations=10, initial_balance=20, payoff=payoff, bank=Bank(5), seed=7, balance_semantics=SNAPSHOT),
+            dict(iterations=10, initial_balance=20, payoff=payoff, bank=5, seed=7, balance_semantics=SNAPSHOT),
         ),
         (
             IterationStats,
@@ -633,7 +631,7 @@ def test_records_compare_by_value_and_take_their_fields_by_position_or_keyword(t
         ),
         (ProportionGroup, dict(defector=3, cooperator=1, tit_for_tat=2, random=2)),
         (DegreeGroup, dict(top=C, middle=T, bottom=D)),
-        (BankSetting, dict(label="5", bank=Bank(5))),
+        (BankSetting, dict(label="5", bank=5)),
         (NetworkSpec, dict(name="n", path="n.txt", fmt="snap")),
         (
             SuiteSpec,
@@ -672,9 +670,9 @@ def test_records_compare_by_value_and_take_their_fields_by_position_or_keyword(t
         assert by_keyword == cls(*fields.values())
         assert {name: getattr(by_keyword, name) for name in fields} == fields
     assert PayoffParams() == PayoffParams(1, 2, 3) != payoff
-    assert Bank(5) == Bank(balance=5) != Bank(5, infinite=True)
-    same = SimConfig(10, 20, PayoffParams(2, 3, 4), Bank(5), 7, SNAPSHOT)
-    assert cfg == same != SimConfig(10, 20, payoff, Bank(5), 8, SNAPSHOT)
+    same = SimConfig(10, 20, PayoffParams(2, 3, 4), 5, 7, SNAPSHOT)
+    assert cfg == same != SimConfig(10, 20, payoff, 5, 8, SNAPSHOT)
+    assert cfg != SimConfig(10, 20, payoff, None, 7, SNAPSHOT)
     assert hash(cfg) == hash(same)
     with pytest.raises(TypeError):  # both engine paths pass the stats
         RunResult([0.5], None, [7, 3], None)
@@ -687,7 +685,7 @@ def test_records_compare_by_value_and_take_their_fields_by_position_or_keyword(t
 def test_every_record_holds_its_fields_and_nothing_else():
     # A slot outside _fields would be a second copy of some field, which
     # neither equality nor pickling sees.
-    records = {PayoffParams, Bank, SimConfig, RunResult, ProportionGroup, DegreeGroup, NetworkSpec, SuiteSpec}
+    records = {PayoffParams, SimConfig, RunResult, ProportionGroup, DegreeGroup, NetworkSpec, SuiteSpec}
     assert set(_Record.__subclasses__()) == records
     for cls in records:
         assert cls.__slots__ == cls._fields, cls.__name__
@@ -695,5 +693,4 @@ def test_every_record_holds_its_fields_and_nothing_else():
 
 def test_default_bank_settings():
     assert [s.label for s in DEFAULT_BANK_SETTINGS] == ["0", "10000", "inf"]
-    assert DEFAULT_BANK_SETTINGS[1].bank.balance == 10000
-    assert DEFAULT_BANK_SETTINGS[2].bank.infinite
+    assert [s.bank for s in DEFAULT_BANK_SETTINGS] == [0, 10000, None]

@@ -13,6 +13,7 @@ from pdnetsim import (
     load_graph,
 )
 from pdnetsim import graph as graph_module
+from pdnetsim.cli import EXIT_OK, main
 
 from conftest import path_graph, require_dataset, star_graph, triangle_graph
 
@@ -280,6 +281,35 @@ def test_c_reader_matches_the_python_reader_on_random_files(c_reader, tmp_path):
         adjacency = expected.adjacency
         by_old_key = sorted(range(expected.node_count), key=lambda v: (-len(adjacency[v]), v))
         assert degree_ranked_nodes(read_in_c) == degree_ranked_nodes(expected) == by_old_key
+
+
+@pytest.mark.parametrize("reader", ["c", "python"])
+def test_a_converted_graph_reloads_with_the_same_ids_and_runs_alike(request, monkeypatch, tmp_path, reader):
+    if reader == "c":
+        request.getfixturevalue("c_reader")
+    else:
+        monkeypatch.setattr(_kernel, "load", lambda: (None, "forced"))
+    rng = random.Random(909)
+    original, dump = tmp_path / "graph", tmp_path / "dump.txt"
+    for case in range(40):
+        fmt = ("snap", "bitcoin_otc")[case % 2]
+        data, has_edge = _random_edge_file(rng, fmt)
+        if not has_edge:
+            continue
+        original.write_bytes(data)
+        assert main(["convert", str(original), "--format", fmt, "--out", str(dump)]) == EXIT_OK
+        graph, reloaded = load_graph(str(original), fmt), load_graph(str(dump), "snap")
+        assert (reloaded.offsets, reloaded.targets) == (graph.offsets, graph.targets), data
+        series = []
+        for out, path, path_fmt in ((tmp_path / "a", original, fmt), (tmp_path / "b", dump, "snap")):
+            config = tmp_path / "run.cfg"
+            config.write_text(
+                f"graph = {path}\ngraph_format = {path_fmt}\nexperiment = 1\ngroup = 2:2:2:2\n"
+                f"bank = 0\niterations = 30\nseed = {case}\nout = {out}\n"
+            )
+            assert main(["run", "--config", str(config)]) == EXIT_OK
+            series.append((out / "gini_series.csv").read_bytes())
+        assert series[0] == series[1], data
 
 
 @pytest.mark.parametrize(
