@@ -44,26 +44,30 @@ strict update-from-snapshot ordering. Both are one rule: every write is
 ``balances[x] = effective[x] + delta``, where ``effective`` is the live
 balances or the pass's start copy.
 
-Two pass loops: a pass is played either by ``_python_passes`` or by
-``_pass.c`` through ctypes, on ``array`` buffers (int64 balances). Both
-apply the rules above in the same order, look every decision up in
-``strategies.ACTIONS`` and give identical outputs. The Python loop plays
-each game through ``resolve_game``, the one Python statement of the payoff
-rules, and writes only the games that move capital; ``_pass.c`` states the
-same rules once in C. The C kernel plays on the graph's CSR arrays
-whenever it could be built and loaded (see ``_kernel``) and no balance,
-bank balance or flow can leave int64 (``_fits_int64``). Otherwise the
-Python loop runs on ``graph.adjacency``; it is also the reference the
-kernel is tested against, and everything around its passes (the Gini
-call, the stats, the hook and the convergence test) is Python.
+Two pass loops: a pass is played either by ``_python_passes`` or,
+through ctypes on ``array`` buffers (int64 balances), by ``_pass.c`` in
+``_kernel_passes``. Both apply the rules above in the same order, look
+every decision up in ``strategies.ACTIONS`` and yield the same
+``(stats, gini, converged)`` triple per pass; ``run`` alone turns the
+triples into the Gini series, the stats list, the hook calls, the
+convergence iteration and the result. The Python loop plays each game
+through ``resolve_game``, the one Python statement of the payoff rules,
+and writes only the games that move capital; ``_pass.c`` states the same
+rules once in C. The kernel plays on the graph's CSR arrays whenever it
+could be built and loaded (see ``_kernel``) and no balance, bank balance
+or flow can leave int64 (``_fits_int64``). Otherwise the Python loop runs
+on ``graph.adjacency``; it is also the reference the kernel is tested
+against.
 
 On the kernel path one ``pd_run`` call plays a block of up to ``_BLOCK``
-passes and stops at convergence. It writes each pass's stats and the two
-integer Gini sums into buffers of one block, and ``metrics.gini_of_sums``,
-which ``gini`` ends with too, turns each pass's sums into its float.
-With an ``iteration_hook`` each call plays one pass and the Gini is taken
-by ``gini`` (this module's attribute) on the live balances the kernel
-gathered, as the Python loop does.
+passes and stops at convergence, so only a block's last pass can have
+converged. It writes each pass's stats and the two integer Gini sums into
+buffers of one block, and ``metrics.gini_of_sums``, which ``gini`` ends
+with too, turns each pass's sums into its float. Under an
+``iteration_hook`` each call plays one pass, so that the hook sees its
+end, and the Gini is taken by ``gini`` (this module's attribute, looked up
+at call time) on the live balances the kernel gathered, as the Python loop
+does.
 
 The shuffle runs in C too (``pd_shuffle``) when the generator is a plain
 ``random.Random`` and the ids are ``range(n)``: it draws each
@@ -81,7 +85,7 @@ from array import array
 from typing import NamedTuple
 
 from . import _kernel
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .graph import Graph
 from .metrics import gini, gini_of_sums
 from .strategies import ACTIONS, UNRECORDED
@@ -148,8 +152,7 @@ class PayoffParams(_Record):
     def __init__(self, coop_reward: int = 1, defect_penalty: int = 2, betrayal_transfer: int = 3):
         values = (coop_reward, defect_penalty, betrayal_transfer)
         for name, value in zip(self._fields, values):
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError(f"payoff {name} must be a positive integer, got {value!r}")
+            require_int(value, f"payoff {name}", 1)
         super().__init__(*values)
 
 
@@ -165,14 +168,11 @@ class SimConfig(_Record):
         seed: int = 0,
         balance_semantics: str = LIVE,
     ):
-        if not isinstance(iterations, int) or iterations < 1:
-            raise ConfigError(f"iterations must be a positive integer, got {iterations!r}")
-        if not isinstance(initial_balance, int) or initial_balance < 1:
-            raise ConfigError(f"initial_balance must be a positive integer, got {initial_balance!r}")
-        if bank is not None and (type(bank) is bool or not isinstance(bank, int) or bank < 0):
-            raise ConfigError(f"finite bank balance must be a non-negative integer, got {bank!r}")
-        if not isinstance(seed, int):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        require_int(iterations, "iterations", 1)
+        require_int(initial_balance, "initial_balance", 1)
+        if bank is not None:
+            require_int(bank, "finite bank balance", 0)
+        require_int(seed, "seed")
         if balance_semantics not in BALANCE_SEMANTICS:
             raise ConfigError(f"balance_semantics must be one of {BALANCE_SEMANTICS}, got {balance_semantics!r}")
         super().__init__(iterations, initial_balance, payoff, bank, seed, balance_semantics)
@@ -297,31 +297,35 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
     rng = random.Random(cfg.seed)
     shuffled = _shuffled_range(n, rng)
     if shuffled is not None and _fits_int64(n, cfg):
-        return _kernel_run(graph, strategies, shuffled, rng, cfg, iteration_hook)
-    order = shuffle_order(range(n), rng) if shuffled is None else shuffled.tolist()
+        balances = array("q", [cfg.initial_balance]) * n
+        copy = balances.tolist
+        passes = _kernel_passes(graph, strategies, shuffled, balances, cfg, rng, iteration_hook is not None)
+    else:
+        order = shuffle_order(range(n), rng) if shuffled is None else shuffled.tolist()
+        balances = [cfg.initial_balance] * n
+        copy = balances.copy
+        passes = _python_passes(graph.adjacency, strategies, order, balances, cfg, rng)
 
-    balances = [cfg.initial_balance] * n
-    passes = _python_passes(graph.adjacency, strategies, order, balances, cfg, rng)
     gini_series: list[float] = []
     stats: list[IterationStats] = []
     converged_at = None
-    for iteration, (stat, held, converged) in zip(range(1, cfg.iterations + 1), passes):
-        gini_series.append(gini(held, n))
+    for iteration, (stat, pass_gini, converged) in zip(range(1, cfg.iterations + 1), passes):
+        gini_series.append(pass_gini)
         stats.append(stat)
         if iteration_hook is not None:
-            iteration_hook(iteration, balances[:], stat.bank_balance)
+            iteration_hook(iteration, copy(), stat.bank_balance)
         if converged:
             converged_at = iteration
             break
-    return RunResult(gini_series, converged_at, balances, stats[-1].bank_balance, stats)
+    return RunResult(gini_series, converged_at, copy(), stats[-1].bank_balance, stats)
 
 
 def _python_passes(adjacency, strategies, order, balances, cfg, rng):
     """The pass loop in Python: the reference for `_pass.c` and its fallback.
 
     Plays one pass over `balances` (a list, updated in place) per next()
-    and yields (stats, held, converged): held is what the Gini is taken
-    over, converged whether the pass left every balance where it began.
+    and yields (stats, gini, converged): converged is whether the pass left
+    every balance where it began.
     """
     n = len(balances)
     payoff = cfg.payoff
@@ -384,22 +388,20 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
         # cheaper to gather the rest than to convert all n balances.
         held = [balances[v] for v in order] if 2 * len(order) <= n else balances
         stat = IterationStats(played, skipped, inflow, outflow, bank_balance, sum(held))
-        yield stat, held, balances == start
+        yield stat, gini(held, n), balances == start
 
 
-def _kernel_run(graph, strategies, order, rng, cfg, iteration_hook) -> RunResult:
-    """`run` with every pass played by `_pass.c`'s pd_run.
+def _kernel_passes(graph, strategies, order, balances, cfg, rng, hooked):
+    """The pass loop in `_pass.c`, yielding what `_python_passes` yields.
 
-    `order` is the shuffled int64 array and rng the generator after the
-    shuffle. Without a hook, each call plays up to _BLOCK passes and writes
-    their stats and Gini sums, so no buffer grows with cfg.iterations. With
-    one, each call plays one pass, and the Gini is taken by `gini` on the
-    live balances, `held`, which pd_run rewrites after every pass.
+    `order` is the shuffled int64 array, `balances` the int64 array played
+    on, and rng the generator after the shuffle. A call plays one pass when
+    `hooked`, else up to _BLOCK, so no buffer grows with cfg.iterations; no
+    call plays past cfg.iterations.
     """
     n = graph.node_count
     payoff = cfg.payoff
     infinite = cfg.bank is None
-    balances = array("q", [cfg.initial_balance]) * n
     held = array("q", [0]) * n  # cut to the live length of order after each call
     kinds = array("b", strategies)
     last = array("b", [UNRECORDED]) * n
@@ -413,18 +415,16 @@ def _kernel_run(graph, strategies, order, rng, cfg, iteration_hook) -> RunResult
     )
     acc = array("q", [cfg.bank or 0, 0, n, 0])
     mt = array("I", rng.getstate()[1])
-    block = 1 if iteration_hook is not None else min(_BLOCK, cfg.iterations)
+    block = 1 if hooked else min(_BLOCK, cfg.iterations)
     rows = array("q", [0]) * (_STAT_FIELDS * block)
-    sums = None if iteration_hook is not None else array("Q", [0]) * (4 * block)
+    sums = None if hooked else array("Q", [0]) * (4 * block)
     arrays = (graph.offsets, graph.targets, kinds, last, balances, start, params, acc, mt, rows)
     pointers = [a.buffer_info()[0] for a in arrays]  # the arrays stay alive in this frame
     sums_pointer = None if sums is None else sums.buffer_info()[0]
     pd_run = _kernel.load()[0].pd_run
 
-    gini_series: list[float] = []
-    stats: list[IterationStats] = []
-    while len(stats) < cfg.iterations and not acc[_CONVERGED]:
-        limit = min(block, cfg.iterations - len(stats))
+    for done in range(0, cfg.iterations, block):
+        limit = min(block, cfg.iterations - done)
         # order and held are read per call: cutting held may move its buffer
         played = pd_run(limit, order.buffer_info()[0], held.buffer_info()[0], *pointers, sums_pointer)
         if played < 0:
@@ -434,16 +434,15 @@ def _kernel_run(graph, strategies, order, rng, cfg, iteration_hook) -> RunResult
         fields = [rows[f : _STAT_FIELDS * played : _STAT_FIELDS] for f in range(_STAT_FIELDS)]
         if infinite:
             fields[4] = [None] * played  # bank_balance
-        stats.extend(map(IterationStats, *fields))
-        if iteration_hook is None:
-            for w_lo, w_hi, t_lo, t_hi in zip(*(sums[f : 4 * played : 4] for f in range(4))):
-                gini_series.append(gini_of_sums(w_hi << 64 | w_lo, t_hi << 64 | t_lo, n))
+        if hooked:
+            ginis = [gini(held, n)]
         else:
-            gini_series.append(gini(held, n))
-            iteration_hook(len(stats), balances.tolist(), stats[-1].bank_balance)
-
-    converged_at = len(stats) if acc[_CONVERGED] else None
-    return RunResult(gini_series, converged_at, balances.tolist(), stats[-1].bank_balance, stats)
+            ginis = [
+                gini_of_sums(w_hi << 64 | w_lo, t_hi << 64 | t_lo, n)
+                for w_lo, w_hi, t_lo, t_hi in zip(*(sums[f : 4 * played : 4] for f in range(4)))
+            ]
+        converged = [False] * (played - 1) + [bool(acc[_CONVERGED])]
+        yield from zip(map(IterationStats, *fields), ginis, converged)
 
 
 def _fits_int64(n: int, cfg: SimConfig) -> bool:

@@ -18,7 +18,7 @@ import random
 from typing import NamedTuple
 
 from .engine import LIVE, PayoffParams, SimConfig, _Record, shuffle_order, run
-from .errors import ConfigError, PDNetSimError
+from .errors import ConfigError, PDNetSimError, require_int
 from .graph import GRAPH_FORMATS, Graph, degree_ranked_nodes, load_graph
 from .strategies import KIND_LETTERS, LETTER_OF_KIND, AgentKind
 
@@ -34,8 +34,8 @@ class ProportionGroup(_Record):
 
     def __init__(self, defector: int, cooperator: int, tit_for_tat: int, random: int):
         parts = (defector, cooperator, tit_for_tat, random)
-        if any(not isinstance(p, int) or p < 0 for p in parts):
-            raise ConfigError(f"proportions must be non-negative eighths, got {parts}")
+        for name, part in zip(self._fields, parts):
+            require_int(part, f"{name} eighths", 0)
         if sum(parts) != 8:
             raise ConfigError(f"proportions must sum to 8 eighths (100%), got {parts}")
         super().__init__(*parts)
@@ -124,6 +124,10 @@ class NetworkSpec(_Record):
         super().__init__(name, path, fmt)
 
 
+# A suite builds every run's task (some 400 bytes) before the first run plays.
+MAX_SUITE_RUNS = 100_000
+
+
 class SuiteSpec(_Record):
     __slots__ = _fields = (
         "networks",
@@ -154,12 +158,15 @@ class SuiteSpec(_Record):
         wanted = experiment_groups(experiment)[0]
         if not networks or not groups or not banks:
             raise ConfigError("suite requires at least one network, group, and bank setting")
-        if not isinstance(base_seed, int):
-            raise ConfigError(f"base_seed must be an integer, got {base_seed!r}")
-        if not isinstance(replicates, int):
-            raise ConfigError(f"replicates must be an integer, got {replicates!r}")
+        require_int(base_seed, "base_seed")
+        require_int(replicates, "replicates")
         if replicates < 1:
             raise ConfigError(f"replicates must be >= 1, got {replicates!r}")
+        runs = len(networks) * len(groups) * len(banks) * replicates
+        if runs > MAX_SUITE_RUNS:
+            raise ConfigError(
+                f"suite has {runs} runs (networks x groups x banks x replicates), more than {MAX_SUITE_RUNS}"
+            )
         for group in groups:
             if not isinstance(group, wanted):
                 raise ConfigError(

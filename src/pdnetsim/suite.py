@@ -12,7 +12,7 @@ from collections import deque
 
 from . import _kernel, cli, experiments
 from .engine import SimConfig
-from .errors import ConfigError
+from .errors import ConfigError, require_int
 from .experiments import (
     DEFAULT_BANK_SETTINGS,
     BankSetting,
@@ -72,8 +72,7 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
     only the row of the task it was running says so. Raises ConfigError,
     before any run, when `workers` is below 1 or two runs collide.
     """
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+    require_int(workers, "workers", 1)
     tasks = suite_tasks(spec, series_path_for)
     workers = min(workers, len(tasks))  # every worker is forked up front
     if workers > 1:

@@ -319,6 +319,37 @@ def test_suite_rejects_fewer_than_one_worker_before_any_run(suite_config, monkey
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_a_suite_of_too_many_runs_exits_2_before_building_a_task(suite_config, where):
+    # In a process of its own, under a 1 GiB address-space limit and a
+    # timeout, so that a suite which builds its tasks anyway fails the test
+    # with a MemoryError instead of filling the machine's memory.
+    import os
+    import resource
+
+    config_path, out_dir = suite_config
+    huge = "9999999999999999999999999"
+    argv = [sys.executable, "-m", "pdnetsim", "suite", "--config", str(config_path)]
+    if where == "flag":
+        argv += ["--replicates", huge]
+    else:
+        config_path.write_text(config_path.read_text().replace("replicates = 1", f"replicates = {huge}"))
+    env = {key: value for key, value in os.environ.items() if key != "LD_PRELOAD"}  # a sanitizer reserves more
+    limit = (2**30, 2**30)
+    proc = subprocess.run(
+        argv,
+        env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith(f"error: suite has {2 * 7 * 3 * int(huge)} runs "), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("key", ["out", "network"])
 def test_suite_rejects_a_nul_byte_in_a_path_before_any_run(suite_config, monkeypatch, capsys, key):
     config_path, out_dir = suite_config

@@ -865,6 +865,33 @@ def test_kernel_run_with_and_without_a_hook_matches_the_reference(kernel_calls, 
     assert [played for played, _ in kernel_calls] == [1] * executed
 
 
+@pytest.mark.parametrize("iterations, converged_at", [(200, 35), (20, None)], ids=["converges", "stops-at-iterations"])
+def test_the_hook_sees_the_same_passes_on_the_kernel_and_the_python_loop(
+    kernel_calls, monkeypatch, iterations, converged_at
+):
+    g = random_graph(30, 4.0, seed=51)
+    assignment = random.Random(52).choices([D, C, T], k=g.node_count)
+    cfg = SimConfig(iterations=iterations, initial_balance=20, bank=0, seed=53)
+
+    def hooked_run():
+        calls = []
+        result = run(g, assignment, cfg, iteration_hook=lambda *call: calls.append(call))
+        return result, calls
+
+    kernel_result, kernel_hooked = hooked_run()
+    assert passes_played(kernel_calls) == kernel_result.iterations_executed
+    monkeypatch.setattr(_kernel, "load", lambda: (None, "forced"))
+    python_result, python_hooked = hooked_run()
+
+    assert kernel_result == python_result
+    assert kernel_result.converged_at == converged_at
+    assert kernel_hooked == python_hooked
+    iterations, balances, banks = zip(*kernel_hooked)
+    assert iterations == tuple(range(1, kernel_result.iterations_executed + 1))
+    assert all(type(b) is list for b in balances) and balances[-1] == kernel_result.final_balances
+    assert list(banks) == [s.bank_balance for s in kernel_result.iteration_stats]
+
+
 def test_a_run_allocates_no_buffer_by_its_iteration_limit(kernel_calls):
     tracemalloc.start()
     try:

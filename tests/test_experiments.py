@@ -584,6 +584,58 @@ def test_suite_spec_rejects_a_non_integer_replicate_count_or_base_seed(tiny_netw
         SuiteSpec(networks=tiny_networks, experiment=1, groups=EXPERIMENT1_GROUPS, **{field: value})
 
 
+def _one_run_suite(networks, **settings):
+    return SuiteSpec(
+        networks=networks[:1],
+        experiment=1,
+        groups=EXPERIMENT1_GROUPS[:1],
+        banks=DEFAULT_BANK_SETTINGS[:1],
+        **{"iterations": 3, **settings},
+    )
+
+
+_INTEGER_SETTINGS = [
+    *(("SimConfig", name) for name in ("iterations", "initial_balance", "bank", "seed")),
+    *(("PayoffParams", name) for name in PayoffParams._fields),
+    *(("ProportionGroup", name) for name in ProportionGroup._fields),
+    ("SuiteSpec", "base_seed"),
+    ("SuiteSpec", "replicates"),
+    ("run_suite", "workers"),
+]
+
+
+@pytest.mark.parametrize("where, field", _INTEGER_SETTINGS)
+def test_a_bool_is_rejected_where_an_integer_is_expected(tiny_networks, where, field):
+    # True is an int to Python and would play as 1, which each setting
+    # takes; a bool in a config is a mistake, so it is refused.
+    eighths = dict.fromkeys(ProportionGroup._fields, 0)
+    eighths["random" if field == "defector" else "defector"] = 7
+    build = {
+        "SimConfig": lambda value: SimConfig(**{field: value}),
+        "PayoffParams": lambda value: PayoffParams(**{field: value}),
+        "ProportionGroup": lambda value: ProportionGroup(**{**eighths, field: value}),
+        "SuiteSpec": lambda value: _one_run_suite(tiny_networks, **{field: value}),
+        "run_suite": lambda value: run_suite(_one_run_suite(tiny_networks), workers=value),
+    }[where]
+    build(1)
+    with pytest.raises(ConfigError, match=r" must be (an|a positive|a non-negative) integer, got True$"):
+        build(True)
+
+
+def test_a_suite_of_more_runs_than_the_bound_is_a_config_error(tiny_networks):
+    # Every task is built before the first run, so a mistyped replicate
+    # count would fill memory; the spec refuses it instead.
+    from pdnetsim.experiments import MAX_SUITE_RUNS
+
+    per_replicate = len(tiny_networks) * len(EXPERIMENT1_GROUPS) * len(DEFAULT_BANK_SETTINGS)
+    fitting = MAX_SUITE_RUNS // per_replicate
+    SuiteSpec(networks=tiny_networks, experiment=1, groups=EXPERIMENT1_GROUPS, replicates=fitting)
+    for replicates in (fitting + 1, 10**25):
+        runs = per_replicate * replicates
+        with pytest.raises(ConfigError, match=f"suite has {runs} runs .* more than {MAX_SUITE_RUNS}"):
+            SuiteSpec(networks=tiny_networks, experiment=1, groups=EXPERIMENT1_GROUPS, replicates=replicates)
+
+
 @pytest.mark.parametrize("experiment", [1, 2])
 def test_suite_tasks_pickle_and_carry_the_spec_settings(tiny_networks, experiment):
     # Workers inherit the tasks through the fork and pickle only the rows
