@@ -38,10 +38,10 @@
 enum { P_N, P_LIVE, P_INFINITE, P_REWARD, P_PENALTY, P_TRANSFER, P_ACTIONS };
 #define DRAW 2
 
-/* acc, carried from call to call: bank_balance, the payers drained since
- * order was last rebuilt, the length of order, and whether the last pass
- * played left every balance where it started */
-enum { A_BANK, A_DRAINED, A_LIVE, A_CONVERGED };
+/* acc, carried from call to call: bank_balance, the length of order (the
+ * nodes that held capital after the last pass played), and whether that
+ * pass left every balance where it started */
+enum { A_BANK, A_LIVE, A_CONVERGED };
 
 /* One row of pd_run's stats per pass: its counts, the bank balance after it
  * and the sum of the balances of order */
@@ -125,7 +125,7 @@ static int8_t act(const int64_t *params, int8_t kind, int8_t code, struct gen *g
 static int64_t min64(int64_t a, int64_t b) { return a < b ? a : b; }
 
 /* Play one pass over order[0..m) and write its counts to row[S_PLAYED ..
- * S_OUTFLOW], carrying the bank balance and the drained payers in acc.
+ * S_OUTFLOW], carrying the bank balance in acc.
  * Returns 1 when the pass left every balance where it started (the run has
  * converged), else 0. */
 static int play_pass(const int64_t *order, int64_t m, const int64_t *offsets,
@@ -137,8 +137,7 @@ static int play_pass(const int64_t *order, int64_t m, const int64_t *offsets,
                   transfer = params[P_TRANSFER];
     const int infinite = (int)params[P_INFINITE];
     const int64_t *eff = params[P_LIVE] ? bal : start;
-    int64_t bank = acc[A_BANK], played = 0, skipped = n - m, inflow = 0, outflow = 0,
-            drained = acc[A_DRAINED];
+    int64_t bank = acc[A_BANK], played = 0, skipped = n - m, inflow = 0, outflow = 0;
     int64_t i;
 
     memcpy(start, bal, (size_t)n * sizeof *bal);
@@ -165,7 +164,6 @@ static int play_pass(const int64_t *order, int64_t m, const int64_t *offsets,
             t = min64(transfer, eff[payer]);
             bal[payer] = eff[payer] - t;
             bal[payee] = eff[payee] + t;
-            drained += bal[payer] == 0;
         } else if (act_v == 0) { /* both silent: the bank pays both or neither */
             if (infinite || bank >= 2 * reward) {
                 bal[v] = eff[v] + reward;
@@ -178,7 +176,6 @@ static int play_pass(const int64_t *order, int64_t m, const int64_t *offsets,
             t2 = min64(penalty, eff[o]);
             bal[v] = eff[v] - t1;
             bal[o] = eff[o] - t2;
-            drained += (bal[v] == 0) + (bal[o] == 0);
             bank += t1 + t2;
             inflow += t1 + t2;
         }
@@ -187,7 +184,6 @@ static int play_pass(const int64_t *order, int64_t m, const int64_t *offsets,
         played++;
     }
     acc[A_BANK] = bank;
-    acc[A_DRAINED] = drained;
     row[S_PLAYED] = played;
     row[S_SKIPPED] = skipped;
     row[S_INFLOW] = inflow;
@@ -330,12 +326,12 @@ int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
 
 /* Play up to `limit` passes (limit >= 1) of the run whose state the
  * arguments hold, and stop after the first pass that converges. After each
- * pass, once more than an eighth of order has been drained, drop its nodes
- * at zero (in place, keeping the order of the rest); copy the balances of
- * order[0..acc[A_LIVE]) into held; write the pass's row of stats
- * (stats[S_FIELDS * pass ..]); and, when sums is not NULL, the Gini sums
- * of all n balances (sums[4 * pass ..], as pd_gini writes them). Returns
- * the number of passes played, or -2 when the Gini runs out of memory. */
+ * pass, in one walk over order, drop its nodes at zero (in place, keeping
+ * the order of the rest) and copy the balances of the others into held;
+ * write the pass's row of stats (stats[S_FIELDS * pass ..]); and, when
+ * sums is not NULL, the Gini sums of all n balances (sums[4 * pass ..], as
+ * pd_gini writes them). Returns the number of passes played, or -2 when
+ * the Gini runs out of memory. */
 int64_t pd_run(int64_t limit, int64_t *order, int64_t *held, const int64_t *offsets,
                const int32_t *targets, const int8_t *kinds, int8_t *last, int64_t *bal,
                int64_t *start, const int64_t *params, int64_t *acc, uint32_t *mt,
@@ -353,22 +349,22 @@ int64_t pd_run(int64_t limit, int64_t *order, int64_t *held, const int64_t *offs
 
         converged = play_pass(order, m, offsets, targets, kinds, last, bal, start, params, acc,
                               &g, row);
-        if (acc[A_DRAINED] * 8 > m) {
-            for (i = kept = 0; i < m; i++)
-                if (bal[order[i]] != 0)
-                    order[kept++] = order[i];
-            m = kept;
-            acc[A_DRAINED] = 0;
-        }
         min = UINT64_MAX;
         max = 0;
         total = 0;
-        for (i = 0; i < m; i++) {
-            const uint64_t x = (uint64_t)(held[i] = bal[order[i]]);
-            total += held[i];
+        for (i = kept = 0; i < m; i++) {
+            const int64_t v = order[i];
+            const uint64_t x = (uint64_t)bal[v];
+
+            if (x == 0)
+                continue;
+            order[kept] = v;
+            held[kept++] = (int64_t)x;
+            total += (int64_t)x;
             min = x < min ? x : min;
             max = x > max ? x : max;
         }
+        m = kept;
         row[S_BANK] = acc[A_BANK];
         row[S_TOTAL] = total;
         if (sums != NULL)

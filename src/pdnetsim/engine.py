@@ -13,11 +13,12 @@ changes no balance.
 Dead nodes: a zero balance is absorbing under both semantics. A node at
 zero never plays, and a game that samples it is skipped, so nothing can
 pay it again. The engine therefore drops nodes at zero from the turn
-order (rebuilt once about an eighth of it has been drained) and counts
-them as skipped turns. Skipped turns draw nothing, so the draw order and
-every output are unchanged while a pass costs O(live nodes). The Gini is
-taken over the balances of the turn order (by the Python loop only once
-at most half the nodes are alive), with the dead ones as implicit zeros.
+order after every pass, in the walk that gathers the balances of the rest,
+and counts them as skipped turns. Skipped turns draw nothing, so the draw
+order and every output are unchanged while a pass costs O(live nodes).
+The Gini is taken over the balances of the turn order (by the Python loop
+only once at most half the nodes are alive), with the dead ones as
+implicit zeros.
 
 Convergence stays an end-of-pass comparison of all balances with the
 pass's start, not a "some game changed a balance" flag: a pass can move
@@ -97,7 +98,7 @@ BALANCE_SEMANTICS = (LIVE, SNAPSHOT)
 _DRAW = 2  # _pass.c's DRAW: the kernel's spelling of a None entry of ACTIONS
 _BLOCK = 1000  # passes per pd_run call without a hook: its buffers hold this many rows
 _STAT_FIELDS = 6  # _pass.c's S_FIELDS: one row of IterationStats
-_LIVE, _CONVERGED = 2, 3  # _pass.c's A_LIVE and A_CONVERGED slots of acc
+_LIVE, _CONVERGED, _ACC_SLOTS = 1, 2, 3  # _pass.c's A_LIVE and A_CONVERGED slots of acc, and its length
 _INT64_LIMIT = 2**63
 
 
@@ -334,7 +335,6 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
     bank_balance = cfg.bank
     live = cfg.balance_semantics == LIVE
     rng_random = rng.random
-    drained = 0  # payers left at zero since order was last rebuilt
 
     while True:
         start = balances[:]
@@ -369,7 +369,6 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
             if dv:  # payoffs are positive, so only a blocked payout moves nothing
                 balances[v] = effective[v] + dv
                 balances[o] = effective[o] + do
-                drained += (not balances[v]) + (not balances[o])
                 if bank_balance is not None:
                     bank_balance += dbank
                 if dbank > 0:
@@ -381,9 +380,7 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
             last[o] = act_o
             played += 1
 
-        if drained * 8 > len(order):
-            order = [v for v in order if balances[v]]
-            drained = 0
+        order = [v for v in order if balances[v]]
         # Every node outside order is at zero, so below half alive it is
         # cheaper to gather the rest than to convert all n balances.
         held = [balances[v] for v in order] if 2 * len(order) <= n else balances
@@ -402,7 +399,7 @@ def _kernel_passes(graph, strategies, order, balances, cfg, rng, hooked):
     n = graph.node_count
     payoff = cfg.payoff
     infinite = cfg.bank is None
-    held = array("q", [0]) * n  # cut to the live length of order after each call
+    held = array("q", [0]) * n  # its first acc[_LIVE] entries: the balances of order
     kinds = array("b", strategies)
     last = array("b", [UNRECORDED]) * n
     start = array("q", [0]) * n
@@ -413,29 +410,26 @@ def _kernel_passes(graph, strategies, order, balances, cfg, rng, hooked):
         + [payoff.coop_reward, payoff.defect_penalty, payoff.betrayal_transfer]
         + [_DRAW if action is None else action for row in ACTIONS for action in row],
     )
-    acc = array("q", [cfg.bank or 0, 0, n, 0])
+    acc = array("q", [cfg.bank or 0, n, 0])
     mt = array("I", rng.getstate()[1])
     block = 1 if hooked else min(_BLOCK, cfg.iterations)
     rows = array("q", [0]) * (_STAT_FIELDS * block)
     sums = None if hooked else array("Q", [0]) * (4 * block)
-    arrays = (graph.offsets, graph.targets, kinds, last, balances, start, params, acc, mt, rows)
+    arrays = (order, held, graph.offsets, graph.targets, kinds, last, balances, start, params, acc, mt, rows)
     pointers = [a.buffer_info()[0] for a in arrays]  # the arrays stay alive in this frame
     sums_pointer = None if sums is None else sums.buffer_info()[0]
     pd_run = _kernel.load()[0].pd_run
 
     for done in range(0, cfg.iterations, block):
         limit = min(block, cfg.iterations - done)
-        # order and held are read per call: cutting held may move its buffer
-        played = pd_run(limit, order.buffer_info()[0], held.buffer_info()[0], *pointers, sums_pointer)
+        played = pd_run(limit, *pointers, sums_pointer)
         if played < 0:
             raise MemoryError("pd_run could not allocate a Gini buffer")
-        if len(held) != acc[_LIVE]:
-            del held[acc[_LIVE] :]
         fields = [rows[f : _STAT_FIELDS * played : _STAT_FIELDS] for f in range(_STAT_FIELDS)]
         if infinite:
             fields[4] = [None] * played  # bank_balance
         if hooked:
-            ginis = [gini(held, n)]
+            ginis = [gini(held[: acc[_LIVE]], n)]
         else:
             ginis = [
                 gini_of_sums(w_hi << 64 | w_lo, t_hi << 64 | t_lo, n)

@@ -101,10 +101,10 @@ class Timed:
         )
         self.seconds += time.perf_counter() - began
         n = ctypes.c_int64.from_address(params).value
-        live = ctypes.c_int64.from_address(acc + 16).value  # acc[A_LIVE]
+        live = ctypes.c_int64.from_address(acc + 8 * engine._LIVE).value  # acc[A_LIVE]
         rows = max(played, 0)
         self._hash(
-            (order, 8 * live), (held, 8 * live), (bal, 8 * n), (last, n), (acc, 4 * 8), (mt, 4 * 625),
+            (order, 8 * live), (held, 8 * live), (bal, 8 * n), (last, n), (acc, 8 * engine._ACC_SLOTS), (mt, 4 * 625),
             (stats, 6 * 8 * rows), (sums, 4 * 8 * rows if sums else 0),
         )
         self.digest.update(played.to_bytes(8, "little", signed=True))

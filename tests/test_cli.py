@@ -1,4 +1,5 @@
 import ast
+import random
 import subprocess
 import sys
 import textwrap
@@ -162,6 +163,74 @@ def test_missing_required_key_rejected(tmp_path, capsys):
     assert "missing required" in err
 
 
+def _append(line):
+    return lambda text: text + line + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, edit, code, message",
+    [
+        ("run", _append("iterations 5"), EXIT_CONFIG, "line 11: expected 'key = value'"),
+        ("run", _append("= 5"), EXIT_CONFIG, "line 11: empty key or value"),
+        ("run", _append("iterations ="), EXIT_CONFIG, "line 11: empty key or value"),
+        ("run", _append("seed = 6"), EXIT_CONFIG, "config key 'seed' given 2 times"),
+        (
+            "run",
+            lambda text: text.replace("iterations = 1000", "iterations = many"),
+            EXIT_CONFIG,
+            "config key 'iterations' must be an integer, got 'many'",
+        ),
+        (
+            "run",
+            lambda text: text.replace("group = 0:8:0:0", "group = 1:2:5"),
+            EXIT_CONFIG,
+            "expected D:C:T:R eighths like '3:1:2:2', got '1:2:5'",
+        ),
+        (
+            "run",
+            lambda text: text.replace("experiment = 1", "experiment = 2").replace("0:8:0:0", "C,X,D"),
+            EXIT_CONFIG,
+            "expected a permutation of D,C,T like 'C,T,D', got 'C,X,D'",
+        ),
+        ("suite", _append("network = gamma snap"), EXIT_CONFIG, "network entry must be 'NAME FORMAT PATH'"),
+        ("suite", lambda text: text.replace("banks = default", "banks = ,"), EXIT_CONFIG, "banks list is empty"),
+        ("plot", "iter,value\n1,0.5\n", EXIT_PARSE, "missing 'iteration'/'gini' columns"),
+        ("plot", "iteration,gini\n1,0.5\n2\n", EXIT_PARSE, "line 3: malformed series row"),
+        ("plot", "iteration,gini\n", EXIT_PARSE, "series CSV holds no data rows"),
+    ],
+    ids=[
+        "no-equals-sign",
+        "empty-key",
+        "empty-value",
+        "key-given-twice",
+        "non-integer-iterations",
+        "bad-proportion-group",
+        "bad-degree-group",
+        "malformed-network",
+        "empty-banks",
+        "plot-without-columns",
+        "plot-malformed-row",
+        "plot-header-only",
+    ],
+)
+def test_a_bad_input_exits_with_its_code_and_one_error_line(request, tmp_path, command, edit, code, message):
+    # Through `python -m pdnetsim`, as a user runs it: the exit code the
+    # module docstring documents, one error line and no traceback.
+    if command == "plot":
+        series = tmp_path / "series.csv"
+        series.write_text(edit)
+        argv = ["plot", str(series), "--out", str(tmp_path / "chart.svg")]
+    else:
+        config_path, _ = request.getfixturevalue({"run": "two_node_run", "suite": "suite_config"}[command])
+        config_path.write_text(edit(config_path.read_text()))
+        argv = [command, "--config", str(config_path)]
+    proc = subprocess.run([sys.executable, "-m", "pdnetsim", *argv], capture_output=True, text=True)
+    assert proc.returncode == code
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0], proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("key", ["graph", "out"])
 def test_run_rejects_a_nul_byte_in_a_path_before_the_load(two_node_run, monkeypatch, capsys, key):
     from pdnetsim import cli
@@ -222,6 +291,51 @@ def _write_network(tmp_path, name, seed):
     return path
 
 
+def _experiment_2_config(tmp_path, graph_path):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        textwrap.dedent(
+            f"""\
+            graph = {graph_path}
+            graph_format = snap
+            experiment = 2
+            group = C,T,D
+            bank = 50
+            iterations = 30
+            initial_balance = 10
+            seed = 9
+            out = {tmp_path / 'out'}
+            """
+        )
+    )
+    return config_path
+
+
+def test_run_experiment_2_assigns_kinds_by_degree(tmp_path):
+    from pdnetsim import DegreeGroup, assign_by_degree, derive_seed, load_graph, run
+    from pdnetsim.engine import SimConfig
+    from pdnetsim.output import write_gini_series_csv
+
+    graph_path = _write_network(tmp_path, "g", 3)
+    graph = load_graph(str(graph_path), "snap")
+    assert graph.node_count >= 12
+    assignment = assign_by_degree(graph, DegreeGroup.parse("C,T,D"), random.Random(derive_seed(9, "assign")))
+    expected = tmp_path / "expected.csv"
+    write_gini_series_csv(str(expected), run(graph, assignment, SimConfig(30, 10, bank=50, seed=9)))
+
+    assert main(["run", "--config", str(_experiment_2_config(tmp_path, graph_path))]) == EXIT_OK
+    assert (tmp_path / "out" / "gini_series.csv").read_bytes() == expected.read_bytes()
+
+
+def test_run_experiment_2_on_fewer_than_12_nodes_is_a_config_error(tmp_path, capsys):
+    graph_path = tmp_path / "path.txt"
+    graph_path.write_text("".join(f"{v} {v + 1}\n" for v in range(10)))  # 11 nodes
+    assert main(["run", "--config", str(_experiment_2_config(tmp_path, graph_path))]) == EXIT_CONFIG
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: degree-ranked assignment needs at least 12 nodes, got 11"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture
 def suite_config(tmp_path):
     alpha = _write_network(tmp_path, "alpha", 1)
@@ -268,6 +382,24 @@ def test_suite_rerun_is_byte_identical(suite_config, tmp_path):
     assert (out_dir / "suite_summary.csv").read_bytes() == (other_dir / "suite_summary.csv").read_bytes()
     sample = "alpha__1-3-2-2__b10000__r0.csv"
     assert (out_dir / "runs" / sample).read_bytes() == (other_dir / "runs" / sample).read_bytes()
+
+
+@pytest.mark.parametrize("verbose", [True, False], ids=["verbose", "quiet"])
+def test_suite_verbose_reports_each_run_in_task_order(suite_config, capsys, verbose):
+    from pdnetsim import DEFAULT_BANK_SETTINGS, EXPERIMENT1_GROUPS
+
+    config_path, _ = suite_config
+    argv = ["suite", "--config", str(config_path), "--workers", "1"]
+    assert main(argv + ["--verbose"] * verbose) == EXIT_OK
+    keys = [
+        (network, group.label, bank.label)
+        for network in ("alpha", "beta")
+        for group in EXPERIMENT1_GROUPS
+        for bank in DEFAULT_BANK_SETTINGS
+    ]
+    expected = [f"[{k}/{len(keys)}] {net} {group} b={bank} r0: ok" for k, (net, group, bank) in enumerate(keys, 1)]
+    lines = [line for line in capsys.readouterr().err.splitlines() if line != FALLBACK_NOTE.strip()]
+    assert lines == (expected if verbose else [])
 
 
 def _runs_started(monkeypatch):

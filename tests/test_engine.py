@@ -764,7 +764,11 @@ def test_kernel_draws_alike_at_the_edges_of_a_generator_block(kernel_calls, n, s
     assert passes_played(kernel_calls) == result.iterations_executed == 20
 
 
-def test_kernel_drops_drained_nodes_and_hands_the_gini_the_live_balances(kernel_calls, monkeypatch):
+def run_draining_under_a_hook(monkeypatch):
+    """(handed, ends, holders, n) of a run that drains most of its nodes,
+    played under a hook: the balances each pass hands engine.gini, the
+    balances after each pass, and the non-zero ones among them in turn
+    order."""
     from pdnetsim import engine
 
     rng = random.Random(31)
@@ -772,18 +776,32 @@ def test_kernel_drops_drained_nodes_and_hands_the_gini_the_live_balances(kernel_
     assignment = rng.choices([D, C, T, R], weights=[5, 1, 1, 1], k=g.node_count)
     cfg = SimConfig(iterations=80, initial_balance=6, bank=0, seed=33)
     handed = []
-    monkeypatch.setattr(engine, "gini", lambda held, n: handed.append(held.tolist()) or gini(held, n))
+    monkeypatch.setattr(engine, "gini", lambda held, n: handed.append(list(held)) or gini(held, n))
     ends = []
     run(g, assignment, cfg, iteration_hook=lambda iteration, balances, bank: ends.append(balances))
+    order = shuffle_order(range(g.node_count), random.Random(cfg.seed))
+    holders = [[end[v] for v in order if end[v]] for end in ends]
+    assert len(handed) == len(ends) > 1
+    assert 2 * len(holders[-1]) < g.node_count  # most nodes drained
+    return handed, ends, holders, g.node_count
+
+
+def test_kernel_drops_drained_nodes_and_hands_the_gini_the_live_balances(kernel_calls, monkeypatch):
+    handed, ends, holders, n = run_draining_under_a_hook(monkeypatch)
 
     assert all(played == 1 for played, _ in kernel_calls)  # a hook gets every pass
-    lengths = [m for _, m in kernel_calls]
-    assert lengths[0] == g.node_count
-    assert lengths[-1] < g.node_count // 2  # the order was rebuilt
-    for previous, m, held, end in zip(lengths, lengths[1:], handed, ends):
-        alive = sorted(b for b in end if b)
-        assert len(held) == m and sorted(b for b in held if b) == alive
-        assert m == previous or m == len(alive)  # a rebuild keeps exactly the holders
+    # After every pass the order holds exactly the holders, in turn order:
+    # acc[A_LIVE] counts them and held gathers their balances.
+    assert [m for _, m in kernel_calls] == [n] + [len(live) for live in holders[:-1]]
+    assert handed == holders
+
+
+def test_python_loop_drops_drained_nodes_and_hands_the_gini_the_live_balances(python_loop, monkeypatch):
+    handed, ends, holders, n = run_draining_under_a_hook(monkeypatch)
+
+    # At most half alive, the gini gets the holders' balances in turn
+    # order; above that, all n balances.
+    assert handed == [live if 2 * len(live) <= n else end for live, end in zip(holders, ends)]
 
 
 @pytest.mark.parametrize("initial_balance, kernel_passes", [(2**62 - 3, 1), (2**62 - 2, 0)])
