@@ -13,9 +13,11 @@
  *
  * Every draw comes from a copy of the run's MT19937 state (CPython's
  * generator, words 0..623 plus the index in word 624). pd_shuffle draws the
- * node-order shuffle from it as random.Random.randrange would; the caller
- * writes the state back into the generator, and hands the same state to
- * pd_run, which carries it from call to call. For the length of a call the
+ * node-order shuffle from it as random.Random.randrange would, and a run
+ * hands the same state on to pd_run, which carries it from call to call; a
+ * run never writes it back into its generator. engine.shuffle_order, which
+ * calls pd_shuffle alone, writes the state back, so the generator goes on
+ * where the Python shuffle would leave it. For the length of a call the
  * generator lives in a local struct that holds the current block's 624
  * tempered outputs, so a draw is one load.
  *

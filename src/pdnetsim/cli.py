@@ -200,6 +200,7 @@ def cmd_suite(args) -> int:
 def cmd_plot(args) -> int:
     from .plotting import render_line_chart  # only plot pays for it and its html import
 
+    _check_outputs(os.path.dirname(args.out), args.out)
     series = []
     for path in args.series:
         xs, ys = read_gini_series_csv(path)
@@ -213,6 +214,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    _check_outputs(os.path.dirname(args.out), args.out)
     graph = load_graph(args.input, args.format)
     with _write_atomically(args.out) as handle:
         write_edge_list(graph, handle)

@@ -16,9 +16,8 @@ pay it again. The engine therefore drops nodes at zero from the turn
 order after every pass, in the walk that gathers the balances of the rest,
 and counts them as skipped turns. Skipped turns draw nothing, so the draw
 order and every output are unchanged while a pass costs O(live nodes).
-The Gini is taken over the balances of the turn order (by the Python loop
-only once at most half the nodes are alive), with the dead ones as
-implicit zeros.
+The Gini is taken over the balances of the turn order, with the dead ones
+as implicit zeros.
 
 Convergence stays an end-of-pass comparison of all balances with the
 pass's start, not a "some game changed a balance" flag: a pass can move
@@ -70,14 +69,16 @@ end, and the Gini is taken by ``gini`` (this module's attribute, looked up
 at call time) on the live balances the kernel gathered, as the Python loop
 does.
 
-The shuffle runs in C too (``pd_shuffle``) when the generator is a plain
-``random.Random`` and the ids are ``range(n)``: it draws each
-``randrange(i + 1)`` as CPython does, from a copy of the generator's
-MT19937 state (624 words and the index, from ``getstate()``), which is
-then written back, so later draws are unchanged. ``pd_run`` carries on
-from that state and reproduces CPython's ``random()`` draw for draw. The
-kernel is compiled on first use (by ``load_graph`` or ``run``), not at
-import, so importing the package never starts a compiler.
+A kernel run shuffles in C too (``pd_shuffle``): it copies the
+generator's MT19937 state (624 words and the index, from ``getstate()``)
+once, draws each ``randrange(i + 1)`` from it as CPython does, and
+``pd_run`` carries on from that same copy, reproducing CPython's
+``random()`` draw for draw. The copy is never written back, since
+nothing else draws from the run's generator. ``shuffle_order`` takes the same C shuffle for
+``range(n)`` and a plain ``random.Random``, and writes the state back. The
+kernel is compiled on first use (by ``load_graph``, ``run`` or
+``shuffle_order``), not at import, so importing the package never starts
+a compiler.
 """
 
 import operator
@@ -86,7 +87,7 @@ from array import array
 from typing import NamedTuple
 
 from . import _kernel
-from .errors import ConfigError, require_int
+from .errors import ConfigError, require_int, require_type
 from .graph import Graph
 from .metrics import gini, gini_of_sums
 from .strategies import ACTIONS, UNRECORDED
@@ -171,6 +172,7 @@ class SimConfig(_Record):
     ):
         require_int(iterations, "iterations", 1)
         require_int(initial_balance, "initial_balance", 1)
+        require_type(payoff, PayoffParams, "payoff")
         if bank is not None:
             require_int(bank, "finite bank balance", 0)
         require_int(seed, "seed")
@@ -213,40 +215,26 @@ def shuffle_order(node_ids, rng: random.Random) -> list[int]:
 
     Spelled out (rather than rng.shuffle) so the draw order is pinned by
     this package, not by stdlib internals: one rng.randrange(i + 1) per
-    position i from len-1 down to 1. For ``range(n)`` and a plain
-    ``random.Random`` the kernel makes the same draws (`_shuffled_range`).
+    position i from len-1 down to 1. For ``range(n)`` from 0 with n < 2**32,
+    when the kernel loads and rng is exactly a random.Random (a subclass may
+    draw otherwise) with a version-3 state, `_pass.c` makes the same draws
+    from a copy of the state, which is then written back, so rng goes on
+    exactly where the Python shuffle would leave it.
     """
-    if type(node_ids) is range and node_ids == range(len(node_ids)):
-        shuffled = _shuffled_range(len(node_ids), rng)
-        if shuffled is not None:
-            return shuffled.tolist()
+    n = len(node_ids)
+    if type(node_ids) is range and node_ids == range(n) and type(rng) is random.Random and n < 2**32:
+        kernel = _kernel.load()[0]
+        version, words, gauss_next = rng.getstate()
+        if kernel is not None and version == 3:
+            order = array("q", [0]) * n
+            mt = array("I", words)
+            kernel.pd_shuffle(order.buffer_info()[0], n, mt.buffer_info()[0])
+            rng.setstate((version, tuple(mt), gauss_next))
+            return order.tolist()
     order = list(node_ids)
-    for i in range(len(order) - 1, 0, -1):
+    for i in range(n - 1, 0, -1):
         j = rng.randrange(i + 1)
         order[i], order[j] = order[j], order[i]
-    return order
-
-
-def _shuffled_range(n: int, rng: random.Random) -> array | None:
-    """shuffle_order(range(n), rng) as an int64 array, shuffled by `_pass.c`.
-
-    None, drawing nothing, unless the kernel loads and rng is exactly a
-    random.Random (a subclass may draw otherwise) with a version-3 state.
-    The kernel draws from a copy of the state, which is then written back,
-    so rng goes on exactly where the Python shuffle would leave it.
-    """
-    if type(rng) is not random.Random or n >= 2**32:
-        return None
-    kernel = _kernel.load()[0]
-    if kernel is None:
-        return None
-    version, words, gauss_next = rng.getstate()
-    if version != 3:
-        return None
-    order = array("q", [0]) * n
-    mt = array("I", words)
-    kernel.pd_shuffle(order.buffer_info()[0], n, mt.buffer_info()[0])
-    rng.setstate((version, tuple(mt), gauss_next))
     return order
 
 
@@ -296,13 +284,12 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
     n = graph.node_count
     strategies = _strategy_codes(n, assignment)
     rng = random.Random(cfg.seed)
-    shuffled = _shuffled_range(n, rng)
-    if shuffled is not None and _fits_int64(n, cfg):
+    if _kernel.load()[0] is not None and _fits_int64(n, cfg):
         balances = array("q", [cfg.initial_balance]) * n
         copy = balances.tolist
-        passes = _kernel_passes(graph, strategies, shuffled, balances, cfg, rng, iteration_hook is not None)
+        passes = _kernel_passes(graph, strategies, balances, cfg, rng, iteration_hook is not None)
     else:
-        order = shuffle_order(range(n), rng) if shuffled is None else shuffled.tolist()
+        order = shuffle_order(range(n), rng)
         balances = [cfg.initial_balance] * n
         copy = balances.copy
         passes = _python_passes(graph.adjacency, strategies, order, balances, cfg, rng)
@@ -381,24 +368,24 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
             played += 1
 
         order = [v for v in order if balances[v]]
-        # Every node outside order is at zero, so below half alive it is
-        # cheaper to gather the rest than to convert all n balances.
-        held = [balances[v] for v in order] if 2 * len(order) <= n else balances
+        held = [balances[v] for v in order]
         stat = IterationStats(played, skipped, inflow, outflow, bank_balance, sum(held))
         yield stat, gini(held, n), balances == start
 
 
-def _kernel_passes(graph, strategies, order, balances, cfg, rng, hooked):
+def _kernel_passes(graph, strategies, balances, cfg, rng, hooked):
     """The pass loop in `_pass.c`, yielding what `_python_passes` yields.
 
-    `order` is the shuffled int64 array, `balances` the int64 array played
-    on, and rng the generator after the shuffle. A call plays one pass when
-    `hooked`, else up to _BLOCK, so no buffer grows with cfg.iterations; no
-    call plays past cfg.iterations.
+    `balances` is the int64 array played on, and rng the run's fresh
+    generator: one copy of its state shuffles the order and is drawn from
+    by every pass. A call plays one pass when `hooked`, else up to _BLOCK,
+    so no buffer grows with cfg.iterations; no call plays past
+    cfg.iterations.
     """
     n = graph.node_count
     payoff = cfg.payoff
     infinite = cfg.bank is None
+    order = array("q", [0]) * n
     held = array("q", [0]) * n  # its first acc[_LIVE] entries: the balances of order
     kinds = array("b", strategies)
     last = array("b", [UNRECORDED]) * n
@@ -418,7 +405,9 @@ def _kernel_passes(graph, strategies, order, balances, cfg, rng, hooked):
     arrays = (order, held, graph.offsets, graph.targets, kinds, last, balances, start, params, acc, mt, rows)
     pointers = [a.buffer_info()[0] for a in arrays]  # the arrays stay alive in this frame
     sums_pointer = None if sums is None else sums.buffer_info()[0]
-    pd_run = _kernel.load()[0].pd_run
+    kernel = _kernel.load()[0]
+    kernel.pd_shuffle(order.buffer_info()[0], n, mt.buffer_info()[0])  # in the state pd_run goes on from
+    pd_run = kernel.pd_run
 
     for done in range(0, cfg.iterations, block):
         limit = min(block, cfg.iterations - done)
@@ -440,7 +429,8 @@ def _kernel_passes(graph, strategies, order, balances, cfg, rng, hooked):
 
 
 def _fits_int64(n: int, cfg: SimConfig) -> bool:
-    """Whether no balance, bank balance or flow of the run can leave int64.
+    """Whether no balance, bank balance or flow of the run can leave int64,
+    and n is below 2**32, which `pd_shuffle` draws its indices under.
 
     Live runs conserve capital against a finite bank; snapshot runs can
     create some (a node's losses in a pass are overwritten by its last
@@ -449,7 +439,7 @@ def _fits_int64(n: int, cfg: SimConfig) -> bool:
     """
     payoff = cfg.payoff
     largest = max(payoff.coop_reward, payoff.defect_penalty, payoff.betrayal_transfer)
-    return n * cfg.initial_balance + (cfg.bank or 0) + 2 * n * cfg.iterations * largest < _INT64_LIMIT
+    return n < 2**32 and n * cfg.initial_balance + (cfg.bank or 0) + 2 * n * cfg.iterations * largest < _INT64_LIMIT
 
 
 def _strategy_codes(node_count: int, assignment) -> bytes:

@@ -27,3 +27,9 @@ def require_int(value, name: str, least: int | None = None) -> None:
     """
     if type(value) is bool or not isinstance(value, int) or (least is not None and value < least):
         raise ConfigError(f"{name} must be {_INT_KINDS[least]}, got {value!r}")
+
+
+def require_type(value, kind: type, name: str) -> None:
+    """Raise ConfigError unless value is a `kind`, such as a record nested in another."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")

@@ -18,7 +18,7 @@ import random
 from typing import NamedTuple
 
 from .engine import LIVE, PayoffParams, SimConfig, _Record, shuffle_order, run
-from .errors import ConfigError, PDNetSimError, require_int
+from .errors import ConfigError, PDNetSimError, require_int, require_type
 from .graph import GRAPH_FORMATS, Graph, degree_ranked_nodes, load_graph
 from .strategies import KIND_LETTERS, LETTER_OF_KIND, AgentKind
 
@@ -158,6 +158,10 @@ class SuiteSpec(_Record):
         wanted = experiment_groups(experiment)[0]
         if not networks or not groups or not banks:
             raise ConfigError("suite requires at least one network, group, and bank setting")
+        for network in networks:
+            require_type(network, NetworkSpec, "each network")
+        for setting in banks:
+            require_type(setting, BankSetting, "each bank setting")
         require_int(base_seed, "base_seed")
         require_int(replicates, "replicates")
         if replicates < 1:

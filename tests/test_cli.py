@@ -531,6 +531,26 @@ def test_run_summary_taken_by_a_directory_fails_before_the_run(two_node_run, cap
     assert not (out_dir / "gini_series.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["convert", "plot"])
+def test_an_output_taken_by_a_directory_fails_before_any_load(tmp_path, monkeypatch, capsys, command):
+    # The error names --out, not the temporary file written next to it.
+    from pdnetsim import cli
+
+    loaded = []
+    monkeypatch.setattr(cli, "load_graph", lambda *args: loaded.append(args))
+    monkeypatch.setattr(cli, "read_gini_series_csv", lambda *args: loaded.append(args))
+    source = tmp_path / "input.txt"
+    source.write_text("0 1\n")
+    out = tmp_path / "adir"
+    out.mkdir()
+    argv = ["convert", str(source), "--format", "snap"] if command == "convert" else ["plot", str(source)]
+    assert main([*argv, "--out", str(out)]) == EXIT_IO
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: [Errno 21] Is a directory: '{out}'"]
+    assert loaded == []
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "networks, banks, message",
     [

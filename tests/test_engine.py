@@ -165,20 +165,19 @@ def test_shuffle_positions_uniform_within_3_sigma():
 
 
 @pytest.mark.parametrize("sizes", [range(701), range(1000, 1301)], ids=["0-700", "1000-1300"])
-def test_kernel_shuffle_draws_as_the_python_shuffle(kernel, sizes):
+def test_kernel_shuffle_draws_as_the_python_shuffle(kernel, monkeypatch, sizes):
     # The generators go on from n to n, so the shuffles start at every index
     # of the MT19937 block, and the next random() checks the state handed back.
-    from pdnetsim import engine
-
+    shuffled = []
+    counted = SimpleNamespace(pd_shuffle=lambda order, n, mt: shuffled.append(n) or kernel.pd_shuffle(order, n, mt))
+    monkeypatch.setattr(_kernel, "load", lambda: (counted, None))
     for seed in (3, 2**40 + 1):
         kernel_rng, python_rng = random.Random(seed), random.Random(seed)
         for n in sizes:
-            shuffled = engine._shuffled_range(n, kernel_rng)
-            assert shuffled is not None
-            assert shuffled.tolist() == shuffle_order(list(range(n)), python_rng), n
+            # a range goes to the kernel and comes back a list; a list does not
+            assert shuffle_order(range(n), kernel_rng) == shuffle_order(list(range(n)), python_rng), n
             assert kernel_rng.random() == python_rng.random(), n
-    # shuffle_order hands a range to the kernel and returns a list
-    assert shuffle_order(range(999), random.Random(7)) == shuffle_order(list(range(999)), random.Random(7))
+    assert shuffled == [*sizes, *sizes]
 
 
 def test_a_random_subclass_that_draws_otherwise_takes_the_python_shuffle(kernel):
@@ -765,10 +764,9 @@ def test_kernel_draws_alike_at_the_edges_of_a_generator_block(kernel_calls, n, s
 
 
 def run_draining_under_a_hook(monkeypatch):
-    """(handed, ends, holders, n) of a run that drains most of its nodes,
-    played under a hook: the balances each pass hands engine.gini, the
-    balances after each pass, and the non-zero ones among them in turn
-    order."""
+    """(handed, holders, n) of a run that drains most of its nodes, played
+    under a hook: the balances each pass hands engine.gini, and the non-zero
+    balances after each pass in turn order."""
     from pdnetsim import engine
 
     rng = random.Random(31)
@@ -783,25 +781,48 @@ def run_draining_under_a_hook(monkeypatch):
     holders = [[end[v] for v in order if end[v]] for end in ends]
     assert len(handed) == len(ends) > 1
     assert 2 * len(holders[-1]) < g.node_count  # most nodes drained
-    return handed, ends, holders, g.node_count
+    assert 2 * len(holders[0]) > g.node_count  # most alive after the first pass
+    return handed, holders, g.node_count
 
 
-def test_kernel_drops_drained_nodes_and_hands_the_gini_the_live_balances(kernel_calls, monkeypatch):
-    handed, ends, holders, n = run_draining_under_a_hook(monkeypatch)
+@pytest.mark.parametrize("passes", ["kernel_calls", "python_loop"])
+def test_both_loops_drop_drained_nodes_and_hand_the_gini_the_live_balances(request, passes, monkeypatch):
+    calls = request.getfixturevalue(passes)  # the kernel's (passes, order length) per call, or None
+    handed, holders, n = run_draining_under_a_hook(monkeypatch)
 
-    assert all(played == 1 for played, _ in kernel_calls)  # a hook gets every pass
-    # After every pass the order holds exactly the holders, in turn order:
-    # acc[A_LIVE] counts them and held gathers their balances.
-    assert [m for _, m in kernel_calls] == [n] + [len(live) for live in holders[:-1]]
+    # After every pass the gini gets exactly the holders' balances, in turn order.
     assert handed == holders
+    if passes == "kernel_calls":
+        assert all(played == 1 for played, _ in calls)  # a hook gets every pass
+        # and the order holds exactly the holders: acc[A_LIVE] counts them
+        assert [m for _, m in calls] == [n] + [len(live) for live in holders[:-1]]
 
 
-def test_python_loop_drops_drained_nodes_and_hands_the_gini_the_live_balances(python_loop, monkeypatch):
-    handed, ends, holders, n = run_draining_under_a_hook(monkeypatch)
+def test_a_kernel_run_shuffles_in_the_generator_copy_its_passes_draw_from(kernel, monkeypatch):
+    # One getstate, no setstate: pd_shuffle and then pd_run draw from one
+    # mt buffer, which is never written back into the run's generator.
+    calls = []
+    counted = SimpleNamespace(
+        pd_shuffle=lambda order, n, mt: calls.append(("pd_shuffle", mt)) or kernel.pd_shuffle(order, n, mt),
+        pd_run=lambda *args: calls.append(("pd_run", args[11])) or kernel.pd_run(*args),  # args[11]: mt
+    )
+    monkeypatch.setattr(_kernel, "load", lambda: (counted, None))
+    for name in ("getstate", "setstate"):
+        method = getattr(random.Random, name)
+        counting = lambda self, *args, name=name, method=method: calls.append((name, None)) or method(self, *args)
+        monkeypatch.setattr(random.Random, name, counting)
+    g = random_graph(60, 4.0, seed=2)
+    assignment = random_assignment(g.node_count, random.Random(4))
+    cfg = SimConfig(iterations=5, bank=None, seed=3)
 
-    # At most half alive, the gini gets the holders' balances in turn
-    # order; above that, all n balances.
-    assert handed == [live if 2 * len(live) <= n else end for live, end in zip(holders, ends)]
+    result = run(g, assignment, cfg)
+    assert [name for name, _ in calls] == ["getstate", "pd_shuffle", "pd_run"]
+    assert calls[1][1] == calls[2][1]
+    monkeypatch.undo()
+    ginis, balances, bank_end, converged, stats = reference_run(g, assignment, cfg)
+    assert result.gini_series == ginis
+    assert result.final_balances == balances
+    assert as_stat_tuples(result) == stats
 
 
 @pytest.mark.parametrize("initial_balance, kernel_passes", [(2**62 - 3, 1), (2**62 - 2, 0)])

@@ -584,6 +584,28 @@ def test_suite_spec_rejects_a_non_integer_replicate_count_or_base_seed(tiny_netw
         SuiteSpec(networks=tiny_networks, experiment=1, groups=EXPERIMENT1_GROUPS, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "record, settings, message",
+    [
+        ("SimConfig", {"payoff": None}, "payoff must be a PayoffParams, got None"),
+        ("SimConfig", {"payoff": (1, 2, 3)}, "payoff must be a PayoffParams, got (1, 2, 3)"),
+        ("SuiteSpec", {"payoff": None}, "payoff must be a PayoffParams, got None"),
+        ("SuiteSpec", {"banks": (0, None)}, "each bank setting must be a BankSetting, got 0"),
+        ("SuiteSpec", {"networks": ("g",)}, "each network must be a NetworkSpec, got 'g'"),
+    ],
+    ids=["config-payoff-none", "config-payoff-tuple", "suite-payoff-none", "suite-bank-none", "suite-network-name"],
+)
+def test_records_refuse_a_wrongly_typed_nested_record(tiny_networks, record, settings, message):
+    # Refused when the record is built, naming the field: these used to
+    # construct and fail later with an AttributeError in run or run_suite.
+    with pytest.raises(ConfigError) as raised:
+        if record == "SimConfig":
+            SimConfig(**settings)
+        else:
+            SuiteSpec(**{"networks": tiny_networks, "experiment": 1, "groups": EXPERIMENT1_GROUPS, **settings})
+    assert str(raised.value) == message
+
+
 def _one_run_suite(networks, **settings):
     return SuiteSpec(
         networks=networks[:1],
