@@ -1,4 +1,4 @@
-"""Build and load the compiled engine passes, shuffle, Gini and edge-list reader (`_pass.c`) on first use.
+"""Build and load the compiled engine passes, shuffle, sample, Gini and edge-list reader (`_pass.c`) on first use.
 
 The shared library is compiled with `FLAGS` (-O3, with every float rounded
 as the source states it) once per source, flag set and machine type
@@ -34,6 +34,8 @@ _SIGNATURES = {  # name: (result type, argument types)
     "pd_run": (ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 13),
     # pd_shuffle(order, n, mt)
     "pd_shuffle": (None, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]),
+    # pd_sample(out, m, k, by_pool, mt)
+    "pd_sample": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]),
     # pd_gini(values, m, n, out)
     "pd_gini": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p]),
     # pd_read_edges(data, size, format, counts, &reader)

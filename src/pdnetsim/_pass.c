@@ -17,7 +17,11 @@
  * hands the same state on to pd_run, which carries it from call to call; a
  * run never writes it back into its generator. engine.shuffle_order, which
  * calls pd_shuffle alone, writes the state back, so the generator goes on
- * where the Python shuffle would leave it. For the length of a call the
+ * where the Python shuffle would leave it. pd_sample draws the positions
+ * random.Random.sample(range(m), k) picks, by whichever of CPython's two
+ * routes it would take; experiments.assign_by_degree makes its three
+ * samples on one copy of the state and writes that back the same way, so
+ * C reproduces random(), randrange and sample. For the length of a call the
  * generator lives in a local struct that holds the current block's 624
  * tempered outputs, so a draw is one load.
  *
@@ -378,33 +382,84 @@ int64_t pd_run(int64_t limit, int64_t *order, int64_t *held, const int64_t *offs
     return status != 0 ? status : pass;
 }
 
+/* random.Random._randbelow(bound) for 1 <= bound < 2^32, as CPython draws
+ * it: getrandbits(k), k = bound.bit_length(), until the draw is below
+ * bound. For k <= 32, getrandbits(k) is the top k bits of one output. */
+static uint32_t randbelow(struct gen *g, uint32_t bound)
+{
+    const int k = 32 - __builtin_clz(bound);
+    uint32_t r;
+
+    do
+        r = gen_next(g) >> (32 - k);
+    while (r >= bound);
+    return r;
+}
+
 /* Fill order[0..n) with 0, 1, ..., n - 1 and shuffle it as
  * engine.shuffle_order does with a random.Random: for i from n - 1 down to
- * 1, swap order[i] with order[j], j = randrange(i + 1). CPython draws that
- * as getrandbits(k), k = (i + 1).bit_length(), until the draw is below
- * i + 1, and for k <= 32 getrandbits(k) is the top k bits of one output.
- * Needs n < 2^32. */
+ * 1, swap order[i] with order[j], j = randrange(i + 1). Needs n < 2^32. */
 void pd_shuffle(int64_t *order, int64_t n, uint32_t *mt)
 {
     struct gen g;
     int64_t i, swap;
-    uint32_t bound, r;
-    int k;
+    uint32_t r;
 
     for (i = 0; i < n; i++)
         order[i] = i;
     gen_open(&g, mt);
     for (i = n - 1; i > 0; i--) {
-        bound = (uint32_t)(i + 1);
-        k = 32 - __builtin_clz(bound); /* (i + 1).bit_length() */
-        do
-            r = gen_next(&g) >> (32 - k);
-        while (r >= bound);
+        r = randbelow(&g, (uint32_t)(i + 1));
         swap = order[i];
         order[i] = order[r];
         order[r] = swap;
     }
     gen_close(&g);
+}
+
+/* Write to out[0..k) the positions random.Random.sample(range(m), k)
+ * returns, in draw order, for 0 <= k <= m < 2^32, drawing as CPython's
+ * sample does by the route the caller names (by_pool), which it works out
+ * with CPython's own expression. The pool route draws j = randbelow(m - i)
+ * for the i-th position, takes pool[j] and moves the last position not yet
+ * taken, pool[m - i - 1], into its place. The set route draws
+ * j = randbelow(m) until j was not taken before, which an m-byte mask
+ * records. Returns 0, or -2, with mt untouched, when memory runs out. */
+int pd_sample(int64_t *out, int64_t m, int64_t k, int64_t by_pool, uint32_t *mt)
+{
+    struct gen g;
+    int64_t *pool = NULL, i, j;
+    uint8_t *taken = NULL;
+
+    if (by_pool) {
+        pool = malloc(((size_t)m + 1) * sizeof *pool); /* + 1: never malloc(0) */
+        if (pool == NULL)
+            return -2;
+        for (i = 0; i < m; i++)
+            pool[i] = i;
+    } else {
+        taken = calloc((size_t)m + 1, 1);
+        if (taken == NULL)
+            return -2;
+    }
+    gen_open(&g, mt);
+    for (i = 0; i < k; i++) {
+        if (by_pool) {
+            j = randbelow(&g, (uint32_t)(m - i));
+            out[i] = pool[j];
+            pool[j] = pool[m - i - 1];
+        } else {
+            do
+                j = randbelow(&g, (uint32_t)m);
+            while (taken[j]);
+            taken[j] = 1;
+            out[i] = j;
+        }
+    }
+    gen_close(&g);
+    free(pool);
+    free(taken);
+    return 0;
 }
 
 /* Edge-list reader: the rules of graph.graph_from_edges, which stays the

@@ -4,6 +4,8 @@ The CLI maps these to distinct exit codes, so keep the split between
 "your configuration is wrong" and "your input file is malformed" intact.
 """
 
+import os
+
 
 class PDNetSimError(Exception):
     """Base class for all package-specific errors."""
@@ -33,3 +35,13 @@ def require_type(value, kind: type, name: str) -> None:
     """Raise ConfigError unless value is a `kind`, such as a record nested in another."""
     if not isinstance(value, kind):
         raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
+def require_path(value, name: str) -> None:
+    """Raise ConfigError unless value is a str or an os.PathLike.
+
+    open() takes an int as a file descriptor, which it reads and then
+    closes, so a path of 7 would read whatever the process holds as fd 7.
+    """
+    if not isinstance(value, (str, os.PathLike)):
+        raise ConfigError(f"{name} must be a str or os.PathLike, got {value!r}")

@@ -6,6 +6,13 @@ Tit-for-Tat, Random order) and degree-ranked groups (rank nodes by
 degree, cut into thirds, assign one kind per third, then overwrite a
 quarter of each third with Random agents).
 
+The degree-ranked assignment draws its three quarter-samples as
+`random.Random.sample` would. When the compiled kernel loads (see
+`_kernel`), `_pass.c`'s pd_sample makes those draws from one copy of the
+generator's state, which is then written back, so the assignment and the
+generator's next draw are the ones the Python `sample` gives; that
+`sample` stays the reference and the fallback.
+
 A suite is the cross product networks x groups x bank settings x
 replicates. Every run gets sub-seeds derived by hashing its run key, so
 any single run of a sweep can be reproduced in isolation. The sweep's
@@ -15,10 +22,13 @@ orchestration is in `suite`, which only a suite imports.
 import functools
 import hashlib
 import random
+from array import array
+from math import ceil, log
 from typing import NamedTuple
 
+from . import _kernel
 from .engine import LIVE, PayoffParams, SimConfig, _Record, shuffle_order, run
-from .errors import ConfigError, PDNetSimError, require_int, require_type
+from .errors import ConfigError, PDNetSimError, require_int, require_path, require_type
 from .graph import GRAPH_FORMATS, Graph, degree_ranked_nodes, load_graph
 from .strategies import KIND_LETTERS, LETTER_OF_KIND, AgentKind
 
@@ -119,6 +129,7 @@ class NetworkSpec(_Record):
     __slots__ = _fields = ("name", "path", "fmt")
 
     def __init__(self, name: str, path: str, fmt: str):
+        require_path(path, f"the path of network {name!r}")
         if fmt not in GRAPH_FORMATS:
             raise ConfigError(f"unknown graph format {fmt!r} in network {name!r}")
         super().__init__(name, path, fmt)
@@ -223,8 +234,9 @@ def assign_by_degree(graph: Graph, group: DegreeGroup, rng: random.Random) -> li
     """Degree-ranked assignment: one kind per third, then Random overwrites.
 
     Thirds split the degree-descending ranking at n/3 and 2n/3. Within each
-    third, a quarter of its nodes are drawn without replacement and
-    overwritten with Random. Every cut is rounded half up, in integers.
+    third, a quarter of its nodes are drawn without replacement, as
+    rng.sample draws them (see `_sample_positions`), and overwritten with
+    Random. Every cut is rounded half up, in integers.
     """
     n = graph.node_count
     if n < 12:
@@ -233,13 +245,43 @@ def assign_by_degree(graph: Graph, group: DegreeGroup, rng: random.Random) -> li
     b1 = (2 * n + 3) // 6
     b2 = (4 * n + 3) // 6
     thirds = (ranked[:b1], ranked[b1:b2], ranked[b2:])
+    samples = _sample_positions([(len(third), (len(third) + 2) // 4) for third in thirds], rng)
     assignment: list[AgentKind] = [AgentKind.RANDOM] * n
-    for third, kind in zip(thirds, (group.top, group.middle, group.bottom)):
+    for third, kind, positions in zip(thirds, (group.top, group.middle, group.bottom), samples):
         for v in third:
             assignment[v] = kind
-        for v in rng.sample(third, (len(third) + 2) // 4):
-            assignment[v] = AgentKind.RANDOM
+        for p in positions:
+            assignment[third[p]] = AgentKind.RANDOM
     return assignment
+
+
+def _sample_positions(sizes: list[tuple[int, int]], rng: random.Random) -> list[list[int]]:
+    """rng.sample(range(m), k) for each (m, k) of `sizes` in turn.
+
+    When the kernel loads and rng is exactly a random.Random (a subclass may
+    draw otherwise) with a version-3 state, `_pass.c` makes the same draws
+    from one copy of the state, which is then written back, so rng goes on
+    exactly where the Python samples would leave it. Each sample takes the
+    route CPython's `sample` picks, by its own expression: a pool of the m
+    positions when m is at most `setsize`, else redraws against a record of
+    the positions taken. pd_sample needs m < 2**32: every m here is at
+    most a Graph's node count, which its int32 ids keep below 2**31.
+    """
+    if type(rng) is random.Random:
+        kernel = _kernel.load()[0]
+        version, words, gauss_next = rng.getstate()
+        if kernel is not None and version == 3:
+            mt = array("I", words)
+            samples = []
+            for m, k in sizes:
+                setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+                positions = array("q", [0]) * k
+                if kernel.pd_sample(positions.buffer_info()[0], m, k, m <= setsize, mt.buffer_info()[0]):
+                    raise MemoryError(f"sampling {k} of {m} positions")
+                samples.append(positions.tolist())
+            rng.setstate((version, tuple(mt), gauss_next))
+            return samples
+    return [rng.sample(range(m), k) for m, k in sizes]
 
 
 def derive_seed(base_seed: int, *parts) -> int:

@@ -3,14 +3,17 @@
 Builds `_pass.c` twice into a temporary directory, at two flag sets or from
 two sources, then plays every run of the three perfbench workloads
 (mix_bank0, coop_inf and the 36 runs of suite_exp2, on perfbench's seeded
-stand-in graphs) through `engine.run` on each build in turn. The runs and
-their inputs are recorded once from the real `run` and `suite --workers 1`
-commands, so both builds get identical inputs. Only the kernel calls,
-`pd_shuffle` and `pd_run`, are timed; after each call every buffer it writes
-(order, held, balances, last, acc, the generator state, the stats rows and
-the Gini sums) is hashed, and the script fails unless both builds wrote the
-same bytes. It prints, per workload, each build's median milliseconds and
-nanoseconds per game. In-process kernel timings are far quieter than
+stand-in graphs) through `engine.run` on each build in turn, and replays
+suite_exp2's 36 degree-ranked assignments, each from the generator state it
+started from, through `experiments.assign_by_degree` (the row
+suite_exp2.assign). The runs, the assignments and their inputs are recorded
+once from the real `run` and `suite --workers 1` commands, so both builds get
+identical inputs. Only the kernel calls, `pd_shuffle`, `pd_sample` and
+`pd_run`, are timed; after each call every buffer it writes (order, the
+sampled positions, held, balances, last, acc, the generator state, the stats
+rows and the Gini sums) is hashed, and the script fails unless both builds
+wrote the same bytes. It prints, per workload, each build's median
+milliseconds and nanoseconds per game. In-process kernel timings are far quieter than
 whole-command timings in fresh processes.
 
     PYTHONPATH=src python tests/kernel_ab.py --a-flags "-O2 -fPIC -shared -ffp-contract=off"
@@ -26,6 +29,7 @@ import ctypes
 import hashlib
 import io
 import os
+import random
 import shlex
 import statistics
 import subprocess
@@ -51,18 +55,40 @@ def build(source: str, flags: list[str], target: str):
     return library
 
 
+def play(graph, assignment, cfg) -> int:
+    """The games one recorded run plays."""
+    result = engine.run(graph, assignment, cfg)
+    return sum(stat.games_played for stat in result.iteration_stats)
+
+
+def assign(graph, group, state) -> int:
+    """Replay one recorded degree-ranked assignment from the generator state
+    it started from; it plays no game."""
+    rng = random.Random()
+    rng.setstate(state)
+    experiments.assign_by_degree(graph, group, rng)
+    return 0
+
+
 def recorded_runs(work_dir: str, seed: int) -> dict[str, list]:
-    """Per workload, the (graph, assignment, cfg) of every `engine.run` call
-    its command makes, recorded from the command itself."""
+    """Per workload, a (play, (graph, assignment, cfg)) for every `engine.run`
+    call its command makes and, under `<workload>.assign`, an (assign,
+    (graph, group, generator state)) for every `experiments.assign_by_degree`
+    call, recorded from the command itself."""
     inputs.generate(work_dir, seed, inputs.FULL)
-    real_run = engine.run
+    real_run, real_assign = engine.run, experiments.assign_by_degree
     runs = {}
     for name, workload in inputs.workloads(work_dir, seed, inputs.FULL).items():
         calls = runs[name] = []
+        assigned = []
 
         def record(graph, assignment, cfg, iteration_hook=None):
-            calls.append((graph, assignment, cfg))
+            calls.append((play, (graph, assignment, cfg)))
             return real_run(graph, assignment, cfg, iteration_hook)
+
+        def record_assignment(graph, group, rng):
+            assigned.append((assign, (graph, group, rng.getstate())))
+            return real_assign(graph, group, rng)
 
         config = os.path.join(work_dir, f"{name}.cfg")
         inputs.write_config(config, {**workload.config, "out": os.path.join(work_dir, name)})
@@ -72,15 +98,18 @@ def recorded_runs(work_dir: str, seed: int) -> dict[str, list]:
         with contextlib.ExitStack() as stack:
             for module in (cli, experiments):
                 stack.enter_context(mock.patch.object(module, "run", record))
+            stack.enter_context(mock.patch.object(experiments, "assign_by_degree", record_assignment))
             stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
             if cli.main(argv) != cli.EXIT_OK:
                 sys.exit(f"recording {name} failed")
+        if assigned:
+            runs[f"{name}.assign"] = assigned
     return runs
 
 
 class Timed:
-    """`library` with pd_shuffle and pd_run timed, and the bytes each call
-    writes hashed into `digest`."""
+    """`library` with pd_shuffle, pd_sample and pd_run timed, and the bytes
+    each call writes hashed into `digest`."""
 
     def __init__(self, library):
         self.library = library
@@ -92,6 +121,14 @@ class Timed:
         self.library.pd_shuffle(order, n, mt)
         self.seconds += time.perf_counter() - start
         self._hash((order, 8 * n), (mt, 4 * 625))
+
+    def pd_sample(self, out, m, k, by_pool, mt):
+        start = time.perf_counter()
+        status = self.library.pd_sample(out, m, k, by_pool, mt)
+        self.seconds += time.perf_counter() - start
+        self._hash((out, 8 * k), (mt, 4 * 625))
+        self.digest.update(status.to_bytes(4, "little", signed=True))
+        return status
 
     def pd_run(self, limit, order, held, offsets, targets, kinds, last, bal, start, params, acc, mt, stats, sums):
         # the argument order of _kernel._SIGNATURES["pd_run"]
@@ -117,13 +154,12 @@ class Timed:
 
 def replay(library, runs) -> tuple[float, str, int]:
     """(kernel seconds, hex digest of every buffer written, games played)
-    for `runs` played on `library`."""
+    for the recorded `runs` replayed on `library`."""
     timed = Timed(library)
     games = 0
     with mock.patch.object(_kernel, "load", lambda: (timed, None)):
-        for graph, assignment, cfg in runs:
-            result = engine.run(graph, assignment, cfg)
-            games += sum(stat.games_played for stat in result.iteration_stats)
+        for function, args in runs:
+            games += function(*args)
     return timed.seconds, timed.digest.hexdigest(), games
 
 
@@ -146,7 +182,7 @@ def main() -> int:
         runs = recorded_runs(tmp, args.seed)
         for side, (source, flags) in sides.items():
             print(f"{side}: {source} {flags}")
-        print(f"{'workload':<12} {'runs':>4} {'games':>9} {'A ms':>8} {'B ms':>8} {'A ns/game':>9} "
+        print(f"{'workload':<17} {'runs':>4} {'games':>9} {'A ms':>8} {'B ms':>8} {'A ns/game':>9} "
               f"{'B ns/game':>9} {'B/A':>6} {'B faster':>8}")
         for name, workload_runs in runs.items():
             for library in builds.values():  # warm the caches; not timed
@@ -162,8 +198,9 @@ def main() -> int:
                 sys.exit(f"{name}: the two builds wrote different buffers")
             a, b = (statistics.median(times[side]) for side in "AB")
             faster = sum(tb < ta for ta, tb in zip(times["A"], times["B"]))
-            print(f"{name:<12} {len(workload_runs):>4} {played:>9} {a * 1e3:>8.1f} {b * 1e3:>8.1f} "
-                  f"{a * 1e9 / played:>9.1f} {b * 1e9 / played:>9.1f} {b / a:>6.3f} {faster:>5}/{args.reps}")
+            per_game = (f"{t * 1e9 / played:>9.1f}" if played else f"{'-':>9}" for t in (a, b))
+            print(f"{name:<17} {len(workload_runs):>4} {played:>9} {a * 1e3:>8.2f} {b * 1e3:>8.2f} "
+                  f"{' '.join(per_game)} {b / a:>6.3f} {faster:>5}/{args.reps}")
         print("buffers: identical on every workload")
     return 0
 

@@ -2,13 +2,16 @@ import math
 import os
 import pickle
 import random
+import shutil
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from pdnetsim import (
     SNAPSHOT,
+    _kernel,
     AgentKind,
     BankSetting,
     ConfigError,
@@ -37,7 +40,7 @@ from pdnetsim.experiments import RunTask, SuiteRow
 from pdnetsim.output import run_file_name, write_gini_series_csv
 from pdnetsim.suite import suite_tasks
 
-from conftest import execute_task_or_die, random_graph
+from conftest import execute_task_or_die, random_graph, scale_free_graph
 
 C, D, T, R = AgentKind.COOPERATOR, AgentKind.DEFECTOR, AgentKind.TIT_FOR_TAT, AgentKind.RANDOM
 
@@ -198,6 +201,79 @@ def test_degrees_are_ranked_once_per_graph(monkeypatch):
     ranked.reverse()  # a caller's copy: the next call still gets the ranking
     assert degree_ranked_nodes(g) == fresh
     assert calls == [g]
+
+
+@pytest.fixture
+def sampled(monkeypatch):
+    """The (m, k, by_pool) of each pd_sample call of the compiled kernel.
+    Skips only where no C compiler exists; anywhere else it must load."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc)")
+    kernel, reason = _kernel.load()
+    assert kernel is not None, reason
+    calls = []
+
+    def counting(out, m, k, by_pool, mt):
+        calls.append((m, k, by_pool))
+        return kernel.pd_sample(out, m, k, by_pool, mt)
+
+    monkeypatch.setattr(_kernel, "load", lambda: (SimpleNamespace(pd_sample=counting), None))
+    return calls
+
+
+# (m, k, pool route): k = 0, k <= 5, k = 6 and k = m, and m at CPython's
+# setsize = 21 + 4 ** ceil(log(3k, 4)) (k > 5) and one above it.
+SAMPLE_CASES = [
+    (0, 0, True), (21, 0, True), (22, 0, False),
+    (1, 1, True), (21, 5, True), (22, 5, False), (300, 3, False),
+    (85, 6, True), (86, 6, False), (1045, 337, True), (1046, 337, False),
+    (30, 30, True), (1300, 1300, True),
+]
+
+
+@pytest.mark.parametrize("index", [623, 624], ids=["index-623", "index-624"])
+@pytest.mark.parametrize("m, k, by_pool", SAMPLE_CASES)
+def test_kernel_samples_draw_as_random_sample(sampled, m, k, by_pool, index):
+    from pdnetsim.experiments import _sample_positions
+
+    for seed in (3, 2**40 + 1):
+        kernel_rng, python_rng = random.Random(seed), random.Random(seed)
+        for rng in (kernel_rng, python_rng):
+            rng.getrandbits(32 * index)  # the generator's next output is word `index` of its block
+            assert rng.getstate()[1][624] == index
+        assert _sample_positions([(m, k)], kernel_rng) == [python_rng.sample(range(m), k)]
+        assert kernel_rng.getstate() == python_rng.getstate()
+    assert sampled == [(m, k, by_pool)] * 2
+
+
+@pytest.mark.parametrize("n, routes", [(1025, [True, False, True]), (12, [True] * 3)], ids=["1025", "12"])
+def test_degree_assignment_draws_alike_on_the_kernel_and_in_python(sampled, monkeypatch, n, routes):
+    # Thirds of 342 nodes take the pool route and of 341 the set route.
+    g = scale_free_graph(n, 3, seed=n)
+    drawn = {}
+    for path in ("kernel", "python"):
+        if path == "python":
+            monkeypatch.setattr(_kernel, "load", lambda: (None, "forced"))
+        rngs = [random.Random(seed) for seed in range(5)]
+        assignments = [assign_by_degree(g, group, rng) for group, rng in zip(EXPERIMENT2_GROUPS, rngs)]
+        drawn[path] = assignments, [rng.getstate() for rng in rngs]
+    assert drawn["kernel"] == drawn["python"]
+    assert [by_pool for _, _, by_pool in sampled] == routes * 5
+
+
+def test_a_random_subclass_that_draws_otherwise_takes_the_python_samples(sampled):
+    class Counting(random.Random):
+        draws = 0
+
+        def getrandbits(self, k):
+            self.draws += 1
+            return super().getrandbits(k)
+
+    g = scale_free_graph(200, 3, seed=4)
+    rng = Counting(5)
+    assignment = assign_by_degree(g, EXPERIMENT2_GROUPS[0], rng)
+    assert rng.draws >= 50 and sampled == []
+    assert assignment == assign_by_degree(g, EXPERIMENT2_GROUPS[0], random.Random(5))
 
 
 def test_derive_seed_stable_and_distinct():

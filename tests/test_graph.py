@@ -1,3 +1,4 @@
+import os
 import random
 import shutil
 
@@ -6,6 +7,7 @@ import pytest
 from pdnetsim import (
     ConfigError,
     Graph,
+    NetworkSpec,
     ParseError,
     _kernel,
     degree_ranked_nodes,
@@ -199,6 +201,24 @@ def test_graph_holds_the_csr_of_its_rows():
     assert (g.offsets.typecode, g.targets.typecode) == ("q", "i")
     assert g.adjacency == [[1, 2], [0], [0], []]
     assert g == Graph([[1, 2], [0], [0], []], {}) != Graph([[1, 2], [0], [0], []], {7: 0})
+
+
+def test_a_path_that_is_not_a_path_is_refused_and_its_descriptor_left_open(tmp_path):
+    # open() takes an int as a file descriptor, which it reads and then
+    # closes (on a pipe's read end it blocks); both entries refuse it.
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        with pytest.raises(ConfigError, match=f"^path must be a str or os.PathLike, got {fd}$"):
+            load_graph(fd, "snap")
+        with pytest.raises(ConfigError, match=f"^the path of network 'g' must be a str or os.PathLike, got {fd}$"):
+            NetworkSpec("g", fd, "snap")
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)
+    assert load_graph(path, "snap") == load_graph(str(path), "snap")
+    assert NetworkSpec("g", path, "snap").path == path
 
 
 def test_facebook_dataset_counts():
