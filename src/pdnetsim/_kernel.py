@@ -12,12 +12,22 @@ libraries, while a few checkouts that share the cache keep theirs. When
 that directory cannot be written, or there is no home directory to put it
 in, the library is compiled into a temporary directory for this process
 only.
+
+This module alone knows how the kernel is called. `_pass.c` draws from a
+`generator_copy` of an exact random.Random's MT19937 state (the words and
+index of `getstate()`; a subclass may draw otherwise) as CPython's
+random(), randrange and sample do, and `write_back` hands the copy back,
+pending `gauss_next` kept, unless nothing else draws from that generator,
+as in a run. The entries in `_OUT_OF_MEMORY` return -2 when memory runs
+out, which their `errcheck` raises as MemoryError.
 """
 
 import ctypes
 import functools
 import hashlib
 import os
+import random
+from array import array
 from pathlib import Path
 
 SOURCE = Path(__file__).with_name("_pass.c")
@@ -48,10 +58,28 @@ _SIGNATURES = {  # name: (result type, argument types)
     # pd_edges_free(reader)
     "pd_edges_free": (None, [ctypes.c_void_p]),
 }
+_OUT_OF_MEMORY = ("pd_run", "pd_sample", "pd_gini")  # the entries that return -2 when memory runs out
 
 
 class _CompileError(Exception):
     pass
+
+
+def generator_copy(rng):
+    """(library, state copy) when the kernel may draw for rng, else None."""
+    library = load()[0] if type(rng) is random.Random else None
+    return None if library is None else (library, array("I", rng.getstate()[1]))
+
+
+def write_back(rng: random.Random, mt: array) -> None:
+    """Make `mt`, a `generator_copy` state the kernel drew from, rng's state."""
+    rng.setstate((rng.VERSION, tuple(mt), rng.gauss_next))
+
+
+def _out_of_memory(result, function, arguments):
+    if result == -2:
+        raise MemoryError(f"{function.__name__} ran out of memory")
+    return result
 
 
 @functools.cache
@@ -140,6 +168,8 @@ def _open(path: Path):
             function = getattr(library, name)
             function.argtypes = argtypes
             function.restype = restype
+            if name in _OUT_OF_MEMORY:
+                function.errcheck = _out_of_memory
     except (OSError, AttributeError) as exc:
         return None, f"loading the compiled kernel failed: {exc}"
     return library, None

@@ -11,19 +11,10 @@
  * [0, n), the order holds valid node ids, every kind indexes a row of the
  * table, and no balance, bank or flow can leave int64.
  *
- * Every draw comes from a copy of the run's MT19937 state (CPython's
- * generator, words 0..623 plus the index in word 624). pd_shuffle draws the
- * node-order shuffle from it as random.Random.randrange would, and a run
- * hands the same state on to pd_run, which carries it from call to call; a
- * run never writes it back into its generator. engine.shuffle_order, which
- * calls pd_shuffle alone, writes the state back, so the generator goes on
- * where the Python shuffle would leave it. pd_sample draws the positions
- * random.Random.sample(range(m), k) picks, by whichever of CPython's two
- * routes it would take; experiments.assign_by_degree makes its three
- * samples on one copy of the state and writes that back the same way, so
- * C reproduces random(), randrange and sample. For the length of a call the
- * generator lives in a local struct that holds the current block's 624
- * tempered outputs, so a draw is one load.
+ * Every draw comes from a copy of a random.Random's MT19937 state, which
+ * _kernel.py hands over (see its docstring): pd_shuffle draws as
+ * randrange, pd_sample as sample and pd_run as random(), carrying the
+ * state from call to call.
  *
  * pd_gini gives the integer parts of the Gini coefficient of any int64
  * array, from counts by value when the values span a narrow range and from

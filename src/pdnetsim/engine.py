@@ -59,26 +59,18 @@ or flow can leave int64 (``_fits_int64``). Otherwise the Python loop runs
 on ``graph.adjacency``; it is also the reference the kernel is tested
 against.
 
-On the kernel path one ``pd_run`` call plays a block of up to ``_BLOCK``
-passes and stops at convergence, so only a block's last pass can have
-converged. It writes each pass's stats and the two integer Gini sums into
-buffers of one block, and ``metrics.gini_of_sums``, which ``gini`` ends
-with too, turns each pass's sums into its float. Under an
-``iteration_hook`` each call plays one pass, so that the hook sees its
-end, and the Gini is taken by ``gini`` (this module's attribute, looked up
-at call time) on the live balances the kernel gathered, as the Python loop
-does.
-
-A kernel run shuffles in C too (``pd_shuffle``): it copies the
-generator's MT19937 state (624 words and the index, from ``getstate()``)
-once, draws each ``randrange(i + 1)`` from it as CPython does, and
-``pd_run`` carries on from that same copy, reproducing CPython's
-``random()`` draw for draw. The copy is never written back, since
-nothing else draws from the run's generator. ``shuffle_order`` takes the same C shuffle for
-``range(n)`` and a plain ``random.Random``, and writes the state back. The
-kernel is compiled on first use (by ``load_graph``, ``run`` or
-``shuffle_order``), not at import, so importing the package never starts
-a compiler.
+On the kernel path ``pd_shuffle`` shuffles the order in a copy of the
+generator's state, which ``pd_run`` goes on drawing from (see ``_kernel``).
+One ``pd_run`` call plays a block of up to ``_BLOCK`` passes and stops at
+convergence, so only a block's last pass can have converged. It writes
+each pass's stats and the two integer Gini sums into buffers of one block,
+and ``metrics.gini_of_sums``, which ``gini`` ends with too, turns each
+pass's sums into its float. Under an ``iteration_hook`` each call plays one
+pass, so that the hook sees its end, and the Gini is taken by ``gini``
+(this module's attribute, looked up at call time) on the live balances the
+kernel gathered, as the Python loop does. The kernel is compiled on first
+use (by ``load_graph``, ``run`` or ``shuffle_order``), not at import, so
+importing the package never starts a compiler.
 """
 
 import operator
@@ -216,21 +208,16 @@ def shuffle_order(node_ids, rng: random.Random) -> list[int]:
     Spelled out (rather than rng.shuffle) so the draw order is pinned by
     this package, not by stdlib internals: one rng.randrange(i + 1) per
     position i from len-1 down to 1. For ``range(n)`` from 0 with n < 2**32,
-    when the kernel loads and rng is exactly a random.Random (a subclass may
-    draw otherwise) with a version-3 state, `_pass.c` makes the same draws
-    from a copy of the state, which is then written back, so rng goes on
-    exactly where the Python shuffle would leave it.
+    `_pass.c` makes the same draws when it may draw for rng (see `_kernel`).
     """
     n = len(node_ids)
-    if type(node_ids) is range and node_ids == range(n) and type(rng) is random.Random and n < 2**32:
-        kernel = _kernel.load()[0]
-        version, words, gauss_next = rng.getstate()
-        if kernel is not None and version == 3:
-            order = array("q", [0]) * n
-            mt = array("I", words)
-            kernel.pd_shuffle(order.buffer_info()[0], n, mt.buffer_info()[0])
-            rng.setstate((version, tuple(mt), gauss_next))
-            return order.tolist()
+    copied = _kernel.generator_copy(rng) if type(node_ids) is range and node_ids == range(n) and n < 2**32 else None
+    if copied is not None:
+        kernel, mt = copied
+        order = array("q", [0]) * n
+        kernel.pd_shuffle(order.buffer_info()[0], n, mt.buffer_info()[0])
+        _kernel.write_back(rng, mt)
+        return order.tolist()
     order = list(node_ids)
     for i in range(n - 1, 0, -1):
         j = rng.randrange(i + 1)
@@ -284,10 +271,11 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
     n = graph.node_count
     strategies = _strategy_codes(n, assignment)
     rng = random.Random(cfg.seed)
-    if _kernel.load()[0] is not None and _fits_int64(n, cfg):
+    copied = _kernel.generator_copy(rng) if _fits_int64(n, cfg) else None
+    if copied is not None:
         balances = array("q", [cfg.initial_balance]) * n
         copy = balances.tolist
-        passes = _kernel_passes(graph, strategies, balances, cfg, rng, iteration_hook is not None)
+        passes = _kernel_passes(*copied, graph, strategies, balances, cfg, iteration_hook is not None)
     else:
         order = shuffle_order(range(n), rng)
         balances = [cfg.initial_balance] * n
@@ -373,12 +361,12 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
         yield stat, gini(held, n), balances == start
 
 
-def _kernel_passes(graph, strategies, balances, cfg, rng, hooked):
+def _kernel_passes(kernel, mt, graph, strategies, balances, cfg, hooked):
     """The pass loop in `_pass.c`, yielding what `_python_passes` yields.
 
-    `balances` is the int64 array played on, and rng the run's fresh
-    generator: one copy of its state shuffles the order and is drawn from
-    by every pass. A call plays one pass when `hooked`, else up to _BLOCK,
+    `balances` is the int64 array played on, and `mt` the copy of the run's
+    fresh generator that `kernel` shuffles the order in and every pass draws
+    from. A call plays one pass when `hooked`, else up to _BLOCK,
     so no buffer grows with cfg.iterations; no call plays past
     cfg.iterations.
     """
@@ -398,22 +386,17 @@ def _kernel_passes(graph, strategies, balances, cfg, rng, hooked):
         + [_DRAW if action is None else action for row in ACTIONS for action in row],
     )
     acc = array("q", [cfg.bank or 0, n, 0])
-    mt = array("I", rng.getstate()[1])
     block = 1 if hooked else min(_BLOCK, cfg.iterations)
     rows = array("q", [0]) * (_STAT_FIELDS * block)
     sums = None if hooked else array("Q", [0]) * (4 * block)
     arrays = (order, held, graph.offsets, graph.targets, kinds, last, balances, start, params, acc, mt, rows)
     pointers = [a.buffer_info()[0] for a in arrays]  # the arrays stay alive in this frame
     sums_pointer = None if sums is None else sums.buffer_info()[0]
-    kernel = _kernel.load()[0]
     kernel.pd_shuffle(order.buffer_info()[0], n, mt.buffer_info()[0])  # in the state pd_run goes on from
-    pd_run = kernel.pd_run
 
     for done in range(0, cfg.iterations, block):
         limit = min(block, cfg.iterations - done)
-        played = pd_run(limit, *pointers, sums_pointer)
-        if played < 0:
-            raise MemoryError("pd_run could not allocate a Gini buffer")
+        played = kernel.pd_run(limit, *pointers, sums_pointer)
         fields = [rows[f : _STAT_FIELDS * played : _STAT_FIELDS] for f in range(_STAT_FIELDS)]
         if infinite:
             fields[4] = [None] * played  # bank_balance

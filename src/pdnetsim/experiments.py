@@ -7,10 +7,7 @@ degree, cut into thirds, assign one kind per third, then overwrite a
 quarter of each third with Random agents).
 
 The degree-ranked assignment draws its three quarter-samples as
-`random.Random.sample` would. When the compiled kernel loads (see
-`_kernel`), `_pass.c`'s pd_sample makes those draws from one copy of the
-generator's state, which is then written back, so the assignment and the
-generator's next draw are the ones the Python `sample` gives; that
+`random.Random.sample` would, in C when it can (see `_kernel`); that
 `sample` stays the reference and the fallback.
 
 A suite is the cross product networks x groups x bank settings x
@@ -107,9 +104,10 @@ EXPERIMENT2_GROUPS = tuple(
 def experiment_groups(experiment: int) -> tuple:
     """(group type, built-in groups) of experiment 1 or 2.
 
-    The one place an experiment number is read; any other number is a
-    ConfigError.
+    The one place an experiment number is read; anything else, 1.0 and
+    True included, is a ConfigError.
     """
+    require_int(experiment, "experiment")
     if experiment == 1:
         return ProportionGroup, EXPERIMENT1_GROUPS
     if experiment == 2:
@@ -213,6 +211,7 @@ def assign_proportional(node_count: int, group: ProportionGroup, rng: random.Ran
     Works for any node count >= 1 (tiny graphs pair naturally with
     single-kind mixes such as 0:8:0:0).
     """
+    require_int(node_count, "node_count")
     if node_count < 1:
         raise ConfigError(f"proportional assignment needs at least 1 node, got {node_count}")
     order = shuffle_order(range(node_count), rng)
@@ -258,30 +257,25 @@ def assign_by_degree(graph: Graph, group: DegreeGroup, rng: random.Random) -> li
 def _sample_positions(sizes: list[tuple[int, int]], rng: random.Random) -> list[list[int]]:
     """rng.sample(range(m), k) for each (m, k) of `sizes` in turn.
 
-    When the kernel loads and rng is exactly a random.Random (a subclass may
-    draw otherwise) with a version-3 state, `_pass.c` makes the same draws
-    from one copy of the state, which is then written back, so rng goes on
-    exactly where the Python samples would leave it. Each sample takes the
-    route CPython's `sample` picks, by its own expression: a pool of the m
-    positions when m is at most `setsize`, else redraws against a record of
-    the positions taken. pd_sample needs m < 2**32: every m here is at
-    most a Graph's node count, which its int32 ids keep below 2**31.
+    `_pass.c` makes the same draws, on one copy of rng's state, when it may
+    draw for rng (see `_kernel`). Each sample takes the route CPython's
+    `sample` picks, by its own expression: a pool of the m positions when m
+    is at most `setsize`, else redraws against a record of the positions
+    taken. pd_sample needs m < 2**32: every m here is at most a Graph's
+    node count, which its int32 ids keep below 2**31.
     """
-    if type(rng) is random.Random:
-        kernel = _kernel.load()[0]
-        version, words, gauss_next = rng.getstate()
-        if kernel is not None and version == 3:
-            mt = array("I", words)
-            samples = []
-            for m, k in sizes:
-                setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
-                positions = array("q", [0]) * k
-                if kernel.pd_sample(positions.buffer_info()[0], m, k, m <= setsize, mt.buffer_info()[0]):
-                    raise MemoryError(f"sampling {k} of {m} positions")
-                samples.append(positions.tolist())
-            rng.setstate((version, tuple(mt), gauss_next))
-            return samples
-    return [rng.sample(range(m), k) for m, k in sizes]
+    copied = _kernel.generator_copy(rng)
+    if copied is None:
+        return [rng.sample(range(m), k) for m, k in sizes]
+    kernel, mt = copied
+    samples = []
+    for m, k in sizes:
+        setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
+        positions = array("q", [0]) * k
+        kernel.pd_sample(positions.buffer_info()[0], m, k, m <= setsize, mt.buffer_info()[0])
+        samples.append(positions.tolist())
+    _kernel.write_back(rng, mt)
+    return samples
 
 
 def derive_seed(base_seed: int, *parts) -> int:

@@ -75,9 +75,6 @@ def _python_sums(values, n: int) -> tuple[int, int]:
 def _kernel_sums(kernel, values: array, n: int) -> tuple[int, int]:
     """`_python_sums` in C, for an int64 array with n * len(values) < 2**64."""
     out = array("Q", [0, 0, 0, 0])
-    status = kernel.pd_gini(values.buffer_info()[0], len(values), n, out.buffer_info()[0])
-    if status == -1:
+    if kernel.pd_gini(values.buffer_info()[0], len(values), n, out.buffer_info()[0]) == -1:
         raise ValueError("gini requires non-negative balances")
-    if status != 0:
-        raise MemoryError("pd_gini could not allocate its buffer")
     return out[1] << 64 | out[0], out[3] << 64 | out[2]

@@ -168,16 +168,21 @@ def test_shuffle_positions_uniform_within_3_sigma():
 def test_kernel_shuffle_draws_as_the_python_shuffle(kernel, monkeypatch, sizes):
     # The generators go on from n to n, so the shuffles start at every index
     # of the MT19937 block, and the next random() checks the state handed back.
+    # The third pair carries a pending gauss_next, which the write-back keeps.
     shuffled = []
     counted = SimpleNamespace(pd_shuffle=lambda order, n, mt: shuffled.append(n) or kernel.pd_shuffle(order, n, mt))
     monkeypatch.setattr(_kernel, "load", lambda: (counted, None))
-    for seed in (3, 2**40 + 1):
+    for seed, pending in ((3, False), (2**40 + 1, False), (5, True)):
         kernel_rng, python_rng = random.Random(seed), random.Random(seed)
+        if pending:
+            assert kernel_rng.gauss(0, 1) == python_rng.gauss(0, 1)
         for n in sizes:
             # a range goes to the kernel and comes back a list; a list does not
             assert shuffle_order(range(n), kernel_rng) == shuffle_order(list(range(n)), python_rng), n
             assert kernel_rng.random() == python_rng.random(), n
-    assert shuffled == [*sizes, *sizes]
+        assert kernel_rng.getstate() == python_rng.getstate()
+        assert (kernel_rng.getstate()[2] is not None) == pending
+    assert shuffled == [*sizes] * 3
 
 
 def test_a_random_subclass_that_draws_otherwise_takes_the_python_shuffle(kernel):

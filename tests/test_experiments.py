@@ -236,14 +236,18 @@ SAMPLE_CASES = [
 def test_kernel_samples_draw_as_random_sample(sampled, m, k, by_pool, index):
     from pdnetsim.experiments import _sample_positions
 
-    for seed in (3, 2**40 + 1):
+    # The third pair carries a pending gauss_next, which the write-back keeps.
+    for seed, pending in ((3, False), (2**40 + 1, False), (5, True)):
         kernel_rng, python_rng = random.Random(seed), random.Random(seed)
         for rng in (kernel_rng, python_rng):
-            rng.getrandbits(32 * index)  # the generator's next output is word `index` of its block
+            if pending:
+                rng.gauss(0, 1)  # two random() draws: four words
+            rng.getrandbits(32 * (index - 4 * pending))  # the generator's next output is word `index` of its block
             assert rng.getstate()[1][624] == index
         assert _sample_positions([(m, k)], kernel_rng) == [python_rng.sample(range(m), k)]
         assert kernel_rng.getstate() == python_rng.getstate()
-    assert sampled == [(m, k, by_pool)] * 2
+        assert (kernel_rng.getstate()[2] is not None) == pending
+    assert sampled == [(m, k, by_pool)] * 3
 
 
 @pytest.mark.parametrize("n, routes", [(1025, [True, False, True]), (12, [True] * 3)], ids=["1025", "12"])
@@ -274,6 +278,43 @@ def test_a_random_subclass_that_draws_otherwise_takes_the_python_samples(sampled
     assignment = assign_by_degree(g, EXPERIMENT2_GROUPS[0], rng)
     assert rng.draws >= 50 and sampled == []
     assert assignment == assign_by_degree(g, EXPERIMENT2_GROUPS[0], random.Random(5))
+
+
+OUT_OF_MEMORY = """
+import random, resource
+from pdnetsim import _kernel
+from pdnetsim.experiments import _sample_positions
+
+assert _kernel.load()[0] is not None, _kernel.load()[1]  # compiled, if need be, before the limit
+rng = random.Random(7)
+state = rng.getstate()
+resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+try:
+    _sample_positions([(2**31, 0)], rng)  # the set route callocs a 2 GiB mask
+except MemoryError as exc:
+    print(exc)
+assert rng.getstate() == state
+"""
+
+
+def test_an_out_of_memory_status_reaches_python_as_a_memory_error():
+    # In a process of its own under a 1 GiB address-space limit, where the
+    # mask's calloc fails and pd_sample returns -2 with the state untouched.
+    import subprocess
+    import sys
+
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc)")
+    kernel, reason = _kernel.load()
+    assert kernel is not None, reason
+    for name in ("pd_run", "pd_sample", "pd_gini"):
+        assert getattr(kernel, name).errcheck is _kernel._out_of_memory, name
+    env = {key: value for key, value in os.environ.items() if key != "LD_PRELOAD"}  # a sanitizer reserves more
+    proc = subprocess.run(
+        [sys.executable, "-c", OUT_OF_MEMORY], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "pd_sample ran out of memory\n"
 
 
 def test_derive_seed_stable_and_distinct():
@@ -685,10 +726,9 @@ def test_records_refuse_a_wrongly_typed_nested_record(tiny_networks, record, set
 def _one_run_suite(networks, **settings):
     return SuiteSpec(
         networks=networks[:1],
-        experiment=1,
         groups=EXPERIMENT1_GROUPS[:1],
         banks=DEFAULT_BANK_SETTINGS[:1],
-        **{"iterations": 3, **settings},
+        **{"experiment": 1, "iterations": 3, **settings},
     )
 
 
@@ -696,16 +736,19 @@ _INTEGER_SETTINGS = [
     *(("SimConfig", name) for name in ("iterations", "initial_balance", "bank", "seed")),
     *(("PayoffParams", name) for name in PayoffParams._fields),
     *(("ProportionGroup", name) for name in ProportionGroup._fields),
+    ("SuiteSpec", "experiment"),
     ("SuiteSpec", "base_seed"),
     ("SuiteSpec", "replicates"),
     ("run_suite", "workers"),
+    ("assign_proportional", "node_count"),
 ]
 
 
 @pytest.mark.parametrize("where, field", _INTEGER_SETTINGS)
 def test_a_bool_is_rejected_where_an_integer_is_expected(tiny_networks, where, field):
     # True is an int to Python and would play as 1, which each setting
-    # takes; a bool in a config is a mistake, so it is refused.
+    # takes; a bool in a config is a mistake, so it is refused. So is 1.0,
+    # which SuiteSpec, comparing the experiment with ==, took and stored.
     eighths = dict.fromkeys(ProportionGroup._fields, 0)
     eighths["random" if field == "defector" else "defector"] = 7
     build = {
@@ -714,10 +757,17 @@ def test_a_bool_is_rejected_where_an_integer_is_expected(tiny_networks, where, f
         "ProportionGroup": lambda value: ProportionGroup(**{**eighths, field: value}),
         "SuiteSpec": lambda value: _one_run_suite(tiny_networks, **{field: value}),
         "run_suite": lambda value: run_suite(_one_run_suite(tiny_networks), workers=value),
+        "assign_proportional": lambda value: assign_proportional(value, EXPERIMENT1_GROUPS[0], random.Random(0)),
     }[where]
     build(1)
-    with pytest.raises(ConfigError, match=r" must be (an|a positive|a non-negative) integer, got True$"):
-        build(True)
+    for value in (True, 1.0):
+        with pytest.raises(ConfigError, match=rf" must be (an|a positive|a non-negative) integer, got {value}$"):
+            build(value)
+
+
+def test_a_proportional_assignment_of_no_node_keeps_its_message():
+    with pytest.raises(ConfigError, match=r"^proportional assignment needs at least 1 node, got 0$"):
+        assign_proportional(0, EXPERIMENT1_GROUPS[0], random.Random(0))
 
 
 def test_a_suite_of_more_runs_than_the_bound_is_a_config_error(tiny_networks):
