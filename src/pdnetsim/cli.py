@@ -122,7 +122,7 @@ def _sim_settings(values: dict) -> dict:
 
 
 def _bank_from_label(label: str) -> int | None:
-    """The bank's starting balance, or None for 'inf'; SimConfig rejects a negative one."""
+    """The bank's starting balance, or None for 'inf'; BankSetting and SimConfig reject a negative one."""
     if label.lower() in ("inf", "infinite"):
         return None
     try:

@@ -79,7 +79,7 @@ from array import array
 from typing import NamedTuple
 
 from . import _kernel
-from .errors import ConfigError, require_int, require_type
+from .errors import Check, ConfigError, require
 from .graph import Graph
 from .metrics import gini, gini_of_sums
 from .strategies import ACTIONS, UNRECORDED
@@ -98,17 +98,27 @@ _INT64_LIMIT = 2**63
 class _Record:
     """Value semantics for a record whose slots `__init__` sets once.
 
-    `_fields` names the arguments of `__init__` in order. Equality, hashing
-    and the repr go by them, and pickling calls `__init__` again, so an
+    `_fields` names the arguments of `__init__` in order; a record of
+    settings lists them as the keys of `_checks`, each with the
+    `errors.Check` that `__init__` applies first. Equality, hashing and the
+    repr go by the fields, and pickling calls `__init__` again, so an
     unpickled record has passed the same checks. Assignment after
     `__init__` raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _checks: dict[str, Check] = {}
 
     def __init__(self, *values):
-        for name, value in zip(self._fields, values):
+        given = dict(zip(self._fields, values))
+        for (name, value), (label, kind, least, none_ok, each) in zip(given.items(), self._checks.values()):
+            if each:
+                require(value, name, tuple)
+            if value is not None or not none_ok:
+                for item in value if each else (value,):
+                    require(item, label.format_map(given), kind, least)
+        for name, value in given.items():
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
@@ -141,17 +151,23 @@ class PayoffParams(_Record):
     betrayal_transfer: moved from the silent player to the betrayer.
     """
 
-    __slots__ = _fields = ("coop_reward", "defect_penalty", "betrayal_transfer")
+    _checks = {name: Check(f"payoff {name}", int, 1) for name in ("coop_reward", "defect_penalty", "betrayal_transfer")}
+    __slots__ = _fields = tuple(_checks)
 
     def __init__(self, coop_reward: int = 1, defect_penalty: int = 2, betrayal_transfer: int = 3):
-        values = (coop_reward, defect_penalty, betrayal_transfer)
-        for name, value in zip(self._fields, values):
-            require_int(value, f"payoff {name}", 1)
-        super().__init__(*values)
+        super().__init__(coop_reward, defect_penalty, betrayal_transfer)
 
 
 class SimConfig(_Record):
-    __slots__ = _fields = ("iterations", "initial_balance", "payoff", "bank", "seed", "balance_semantics")
+    _checks = {
+        "iterations": Check("iterations", int, 1),
+        "initial_balance": Check("initial_balance", int, 1),
+        "payoff": Check("payoff", PayoffParams),
+        "bank": Check("finite bank balance", int, 0, none_ok=True),
+        "seed": Check("seed", int),
+        "balance_semantics": Check("balance_semantics", BALANCE_SEMANTICS),
+    }
+    __slots__ = _fields = tuple(_checks)
 
     def __init__(
         self,
@@ -162,14 +178,6 @@ class SimConfig(_Record):
         seed: int = 0,
         balance_semantics: str = LIVE,
     ):
-        require_int(iterations, "iterations", 1)
-        require_int(initial_balance, "initial_balance", 1)
-        require_type(payoff, PayoffParams, "payoff")
-        if bank is not None:
-            require_int(bank, "finite bank balance", 0)
-        require_int(seed, "seed")
-        if balance_semantics not in BALANCE_SEMANTICS:
-            raise ConfigError(f"balance_semantics must be one of {BALANCE_SEMANTICS}, got {balance_semantics!r}")
         super().__init__(iterations, initial_balance, payoff, bank, seed, balance_semantics)
 
 

@@ -1,10 +1,11 @@
-"""Shared exception classes.
+"""Shared exception classes, and the one check of a setting's value.
 
 The CLI maps these to distinct exit codes, so keep the split between
 "your configuration is wrong" and "your input file is malformed" intact.
 """
 
 import os
+from collections import namedtuple
 
 
 class PDNetSimError(Exception):
@@ -20,28 +21,29 @@ class ParseError(PDNetSimError):
 
 
 _INT_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
+PATH = (str, os.PathLike)  # the kind of a file path
+
+# A record's check of a field (engine._Record): require(value, label, kind, least), unless None and
+# none_ok; with each, on every item of the tuple it must be. A label's {name!r} is the field `name`.
+Check = namedtuple("Check", ("label", "kind", "least", "none_ok", "each"), defaults=(None, False, False))
 
 
-def require_int(value, name: str, least: int | None = None) -> None:
-    """Raise ConfigError unless value is an int of at least `least` (0, 1 or None for any).
+def require(value, name: str, kind, least: int | None = None) -> None:
+    """Raise ConfigError, naming `name`, unless value is of `kind`.
 
-    A bool is an int to Python but no count or seed here: True would play as 1.
+    int: an int of at least `least` (0, 1 or None for any), and no bool,
+    which would play as 1. PATH: a str or an os.PathLike, and no int,
+    which open() would take as a file descriptor to read and close. A
+    tuple: one of its values. Any other type: an instance of it.
     """
-    if type(value) is bool or not isinstance(value, int) or (least is not None and value < least):
-        raise ConfigError(f"{name} must be {_INT_KINDS[least]}, got {value!r}")
-
-
-def require_type(value, kind: type, name: str) -> None:
-    """Raise ConfigError unless value is a `kind`, such as a record nested in another."""
-    if not isinstance(value, kind):
-        raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
-
-
-def require_path(value, name: str) -> None:
-    """Raise ConfigError unless value is a str or an os.PathLike.
-
-    open() takes an int as a file descriptor, which it reads and then
-    closes, so a path of 7 would read whatever the process holds as fd 7.
-    """
-    if not isinstance(value, (str, os.PathLike)):
-        raise ConfigError(f"{name} must be a str or os.PathLike, got {value!r}")
+    if kind is int:
+        ok = type(value) is not bool and isinstance(value, int) and (least is None or value >= least)
+        wanted = _INT_KINDS[least]
+    elif kind is PATH:
+        ok, wanted = isinstance(value, PATH), "a str or os.PathLike"
+    elif isinstance(kind, tuple):
+        ok, wanted = value in kind, f"one of {kind}"
+    else:
+        ok, wanted = isinstance(value, kind), f"{'an' if kind.__name__[0] in 'AEIOU' else 'a'} {kind.__name__}"
+    if not ok:
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import _kernel
 from .engine import LIVE, PayoffParams, SimConfig, _Record, shuffle_order, run
-from .errors import ConfigError, PDNetSimError, require_int, require_path, require_type
+from .errors import PATH, Check, ConfigError, PDNetSimError, require
 from .graph import GRAPH_FORMATS, Graph, degree_ranked_nodes, load_graph
 from .strategies import KIND_LETTERS, LETTER_OF_KIND, AgentKind
 
@@ -37,15 +37,13 @@ class ProportionGroup(_Record):
     construction; label format is 'D:C:T:R' style, e.g. '3:1:2:2'.
     """
 
-    __slots__ = _fields = ("defector", "cooperator", "tit_for_tat", "random")
+    _checks = {name: Check(f"{name} eighths", int, 0) for name in ("defector", "cooperator", "tit_for_tat", "random")}
+    __slots__ = _fields = tuple(_checks)
 
     def __init__(self, defector: int, cooperator: int, tit_for_tat: int, random: int):
-        parts = (defector, cooperator, tit_for_tat, random)
-        for name, part in zip(self._fields, parts):
-            require_int(part, f"{name} eighths", 0)
-        if sum(parts) != 8:
-            raise ConfigError(f"proportions must sum to 8 eighths (100%), got {parts}")
-        super().__init__(*parts)
+        super().__init__(defector, cooperator, tit_for_tat, random)
+        if sum(self._values()) != 8:
+            raise ConfigError(f"proportions must sum to 8 eighths (100%), got {self._values()}")
 
     @property
     def label(self) -> str:
@@ -71,13 +69,14 @@ class DegreeGroup(_Record):
     agents. Label format is 'D,C,T' style.
     """
 
-    __slots__ = _fields = ("top", "middle", "bottom")
+    _checks = {name: Check(name, AgentKind) for name in ("top", "middle", "bottom")}
+    __slots__ = _fields = tuple(_checks)
 
     def __init__(self, top: AgentKind, middle: AgentKind, bottom: AgentKind):
+        super().__init__(top, middle, bottom)
         expected = {AgentKind.DEFECTOR, AgentKind.COOPERATOR, AgentKind.TIT_FOR_TAT}
         if {top, middle, bottom} != expected:
             raise ConfigError("degree group must be a permutation of Defector, Cooperator, Tit-for-Tat")
-        super().__init__(top, middle, bottom)
 
     @property
     def label(self) -> str:
@@ -107,7 +106,7 @@ def experiment_groups(experiment: int) -> tuple:
     The one place an experiment number is read; anything else, 1.0 and
     True included, is a ConfigError.
     """
-    require_int(experiment, "experiment")
+    require(experiment, "experiment", int)
     if experiment == 1:
         return ProportionGroup, EXPERIMENT1_GROUPS
     if experiment == 2:
@@ -115,22 +114,29 @@ def experiment_groups(experiment: int) -> tuple:
     raise ConfigError(f"experiment must be 1 or 2, got {experiment!r}")
 
 
-class BankSetting(NamedTuple):
-    label: str
-    bank: int | None  # the bank's starting balance; None when it is infinite
+class BankSetting(_Record):
+    _checks = {"label": Check("bank label", str), "bank": SimConfig._checks["bank"]}
+    __slots__ = _fields = tuple(_checks)
+
+    def __init__(self, label: str, bank: int | None):  # the bank's starting balance; None when it is infinite
+        super().__init__(label, bank)
 
 
 DEFAULT_BANK_SETTINGS = (BankSetting("0", 0), BankSetting("10000", 10000), BankSetting("inf", None))
 
 
 class NetworkSpec(_Record):
-    __slots__ = _fields = ("name", "path", "fmt")
+    _checks = {
+        "name": Check("network name", str),
+        "path": Check("the path of network {name!r}", PATH),
+        "fmt": Check("the format of network {name!r}", str),
+    }
+    __slots__ = _fields = tuple(_checks)
 
     def __init__(self, name: str, path: str, fmt: str):
-        require_path(path, f"the path of network {name!r}")
+        super().__init__(name, path, fmt)
         if fmt not in GRAPH_FORMATS:
             raise ConfigError(f"unknown graph format {fmt!r} in network {name!r}")
-        super().__init__(name, path, fmt)
 
 
 # A suite builds every run's task (some 400 bytes) before the first run plays.
@@ -138,18 +144,16 @@ MAX_SUITE_RUNS = 100_000
 
 
 class SuiteSpec(_Record):
-    __slots__ = _fields = (
-        "networks",
-        "experiment",
-        "groups",
-        "banks",
-        "base_seed",
-        "replicates",
-        "iterations",
-        "initial_balance",
-        "payoff",
-        "balance_semantics",
-    )
+    _checks = {
+        "networks": Check("each network", NetworkSpec, each=True),
+        "experiment": Check("experiment", int),
+        "groups": Check("groups", tuple),
+        "banks": Check("each bank setting", BankSetting, each=True),
+        "base_seed": Check("base_seed", int),
+        "replicates": Check("replicates", int),
+        **{name: SimConfig._checks[name] for name in ("iterations", "initial_balance", "payoff", "balance_semantics")},
+    }
+    __slots__ = _fields = tuple(_checks)
 
     def __init__(
         self,
@@ -164,30 +168,6 @@ class SuiteSpec(_Record):
         payoff: PayoffParams = PayoffParams(),
         balance_semantics: str = LIVE,
     ):
-        wanted = experiment_groups(experiment)[0]
-        if not networks or not groups or not banks:
-            raise ConfigError("suite requires at least one network, group, and bank setting")
-        for network in networks:
-            require_type(network, NetworkSpec, "each network")
-        for setting in banks:
-            require_type(setting, BankSetting, "each bank setting")
-        require_int(base_seed, "base_seed")
-        require_int(replicates, "replicates")
-        if replicates < 1:
-            raise ConfigError(f"replicates must be >= 1, got {replicates!r}")
-        runs = len(networks) * len(groups) * len(banks) * replicates
-        if runs > MAX_SUITE_RUNS:
-            raise ConfigError(
-                f"suite has {runs} runs (networks x groups x banks x replicates), more than {MAX_SUITE_RUNS}"
-            )
-        for group in groups:
-            if not isinstance(group, wanted):
-                raise ConfigError(
-                    f"experiment {experiment} takes {wanted.__name__} groups, got {type(group).__name__}"
-                )
-        # The settings of every run, checked here once, before any run.
-        for setting in banks:
-            SimConfig(iterations, initial_balance, payoff, setting.bank, balance_semantics=balance_semantics)
         super().__init__(
             networks,
             experiment,
@@ -200,6 +180,16 @@ class SuiteSpec(_Record):
             payoff,
             balance_semantics,
         )
+        wanted = experiment_groups(experiment)[0]
+        if not networks or not groups or not banks or replicates < 1:
+            raise ConfigError("suite requires at least one network, group, bank setting and replicate")
+        runs = len(networks) * len(groups) * len(banks) * replicates
+        if runs > MAX_SUITE_RUNS:
+            raise ConfigError(
+                f"suite has {runs} runs (networks x groups x banks x replicates), more than {MAX_SUITE_RUNS}"
+            )
+        for group in groups:
+            require(group, f"each group of experiment {experiment}", wanted)
 
 
 def assign_proportional(node_count: int, group: ProportionGroup, rng: random.Random) -> list[AgentKind]:
@@ -211,7 +201,7 @@ def assign_proportional(node_count: int, group: ProportionGroup, rng: random.Ran
     Works for any node count >= 1 (tiny graphs pair naturally with
     single-kind mixes such as 0:8:0:0).
     """
-    require_int(node_count, "node_count")
+    require(node_count, "node_count", int)
     if node_count < 1:
         raise ConfigError(f"proportional assignment needs at least 1 node, got {node_count}")
     order = shuffle_order(range(node_count), rng)

@@ -22,7 +22,7 @@ from itertools import accumulate, chain
 from typing import Iterable, Iterator, TextIO
 
 from . import _kernel
-from .errors import ConfigError, ParseError, require_path
+from .errors import PATH, ConfigError, ParseError, require
 
 # Format name -> (field separator, fields per data line, what the message
 # calls a field, comment prefix). A None separator splits on whitespace;
@@ -178,9 +178,8 @@ def graph_from_edges(edges: Iterable[tuple[int, int]]) -> Graph:
 
 def load_graph(path: str, fmt: str) -> Graph:
     """Open `path` and dispatch on format name ('snap' or 'bitcoin_otc')."""
-    require_path(path, "path")
-    if fmt not in GRAPH_FORMATS:
-        raise ConfigError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
+    require(path, "path", PATH)
+    require(fmt, "graph format", GRAPH_FORMATS)
     graph = _read_csr(path, fmt)
     if graph is not None:
         return graph

@@ -36,6 +36,7 @@ from pdnetsim import (
     run_suite,
 )
 from pdnetsim.engine import _Record
+from pdnetsim.errors import PATH, Check
 from pdnetsim.experiments import RunTask, SuiteRow
 from pdnetsim.output import run_file_name, write_gini_series_csv
 from pdnetsim.suite import suite_tasks
@@ -161,12 +162,13 @@ def test_degree_third_boundaries():
     assert len(ranked[:b1]) == 3 and len(ranked[b1:b2]) == 4 and len(ranked[b2:]) == 3
 
 
-def test_degree_assignment_structure():
-    g = random_graph(33, 4.0, seed=7)
+@pytest.mark.parametrize("n", [33, 34, 35])  # n mod 3 = 0, 1, 2: each rounds the cuts its own way
+def test_degree_assignment_structure(n):
+    g = random_graph(n, 4.0, seed=7)
     group = DegreeGroup.parse("C,T,D")
     assignment = assign_by_degree(g, group, random.Random(9))
     ranked = degree_ranked_nodes(g)
-    n = g.node_count
+    assert g.node_count == n
     b1 = math.floor(n / 3 + 0.5)
     b2 = math.floor(2 * n / 3 + 0.5)
     for third, kind in zip((ranked[:b1], ranked[b1:b2], ranked[b2:]), (C, T, D)):
@@ -732,37 +734,128 @@ def _one_run_suite(networks, **settings):
     )
 
 
-_INTEGER_SETTINGS = [
-    *(("SimConfig", name) for name in ("iterations", "initial_balance", "bank", "seed")),
-    *(("PayoffParams", name) for name in PayoffParams._fields),
-    *(("ProportionGroup", name) for name in ProportionGroup._fields),
-    ("SuiteSpec", "experiment"),
-    ("SuiteSpec", "base_seed"),
-    ("SuiteSpec", "replicates"),
-    ("run_suite", "workers"),
-    ("assign_proportional", "node_count"),
+# One valid build of every record that checks its fields: the generated
+# test below swaps one field at a time for a probe.
+_VALID_BUILDS = {
+    PayoffParams: {},
+    SimConfig: {},
+    ProportionGroup: dict(defector=2, cooperator=2, tit_for_tat=2, random=2),
+    DegreeGroup: dict(top=C, middle=T, bottom=D),
+    BankSetting: dict(label="5", bank=5),
+    NetworkSpec: dict(name="n", path="n.txt", fmt="snap"),
+    SuiteSpec: dict(
+        networks=(NetworkSpec("n", "n.txt", "snap"),),
+        experiment=1,
+        groups=EXPERIMENT1_GROUPS[:1],
+        banks=DEFAULT_BANK_SETTINGS[:1],
+        iterations=3,
+    ),
+}
+_PROBES = (True, 1.0, None, "1", -1, object())
+
+
+def _table_refuses(check, value) -> bool:
+    """Whether `check` refuses `value`, worked out from the table's entry
+    alone, apart from `errors.require`."""
+    if value is None:
+        return not check.none_ok
+    if check.kind is int:
+        return type(value) is not int or (check.least is not None and value < check.least)
+    if check.kind is PATH:
+        return not isinstance(value, (str, os.PathLike))
+    if isinstance(check.kind, tuple):
+        return value not in check.kind
+    return not isinstance(value, check.kind)
+
+
+# Generated from the records' check tables: each checked field, and the items
+# of a tuple field. The two integer arguments that are no record's field
+# follow, with the check each makes of its argument.
+_CHECKED = [
+    *((cls.__name__, field, False) for cls in _VALID_BUILDS for field in cls._checks),
+    *((cls.__name__, field, True) for cls in _VALID_BUILDS for field, check in cls._checks.items() if check.each),
+    ("run_suite", "workers", False),
+    ("assign_proportional", "node_count", False),
 ]
 
 
-@pytest.mark.parametrize("where, field", _INTEGER_SETTINGS)
-def test_a_bool_is_rejected_where_an_integer_is_expected(tiny_networks, where, field):
-    # True is an int to Python and would play as 1, which each setting
-    # takes; a bool in a config is a mistake, so it is refused. So is 1.0,
-    # which SuiteSpec, comparing the experiment with ==, took and stored.
-    eighths = dict.fromkeys(ProportionGroup._fields, 0)
-    eighths["random" if field == "defector" else "defector"] = 7
-    build = {
-        "SimConfig": lambda value: SimConfig(**{field: value}),
-        "PayoffParams": lambda value: PayoffParams(**{field: value}),
-        "ProportionGroup": lambda value: ProportionGroup(**{**eighths, field: value}),
-        "SuiteSpec": lambda value: _one_run_suite(tiny_networks, **{field: value}),
-        "run_suite": lambda value: run_suite(_one_run_suite(tiny_networks), workers=value),
-        "assign_proportional": lambda value: assign_proportional(value, EXPERIMENT1_GROUPS[0], random.Random(0)),
-    }[where]
-    build(1)
-    for value in (True, 1.0):
-        with pytest.raises(ConfigError, match=rf" must be (an|a positive|a non-negative) integer, got {value}$"):
-            build(value)
+@pytest.mark.parametrize(
+    "where, field, item", _CHECKED, ids=[f"{w}-{f}-item" if item else f"{w}-{f}" for w, f, item in _CHECKED]
+)
+def test_a_bool_is_rejected_where_an_integer_is_expected(tiny_networks, where, field, item):
+    # True is an int to Python and would play as 1, which each integer
+    # setting takes; a bool in a config is a mistake, so it is refused. So
+    # are 1.0, None, "1", -1 and object() wherever the field's check refuses
+    # them, with a ConfigError that names the field. Where the check takes
+    # a probe, a check across fields may still refuse it, but only with a
+    # ConfigError. A tuple field must be a tuple, and its items are probed
+    # too, as its one item.
+    records = {cls.__name__: cls for cls in _VALID_BUILDS}
+    if where in records:
+        cls = records[where]
+        check, valid = cls._checks[field], _VALID_BUILDS[cls]
+        cls(**valid)
+
+        def build(value):
+            return cls(**{**valid, field: (value,) if item else value})
+
+    else:
+        check, valid = (Check("workers", int, 1) if where == "run_suite" else Check("node_count", int)), {}
+        build = {
+            "run_suite": lambda value: run_suite(_one_run_suite(tiny_networks), workers=value),
+            "assign_proportional": lambda value: assign_proportional(value, EXPERIMENT1_GROUPS[0], random.Random(0)),
+        }[where]
+        build(1)
+    for probe in _PROBES:
+        if check.each and not item:  # the tuple itself
+            label, refused = field, True
+        else:
+            label, refused = check.label.format_map({**valid, field: probe}), _table_refuses(check, probe)
+        if refused:
+            with pytest.raises(ConfigError) as raised:
+                build(probe)
+            message = str(raised.value)
+            assert message.startswith(f"{label} must be ") and message.endswith(f", got {probe!r}"), message
+        else:
+            try:
+                build(probe)
+            except ConfigError:
+                pass
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DegreeGroup(True, False, 2), "top must be an AgentKind, got True"),
+        (lambda: DegreeGroup(1.0, 0.0, 2.0), "top must be an AgentKind, got 1.0"),
+        (lambda: DegreeGroup(D, C, 2), "bottom must be an AgentKind, got 2"),
+        (lambda: NetworkSpec(7, "g.txt", "snap"), "network name must be a str, got 7"),
+        (lambda: NetworkSpec(None, "g.txt", "snap"), "network name must be a str, got None"),
+        (lambda: BankSetting(7, 0), "bank label must be a str, got 7"),
+        (lambda: BankSetting("b", True), "finite bank balance must be a non-negative integer, got True"),
+        (lambda: BankSetting("b", 1.5), "finite bank balance must be a non-negative integer, got 1.5"),
+        (lambda: BankSetting("b", -5), "finite bank balance must be a non-negative integer, got -5"),
+    ],
+    ids=[
+        "degree-bools",
+        "degree-floats",
+        "degree-int",
+        "network-name-7",
+        "network-name-none",
+        "bank-label-7",
+        "bank-true",
+        "bank-float",
+        "bank-negative",
+    ],
+)
+def test_records_that_took_any_value_refuse_a_wrong_one(build, message):
+    # Each of these used to construct. The degree group played True, False
+    # and 2 as Defector, Cooperator and Tit-for-Tat, a network named 7 got
+    # the seeds of one named "7", and a bank setting went unchecked until
+    # a suite was built from it.
+    with pytest.raises(ConfigError) as raised:
+        build()
+    assert str(raised.value) == message
 
 
 def test_a_proportional_assignment_of_no_node_keeps_its_message():
@@ -885,10 +978,15 @@ def test_records_compare_by_value_and_take_their_fields_by_position_or_keyword(t
 def test_every_record_holds_its_fields_and_nothing_else():
     # A slot outside _fields would be a second copy of some field, which
     # neither equality nor pickling sees.
-    records = {PayoffParams, SimConfig, RunResult, ProportionGroup, DegreeGroup, NetworkSpec, SuiteSpec}
+    records = {PayoffParams, SimConfig, RunResult, ProportionGroup, DegreeGroup, BankSetting, NetworkSpec, SuiteSpec}
     assert set(_Record.__subclasses__()) == records
     for cls in records:
         assert cls.__slots__ == cls._fields, cls.__name__
+    # Each checks every field, by its table, and is probed by the generated
+    # test; RunResult, the engine's output, which only run builds, has none.
+    assert set(_VALID_BUILDS) == records - {RunResult} and RunResult._checks == {}
+    for cls in _VALID_BUILDS:
+        assert tuple(cls._checks) == cls._fields, cls.__name__
 
 
 def test_default_bank_settings():
