@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import _kernel
-from .engine import LIVE, PayoffParams, SimConfig, run
+from .engine import SHARED_SETTINGS, PayoffParams, SimConfig, run
 from .errors import ConfigError, ParseError
 # suite.cmd_suite calls run_suite and write_suite_summary_csv through this
 # module, so a wrapper set on either attribute here runs.
@@ -41,22 +41,15 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_IO = 4
 
-# The settings every run of a command shares; read by _sim_settings.
-_SIM_KEYS = {
-    "iterations",
-    "initial_balance",
-    "balance_semantics",
-    "coop_reward",
-    "defect_penalty",
-    "betrayal_transfer",
-}
+# The config keys of the SHARED_SETTINGS: payoff is given as PayoffParams' fields.
+_SIM_KEYS = set(SHARED_SETTINGS) - {"payoff"} | set(PayoffParams._fields)
 _RUN_REQUIRED = {"graph", "graph_format", "experiment", "group", "bank", "seed", "out"}
 
 
 def parse_kv_config(path: str) -> dict[str, list[str]]:
     """Parse 'key = value' lines; repeated keys accumulate in file order."""
     values: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # a byte-order mark is not part of the first key
         try:
             lines = handle.readlines()
         except UnicodeDecodeError as exc:
@@ -88,17 +81,17 @@ def _check_keys(values: dict, required: set, optional: set, path: str) -> None:
         raise ConfigError(f"{path}: missing required config keys: {', '.join(sorted(missing))}")
 
 
-def _single(values: dict, key: str, default: str | None = None) -> str | None:
+def _single(values: dict, key: str) -> str | None:
     entries = values.get(key)
     if entries is None:
-        return default
+        return None
     if len(entries) > 1:
         raise ConfigError(f"config key {key!r} given {len(entries)} times")
     return entries[0]
 
 
 def _int_value(values: dict, key: str, default: int | None = None) -> int | None:
-    text = _single(values, key, None)
+    text = _single(values, key)
     if text is None:
         return default
     try:
@@ -108,17 +101,17 @@ def _int_value(values: dict, key: str, default: int | None = None) -> int | None
 
 
 def _sim_settings(values: dict) -> dict:
-    """The _SIM_KEYS settings as keyword arguments of SimConfig and SuiteSpec."""
-    return {
-        "iterations": _int_value(values, "iterations", 1000),
-        "initial_balance": _int_value(values, "initial_balance", 100),
-        "payoff": PayoffParams(
-            coop_reward=_int_value(values, "coop_reward", 1),
-            defect_penalty=_int_value(values, "defect_penalty", 2),
-            betrayal_transfer=_int_value(values, "betrayal_transfer", 3),
-        ),
-        "balance_semantics": _single(values, "balance_semantics", LIVE),
-    }
+    """The SHARED_SETTINGS that `values` gives, parsed in SimConfig's field order,
+    as keyword arguments of SimConfig and SuiteSpec; their defaults fill the rest."""
+    settings = {}
+    for name in SHARED_SETTINGS:
+        if name == "payoff":
+            payoff = {key: _int_value(values, key) for key in PayoffParams._fields if key in values}
+            if payoff:
+                settings[name] = PayoffParams(**payoff)
+        elif name in values:
+            settings[name] = _int_value(values, name) if SimConfig._checks[name].kind is int else _single(values, name)
+    return settings
 
 
 def _bank_from_label(label: str) -> int | None:

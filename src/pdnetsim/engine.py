@@ -181,6 +181,10 @@ class SimConfig(_Record):
         super().__init__(iterations, initial_balance, payoff, bank, seed, balance_semantics)
 
 
+# The settings every run of a suite or a command shares: SimConfig's fields but bank and seed.
+SHARED_SETTINGS = tuple(name for name in SimConfig._fields if name not in ("bank", "seed"))
+
+
 class IterationStats(NamedTuple):
     """End-of-iteration audit record."""
 

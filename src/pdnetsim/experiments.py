@@ -24,7 +24,7 @@ from math import ceil, log
 from typing import NamedTuple
 
 from . import _kernel
-from .engine import LIVE, PayoffParams, SimConfig, _Record, shuffle_order, run
+from .engine import SHARED_SETTINGS, PayoffParams, SimConfig, _Record, shuffle_order, run
 from .errors import PATH, Check, ConfigError, PDNetSimError, require
 from .graph import GRAPH_FORMATS, Graph, degree_ranked_nodes, load_graph
 from .strategies import KIND_LETTERS, LETTER_OF_KIND, AgentKind
@@ -141,6 +141,7 @@ class NetworkSpec(_Record):
 
 # A suite builds every run's task (some 400 bytes) before the first run plays.
 MAX_SUITE_RUNS = 100_000
+_RUN_DEFAULTS = SimConfig()  # SuiteSpec's defaults of the SHARED_SETTINGS
 
 
 class SuiteSpec(_Record):
@@ -151,7 +152,7 @@ class SuiteSpec(_Record):
         "banks": Check("each bank setting", BankSetting, each=True),
         "base_seed": Check("base_seed", int),
         "replicates": Check("replicates", int),
-        **{name: SimConfig._checks[name] for name in ("iterations", "initial_balance", "payoff", "balance_semantics")},
+        **{name: SimConfig._checks[name] for name in SHARED_SETTINGS},
     }
     __slots__ = _fields = tuple(_checks)
 
@@ -163,10 +164,10 @@ class SuiteSpec(_Record):
         banks: tuple = DEFAULT_BANK_SETTINGS,
         base_seed: int = 0,
         replicates: int = 5,
-        iterations: int = 1000,
-        initial_balance: int = 100,
-        payoff: PayoffParams = PayoffParams(),
-        balance_semantics: str = LIVE,
+        iterations: int = _RUN_DEFAULTS.iterations,
+        initial_balance: int = _RUN_DEFAULTS.initial_balance,
+        payoff: PayoffParams = _RUN_DEFAULTS.payoff,
+        balance_semantics: str = _RUN_DEFAULTS.balance_semantics,
     ):
         super().__init__(
             networks,

@@ -11,7 +11,7 @@ import sys
 from collections import deque
 
 from . import _kernel, cli, experiments
-from .engine import SimConfig
+from .engine import SHARED_SETTINGS, SimConfig
 from .errors import ConfigError, require
 from .experiments import (
     DEFAULT_BANK_SETTINGS,
@@ -40,7 +40,7 @@ def suite_tasks(spec: SuiteSpec, series_path_for=None) -> list[RunTask]:
     """
     tasks = []
     seen = {}  # run key or series path -> the run that claimed it
-    shared = spec.iterations, spec.initial_balance, spec.payoff  # the SimConfig fields before bank and seed
+    shared = {name: getattr(spec, name) for name in SHARED_SETTINGS}
     for net in spec.networks:
         for group in spec.groups:
             for setting in spec.banks:
@@ -55,7 +55,7 @@ def suite_tasks(spec: SuiteSpec, series_path_for=None) -> list[RunTask]:
                         raise ConfigError(f"suite runs {other} and {name} both write {series_path}")
                     seen[key] = seen[series_path] = name
                     run_seed = derive_seed(spec.base_seed, *key, "run")
-                    cfg = SimConfig(*shared, setting.bank, run_seed, spec.balance_semantics)
+                    cfg = SimConfig(**shared, bank=setting.bank, seed=run_seed)
                     assign_seed = derive_seed(spec.base_seed, *key, "assign")
                     tasks.append(RunTask(net, group, setting, rep, assign_seed, cfg, series_path))
     return tasks
@@ -87,6 +87,8 @@ def run_suite(spec: SuiteSpec, series_path_for=None, workers: int = 1, progress=
             if progress is not None:
                 progress(done, len(tasks), row)
     finally:
+        if workers > 1:
+            results.close()  # stops the workers now, though the caller may keep this frame in a traceback
         experiments._cached_graph.cache_clear()
     return rows
 
@@ -174,7 +176,7 @@ def _reap(conn, process) -> str:
 def _parse_network_entries(entries: list[str]) -> tuple[NetworkSpec, ...]:
     networks = []
     for entry in entries:
-        fields = entry.split()
+        fields = entry.split(None, 2)  # the path may hold spaces, as a run's graph = may
         if len(fields) != 3:
             raise ConfigError(f"network entry must be 'NAME FORMAT PATH', got {entry!r}")
         name, fmt, path = fields
@@ -211,17 +213,15 @@ def cmd_suite(args) -> int:
     cli._check_keys(values, _SUITE_REQUIRED, _SUITE_OPTIONAL, args.config)
 
     experiment = cli._int_value(values, "experiment")
-    spec = SuiteSpec(
-        experiment=experiment,
-        groups=_parse_groups(experiment, cli._single(values, "groups")),
-        networks=_parse_network_entries(values["network"]),
-        banks=_parse_banks(cli._single(values, "banks")),
-        base_seed=args.seed if args.seed is not None else cli._int_value(values, "seed"),
-        replicates=(
-            args.replicates if args.replicates is not None else cli._int_value(values, "replicates", 5)
-        ),
+    settings = {
+        "groups": _parse_groups(experiment, cli._single(values, "groups")),
+        "networks": _parse_network_entries(values["network"]),
+        "banks": _parse_banks(cli._single(values, "banks")),
+        "base_seed": args.seed if args.seed is not None else cli._int_value(values, "seed"),
+        "replicates": args.replicates if args.replicates is not None else cli._int_value(values, "replicates"),
         **cli._sim_settings(values),
-    )
+    }  # replicates is None when neither the file nor a flag gives it: SuiteSpec's default applies
+    spec = SuiteSpec(experiment=experiment, **{key: value for key, value in settings.items() if value is not None})
     workers = args.workers if args.workers is not None else cli._int_value(values, "workers", 1)
     out_dir = args.out if args.out is not None else cli._single(values, "out")
 

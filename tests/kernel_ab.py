@@ -142,7 +142,7 @@ class Timed:
         rows = max(played, 0)
         self._hash(
             (order, 8 * live), (held, 8 * live), (bal, 8 * n), (last, n), (acc, 8 * engine._ACC_SLOTS), (mt, 4 * 625),
-            (stats, 6 * 8 * rows), (sums, 4 * 8 * rows if sums else 0),
+            (stats, 8 * engine._STAT_FIELDS * rows), (sums, 4 * 8 * rows if sums else 0),
         )
         self.digest.update(played.to_bytes(8, "little", signed=True))
         return played

@@ -402,6 +402,76 @@ def test_suite_verbose_reports_each_run_in_task_order(suite_config, capsys, verb
     assert lines == (expected if verbose else [])
 
 
+# Every SimConfig field but bank and seed, payoff as its three fields, with a value other than its default.
+_SHARED_KEYS = {
+    "iterations": "7",
+    "initial_balance": "11",
+    "coop_reward": "2",
+    "defect_penalty": "4",
+    "betrayal_transfer": "5",
+    "balance_semantics": "snapshot",
+}
+
+
+@pytest.mark.parametrize("given", [False, True], ids=["omitted", "given"])
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_both_commands_take_every_sim_config_field_but_bank_and_seed(request, monkeypatch, command, given):
+    from pdnetsim import cli, experiments
+    from pdnetsim.engine import PayoffParams, SimConfig
+
+    assert set(_SHARED_KEYS) == set(SimConfig._fields) - {"bank", "seed", "payoff"} | set(PayoffParams._fields)
+    config_path, _ = request.getfixturevalue({"run": "two_node_run", "suite": "suite_config"}[command])
+    lines = [line for line in config_path.read_text().splitlines() if line.split(" = ")[0] not in _SHARED_KEYS]
+    if command == "suite":  # two runs
+        lines = [line for line in lines if not line.startswith(("groups", "banks"))] + ["groups = 2:2:2:2", "banks = 0"]
+    if given:
+        lines += [f"{key} = {value}" for key, value in _SHARED_KEYS.items()]
+    config_path.write_text("\n".join(lines) + "\n")
+    configs = []
+    if command == "run":
+        real_run = cli.run
+        monkeypatch.setattr(cli, "run", lambda graph, kinds, cfg: configs.append(cfg) or real_run(graph, kinds, cfg))
+    else:
+        real_task = experiments.execute_task
+        monkeypatch.setattr(experiments, "execute_task", lambda task: configs.append(task.cfg) or real_task(task))
+    assert main([command, "--config", str(config_path)]) == EXIT_OK
+    expected = SimConfig(7, 11, PayoffParams(2, 4, 5), balance_semantics="snapshot") if given else SimConfig()
+    shared = [name for name in SimConfig._fields if name not in ("bank", "seed")]
+    assert len(configs) == {"run": 1, "suite": 2}[command]
+    for cfg in configs:
+        assert [getattr(cfg, name) for name in shared] == [getattr(expected, name) for name in shared]
+
+
+def _output_files(out_dir):
+    return {path.relative_to(out_dir): path.read_bytes() for path in sorted(out_dir.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+def test_a_config_with_a_byte_order_mark_writes_what_one_without_writes(request, tmp_path, command):
+    config_path, out_dir = request.getfixturevalue({"run": "two_node_run", "suite": "suite_config"}[command])
+    assert main([command, "--config", str(config_path)]) == EXIT_OK
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + config_path.read_bytes())
+    other = tmp_path / "marked_out"
+    assert main([command, "--config", str(marked), "--out", str(other)]) == EXIT_OK
+    assert _output_files(other) == _output_files(out_dir) != {}
+
+
+def test_a_suite_network_path_may_contain_spaces(suite_config, tmp_path):
+    config_path, out_dir = suite_config
+    assert main(["suite", "--config", str(config_path)]) == EXIT_OK
+    spaced = tmp_path / "with  two spaces"
+    spaced.mkdir()
+    text = config_path.read_text()
+    for name in ("alpha.txt", "beta.txt"):
+        (spaced / name).write_bytes((tmp_path / name).read_bytes())
+        text = text.replace(str(tmp_path / name), str(spaced / name))
+    config_path.write_text(text)
+    other = tmp_path / "spaced_out"
+    assert main(["suite", "--config", str(config_path), "--out", str(other)]) == EXIT_OK
+    assert _output_files(other) == _output_files(out_dir) != {}
+
+
 def _runs_started(monkeypatch):
     """The suite tasks executed from now on, recorded instead of run."""
     from pdnetsim import experiments
@@ -737,6 +807,21 @@ def test_plot_constant_zero_series_is_horizontal(tmp_path):
     polyline = svg.split('points="')[1].split('"')[0]
     ys = {point.split(",")[1] for point in polyline.split()}
     assert len(ys) == 1  # one shared y pixel: a horizontal line
+
+
+def test_plot_skips_blank_lines_but_counts_them(tmp_path, capsys):
+    plain, blanks = tmp_path / "plain", tmp_path / "blanks"
+    plain.mkdir()
+    blanks.mkdir()
+    (plain / "series.csv").write_text("iteration,gini\n1,0.5\n2,0.25\n3,0.125\n")
+    (blanks / "series.csv").write_text("iteration,gini\n\n1,0.5\n\n\n2,0.25\n3,0.125\n\n")
+    for directory in (plain, blanks):
+        assert main(["plot", str(directory / "series.csv"), "--out", str(directory / "chart.svg")]) == EXIT_OK
+    assert (blanks / "chart.svg").read_bytes() == (plain / "chart.svg").read_bytes()
+    (blanks / "series.csv").write_text("iteration,gini\n1,0.5\n\n\n2\n")
+    capsys.readouterr()
+    assert main(["plot", str(blanks / "series.csv"), "--out", str(blanks / "chart.svg")]) == EXIT_PARSE
+    assert "line 5: malformed series row" in capsys.readouterr().err
 
 
 def test_plot_rejects_empty_csv(tmp_path, capsys):

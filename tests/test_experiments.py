@@ -629,6 +629,42 @@ def test_a_killed_suite_parent_leaves_no_worker_and_no_traceback(tiny_networks, 
     assert "Traceback" not in (tmp_path / "stderr.txt").read_text()
 
 
+def test_a_suite_left_through_an_exception_stops_its_busy_worker(tiny_networks, monkeypatch):
+    # Replicate 0's row comes back at once and its progress call raises,
+    # while the other worker sleeps in replicate 1: the parent terminates
+    # that worker instead of waiting out its task.
+    import multiprocessing
+    import time
+
+    from pdnetsim import experiments
+
+    real_task = experiments.execute_task
+
+    def slow_second(task):
+        if task.replicate == 1:
+            time.sleep(30)
+        return real_task(task)
+
+    def progress(done, total, row):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(experiments, "execute_task", slow_second)  # before the fork, so the workers inherit it
+    spec = SuiteSpec(
+        networks=tiny_networks[:1],
+        experiment=1,
+        groups=EXPERIMENT1_GROUPS[:1],
+        banks=DEFAULT_BANK_SETTINGS[:1],
+        replicates=2,
+        iterations=5,
+        initial_balance=10,
+    )
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match="stop") as raised:  # kept: its traceback holds run_suite's frame
+        run_suite(spec, workers=2, progress=progress)
+    assert time.monotonic() - started < 10
+    assert multiprocessing.active_children() == []
+
+
 def test_suite_pool_is_capped_at_the_task_count(tiny_networks, monkeypatch):
     import multiprocessing.context
 
