@@ -102,18 +102,28 @@ def _forked_rows(tasks: list[RunTask], workers: int):
     the task it was running gets the error row. A task dealt to a worker
     already gone never started, and goes to another one; once no worker is
     left, every task not yet run gets the error row.
+
+    Worker k is pinned to every `workers`-th CPU of the parent's affinity
+    mask from the k-th on (the k-th modulo the mask's size), so that the
+    workers do not share a CPU while another stands idle.
     """
     import multiprocessing  # only pools pay for these imports
     from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")  # the workers inherit the tasks and the kernel
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     pool = {}  # the parent's end of each worker's connection -> that worker
     running = {}  # parent's end -> index of the task its worker runs
     try:
-        for _ in range(workers):
+        for k in range(workers):
             conn, child_end = context.Pipe()
             process = context.Process(target=_work, args=(tasks, child_end, [*pool, conn]), daemon=True)
             process.start()
+            if cpus:  # before anything reaps the worker, so that its pid still names it
+                try:
+                    os.sched_setaffinity(process.pid, cpus[k % len(cpus) :: workers])
+                except OSError:  # it is gone already (ESRCH), or the cpuset shrank (EINVAL): placement only
+                    pass
             child_end.close()
             pool[conn] = process
         idle = list(pool)

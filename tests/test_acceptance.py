@@ -45,7 +45,9 @@ BANK_INF = BankSetting("inf", None)
 
 
 def _workers() -> int:
-    return int(os.environ.get("PDNETSIM_TEST_WORKERS", str(min(4, os.cpu_count() or 1))))
+    """PDNETSIM_TEST_WORKERS, or the CPUs this process may run on, at most 4."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return int(os.environ.get("PDNETSIM_TEST_WORKERS", str(min(4, usable))))
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:

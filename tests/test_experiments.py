@@ -691,6 +691,74 @@ def test_suite_pool_is_capped_at_the_task_count(tiny_networks, monkeypatch):
     assert [row.status for row in rows] == ["ok", "ok"]
 
 
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 CPUs")
+def test_each_worker_runs_on_its_own_share_of_the_cpus(tiny_networks, tmp_path, monkeypatch):
+    from pdnetsim import experiments
+
+    real_task = experiments.execute_task
+
+    def record_cpus(task):
+        (tmp_path / f"{os.getpid()}.cpus").write_text(" ".join(map(str, sorted(os.sched_getaffinity(0)))))
+        return real_task(task)
+
+    monkeypatch.setattr(experiments, "execute_task", record_cpus)
+    cpus = sorted(os.sched_getaffinity(0))
+    rows = run_suite(_four_replicates(tiny_networks), workers=2)
+    held = sorted(path.read_text() for path in tmp_path.glob("*.cpus"))
+    assert held == sorted(" ".join(map(str, share)) for share in (cpus[0::2], cpus[1::2]))
+    assert [row.status for row in rows] == ["ok"] * 4
+
+
+@pytest.mark.parametrize(
+    "mask, workers, shares",
+    [
+        (range(8), 2, [[0, 2, 4, 6], [1, 3, 5, 7]]),
+        ({0, 1}, 2, [[0], [1]]),
+        ({0, 1}, 3, [[0], [1], [0]]),
+        ({3, 5, 9}, 2, [[3, 9], [5]]),
+    ],
+    ids=["8-cpus-2-workers", "2-cpus-2-workers", "2-cpus-3-workers", "3-cpus-2-workers"],
+)
+def test_worker_k_is_pinned_to_every_nth_cpu_of_the_mask_from_the_kth(tiny_networks, monkeypatch, mask, workers, shares):
+    import multiprocessing.context
+
+    started, pins = [], []
+    real_start = multiprocessing.context.ForkProcess.start
+
+    def counting_start(process):
+        started.append(process)
+        real_start(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", counting_start)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(mask), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pins.append((pid, list(cpus))), raising=False)
+    rows = run_suite(_four_replicates(tiny_networks), workers=workers)
+    assert pins == [(process.pid, share) for process, share in zip(started, shares)]
+    assert len(started) == workers
+    assert [row.status for row in rows] == ["ok"] * 4
+
+
+@pytest.mark.parametrize("pin", ["EINVAL", "ESRCH", "absent"])
+def test_a_suite_whose_workers_cannot_be_pinned_writes_what_one_process_writes(tiny_networks, tmp_path, monkeypatch, pin):
+    import errno
+
+    calls = []
+
+    def refuse(pid, cpus):
+        calls.append(pid)
+        raise OSError(getattr(errno, pin), os.strerror(getattr(errno, pin)))
+
+    spec = _four_replicates(tiny_networks)
+    serial, serial_files = _suite_files(spec, tmp_path / "serial", 1)
+    if pin == "absent":
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    rows, files = _suite_files(spec, tmp_path / "pool", 2)
+    assert rows == serial and files == serial_files
+    assert len(calls) == (0 if pin == "absent" else 2)
+
+
 @pytest.mark.parametrize("experiment", [1, 2])
 def test_any_suite_row_can_be_rebuilt_through_the_api(tiny_networks, tmp_path, experiment):
     spec = _tiny_suite(tiny_networks, experiment, replicates=2)
