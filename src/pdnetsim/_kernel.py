@@ -18,8 +18,10 @@ This module alone knows how the kernel is called. `_pass.c` draws from a
 index of `getstate()`; a subclass may draw otherwise) as CPython's
 random(), randrange and sample do, and `write_back` hands the copy back,
 pending `gauss_next` kept, unless nothing else draws from that generator,
-as in a run. The entries in `_OUT_OF_MEMORY` return -2 when memory runs
-out, which their `errcheck` raises as MemoryError.
+as in a run. The passes, the Gini and the samples allocate nothing: their
+callers pass the working memory as one more `array` (`scratch`), so running
+out of memory is Python's own MemoryError, raised before the kernel is
+called.
 """
 
 import ctypes
@@ -40,14 +42,14 @@ FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 KEEP = 4  # libraries a compile leaves in the cache directory, its own included
 
 _SIGNATURES = {  # name: (result type, argument types)
-    # pd_run(limit, order, held, offsets, targets, kinds, last, bal, start, params, acc, mt, stats, sums)
-    "pd_run": (ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 13),
+    # pd_run(limit, order, held, offsets, targets, kinds, last, bal, start, params, acc, mt, stats, sums, scratch)
+    "pd_run": (ctypes.c_int64, [ctypes.c_int64] + [ctypes.c_void_p] * 14),
     # pd_shuffle(order, n, mt)
     "pd_shuffle": (None, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p]),
-    # pd_sample(out, m, k, by_pool, mt)
-    "pd_sample": (ctypes.c_int, [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p]),
-    # pd_gini(values, m, n, out)
-    "pd_gini": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64, ctypes.c_void_p]),
+    # pd_sample(out, m, k, by_pool, scratch, mt)
+    "pd_sample": (None, [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2),
+    # pd_gini(values, m, n, scratch, out)
+    "pd_gini": (ctypes.c_int, [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint64] + [ctypes.c_void_p] * 2),
     # pd_read_edges(data, size, format, counts, &reader)
     "pd_read_edges": (
         ctypes.c_int,
@@ -58,7 +60,6 @@ _SIGNATURES = {  # name: (result type, argument types)
     # pd_edges_free(reader)
     "pd_edges_free": (None, [ctypes.c_void_p]),
 }
-_OUT_OF_MEMORY = ("pd_run", "pd_sample", "pd_gini")  # the entries that return -2 when memory runs out
 
 
 class _CompileError(Exception):
@@ -74,12 +75,6 @@ def generator_copy(rng):
 def write_back(rng: random.Random, mt: array) -> None:
     """Make `mt`, a `generator_copy` state the kernel drew from, rng's state."""
     rng.setstate((rng.VERSION, tuple(mt), rng.gauss_next))
-
-
-def _out_of_memory(result, function, arguments):
-    if result == -2:
-        raise MemoryError(f"{function.__name__} ran out of memory")
-    return result
 
 
 @functools.cache
@@ -168,8 +163,6 @@ def _open(path: Path):
             function = getattr(library, name)
             function.argtypes = argtypes
             function.restype = restype
-            if name in _OUT_OF_MEMORY:
-                function.errcheck = _out_of_memory
     except (OSError, AttributeError) as exc:
         return None, f"loading the compiled kernel failed: {exc}"
     return library, None

@@ -18,9 +18,10 @@
  *
  * pd_gini gives the integer parts of the Gini coefficient of any int64
  * array, from counts by value when the values span a narrow range and from
- * a radix sort otherwise; metrics.py divides them. pd_read_edges and
- * pd_edges_csr, at the end, parse edge-list files into the CSR arrays
- * pd_run plays on.
+ * a radix sort otherwise; metrics.py divides them. These entries work in
+ * scratch arrays their callers size; only pd_read_edges and pd_edges_csr,
+ * at the end, which parse edge-list files into the CSR arrays pd_run plays
+ * on, allocate.
  */
 #include <stdint.h>
 #include <stdlib.h>
@@ -189,22 +190,23 @@ static int play_pass(const int64_t *order, int64_t m, const int64_t *offsets,
 }
 
 /* weighted and total (see pd_gini) from counts by value, for m <= 2^32 - 1
- * values in [min, min + span] with span < 4 * m and n * m < 2^63. The
- * values v with count c take the ranks before + 1 .. before + c, whose
- * coefficients sum to c * (2 * before + c - n) = c * (before - after),
- * with `after` the count of larger values: at most m * n, so int64. Empty
- * slots cost one test each. Returns 0, or -2 when memory runs out. */
-static int gini_by_count(const int64_t *values, int64_t m, int64_t n, uint64_t min,
-                         uint64_t span, __int128 *weighted, unsigned __int128 *total)
+ * values in [min, min + span] with span < 4 * m and n * m < 2^63, counted
+ * in the span + 1 <= 4 * m uint32 slots of scratch. The values v with
+ * count c take the ranks before + 1 .. before + c, whose coefficients sum
+ * to c * (2 * before + c - n) = c * (before - after), with `after` the
+ * count of larger values: at most m * n, so int64. Empty slots cost one
+ * test each. */
+static void gini_by_count(const int64_t *values, int64_t m, int64_t n, uint64_t min,
+                          uint64_t span, uint64_t *scratch, __int128 *weighted,
+                          unsigned __int128 *total)
 {
-    uint32_t *count = calloc(span + 1, sizeof *count);
+    uint32_t *count = (uint32_t *)scratch;
     int64_t before = n - m, after, c, i;
     uint64_t s;
     __int128 w = 0;
     unsigned __int128 t = 0;
 
-    if (count == NULL)
-        return -2;
+    memset(count, 0, (span + 1) * sizeof *count);
     for (i = 0; i < m; i++)
         count[(uint64_t)values[i] - min]++;
     for (s = 0; s <= span; s++) {
@@ -216,29 +218,22 @@ static int gini_by_count(const int64_t *values, int64_t m, int64_t n, uint64_t m
         t += (unsigned __int128)(min + s) * (uint64_t)c;
         before += c;
     }
-    free(count);
     *weighted = w;
     *total = t;
-    return 0;
 }
 
 /* weighted and total (see pd_gini) after an LSD radix sort of the values,
- * one pass per byte of the maximum; a byte every key shares needs no pass.
- * Returns 0, or -2 when memory runs out. */
-static int gini_by_sort(const int64_t *values, int64_t m, uint64_t n, uint64_t max,
-                        __int128 *weighted, unsigned __int128 *total)
+ * whose keys take the 2 * m words of scratch, one pass per byte of the
+ * maximum; a byte every key shares needs no pass. */
+static void gini_by_sort(const int64_t *values, int64_t m, uint64_t n, uint64_t max,
+                         uint64_t *scratch, __int128 *weighted, unsigned __int128 *total)
 {
-    uint64_t *buffer = malloc((2 * (size_t)m + 1) * sizeof *buffer), /* + 1: never malloc(0) */
-        *keys, *spare, *swap;
+    uint64_t *keys = scratch, *spare = scratch + m, *swap;
     __int128 coeff = (__int128)n - 2 * (__int128)m + 1, w = 0;
     unsigned __int128 t = 0;
     int64_t i;
     int shift;
 
-    if (buffer == NULL)
-        return -2;
-    keys = buffer;
-    spare = buffer + m;
     memcpy(keys, values, (size_t)m * sizeof *keys);
     for (shift = 0; shift < 64 && (max >> shift) != 0; shift += 8) {
         int64_t count[256] = {0}, pos = 0, c;
@@ -263,49 +258,42 @@ static int gini_by_sort(const int64_t *values, int64_t m, uint64_t n, uint64_t m
         w += coeff * keys[i];
         t += keys[i];
     }
-    free(buffer);
     *weighted = w;
     *total = t;
-    return 0;
 }
 
 /* The Gini sums of values[0..m) padded with n - m zeros (see pd_gini),
  * given their minimum and maximum: from counts by value when the values
  * span a range R = max - min + 1 of at most 4 * m and n * m < 2^63, else
- * from a radix sort. The bound 4 * m keeps the count buffer (4 bytes a
- * slot) no larger than the sort's (16 bytes a value), so neither route
- * needs more memory than the other could. Writes weighted to out[0..1] and
- * total to out[2..3], low word first, and returns 0, or -2 when memory
- * runs out. */
-static int gini_sums(const int64_t *values, int64_t m, uint64_t n, uint64_t min, uint64_t max,
-                     uint64_t *out)
+ * from a radix sort. Both routes work in the caller's scratch of 2 * m
+ * words: the counts take R <= 4 * m slots of 4 bytes, the sort's keys
+ * 2 * m words. Writes weighted to out[0..1] and total to out[2..3], low
+ * word first. */
+static void gini_sums(const int64_t *values, int64_t m, uint64_t n, uint64_t min, uint64_t max,
+                      uint64_t *scratch, uint64_t *out)
 {
     __int128 weighted;
     unsigned __int128 total;
-    int status;
 
     if (m > 0 && m <= UINT32_MAX && max - min < 4 * (uint64_t)m
         && (unsigned __int128)n * (uint64_t)m < (unsigned __int128)1 << 63)
-        status = gini_by_count(values, m, (int64_t)n, min, max - min, &weighted, &total);
+        gini_by_count(values, m, (int64_t)n, min, max - min, scratch, &weighted, &total);
     else
-        status = gini_by_sort(values, m, n, max, &weighted, &total);
-    if (status != 0)
-        return status;
+        gini_by_sort(values, m, n, max, scratch, &weighted, &total);
     out[0] = (uint64_t)weighted;
     out[1] = (uint64_t)((unsigned __int128)weighted >> 64);
     out[2] = (uint64_t)total;
     out[3] = (uint64_t)(total >> 64);
-    return 0;
 }
 
 /* The Gini coefficient of values[0..m) padded with n - m zeros is
  * weighted / (n * total), with weighted = sum_i (2i - n - 1) x_i over the
  * ascending order (1-based ranks; the zeros take the lowest). Writes
- * weighted and total to out[0..3] (see gini_sums) and returns 0; returns
- * -1, writing nothing, when a value is negative, and -2 when memory runs
- * out. The caller checks n * m < 2^64, so that no sum below leaves
+ * weighted and total to out[0..3], working in scratch[0..2m) (see
+ * gini_sums), and returns 0; returns -1, writing nothing, when a value is
+ * negative. The caller checks n * m < 2^64, so that no sum below leaves
  * __int128: |partial sums| <= n * total < n * m * 2^63. */
-int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
+int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *scratch, uint64_t *out)
 {
     uint64_t min = UINT64_MAX, max = 0;
     int64_t i;
@@ -318,7 +306,8 @@ int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
         if ((uint64_t)values[i] < min)
             min = (uint64_t)values[i];
     }
-    return gini_sums(values, m, n, min, max, out);
+    gini_sums(values, m, n, min, max, scratch, out);
+    return 0;
 }
 
 /* Play up to `limit` passes (limit >= 1) of the run whose state the
@@ -327,21 +316,21 @@ int pd_gini(const int64_t *values, int64_t m, uint64_t n, uint64_t *out)
  * the order of the rest) and copy the balances of the others into held;
  * write the pass's row of stats (stats[S_FIELDS * pass ..]); and, when
  * sums is not NULL, the Gini sums of all n balances (sums[4 * pass ..], as
- * pd_gini writes them). Returns the number of passes played, or -2 when
- * the Gini runs out of memory. */
+ * pd_gini writes them, in scratch[0..2n)). Returns the number of passes
+ * played. */
 int64_t pd_run(int64_t limit, int64_t *order, int64_t *held, const int64_t *offsets,
                const int32_t *targets, const int8_t *kinds, int8_t *last, int64_t *bal,
                int64_t *start, const int64_t *params, int64_t *acc, uint32_t *mt,
-               int64_t *stats, uint64_t *sums)
+               int64_t *stats, uint64_t *sums, uint64_t *scratch)
 {
     const uint64_t n = (uint64_t)params[P_N];
     int64_t m = acc[A_LIVE], pass, i, kept, total;
     uint64_t min, max;
-    int converged = 0, status = 0;
+    int converged = 0;
     struct gen g;
 
     gen_open(&g, mt);
-    for (pass = 0; pass < limit && !converged && status == 0; pass++) {
+    for (pass = 0; pass < limit && !converged; pass++) {
         int64_t *row = stats + S_FIELDS * pass;
 
         converged = play_pass(order, m, offsets, targets, kinds, last, bal, start, params, acc,
@@ -365,12 +354,12 @@ int64_t pd_run(int64_t limit, int64_t *order, int64_t *held, const int64_t *offs
         row[S_BANK] = acc[A_BANK];
         row[S_TOTAL] = total;
         if (sums != NULL)
-            status = gini_sums(held, m, n, min, max, sums + 4 * pass);
+            gini_sums(held, m, n, min, max, scratch, sums + 4 * pass);
     }
     gen_close(&g);
     acc[A_LIVE] = m;
     acc[A_CONVERGED] = converged;
-    return status != 0 ? status : pass;
+    return pass;
 }
 
 /* random.Random._randbelow(bound) for 1 <= bound < 2^32, as CPython draws
@@ -415,24 +404,18 @@ void pd_shuffle(int64_t *order, int64_t n, uint32_t *mt)
  * for the i-th position, takes pool[j] and moves the last position not yet
  * taken, pool[m - i - 1], into its place. The set route draws
  * j = randbelow(m) until j was not taken before, which an m-byte mask
- * records. Returns 0, or -2, with mt untouched, when memory runs out. */
-int pd_sample(int64_t *out, int64_t m, int64_t k, int64_t by_pool, uint32_t *mt)
+ * records. The pool or the mask takes scratch[0..m). */
+void pd_sample(int64_t *out, int64_t m, int64_t k, int64_t by_pool, int64_t *scratch, uint32_t *mt)
 {
     struct gen g;
-    int64_t *pool = NULL, i, j;
-    uint8_t *taken = NULL;
+    int64_t *pool = scratch, i, j;
+    uint8_t *taken = (uint8_t *)scratch;
 
-    if (by_pool) {
-        pool = malloc(((size_t)m + 1) * sizeof *pool); /* + 1: never malloc(0) */
-        if (pool == NULL)
-            return -2;
+    if (by_pool)
         for (i = 0; i < m; i++)
             pool[i] = i;
-    } else {
-        taken = calloc((size_t)m + 1, 1);
-        if (taken == NULL)
-            return -2;
-    }
+    else
+        memset(taken, 0, (size_t)m);
     gen_open(&g, mt);
     for (i = 0; i < k; i++) {
         if (by_pool) {
@@ -448,9 +431,6 @@ int pd_sample(int64_t *out, int64_t m, int64_t k, int64_t by_pool, uint32_t *mt)
         }
     }
     gen_close(&g);
-    free(pool);
-    free(taken);
-    return 0;
 }
 
 /* Edge-list reader: the rules of graph.graph_from_edges, which stays the

@@ -65,7 +65,9 @@ One ``pd_run`` call plays a block of up to ``_BLOCK`` passes and stops at
 convergence, so only a block's last pass can have converged. It writes
 each pass's stats and the two integer Gini sums into buffers of one block,
 and ``metrics.gini_of_sums``, which ``gini`` ends with too, turns each
-pass's sums into its float. Under an ``iteration_hook`` each call plays one
+pass's sums into its float. Every buffer the kernel writes, the Gini's
+working memory (``scratch``) included, is an ``array`` sized here, so the
+kernel allocates nothing. Under an ``iteration_hook`` each call plays one
 pass, so that the hook sees its end, and the Gini is taken by ``gini``
 (this module's attribute, looked up at call time) on the live balances the
 kernel gathered, as the Python loop does. The kernel is compiled on first
@@ -90,7 +92,6 @@ BALANCE_SEMANTICS = (LIVE, SNAPSHOT)
 
 _DRAW = 2  # _pass.c's DRAW: the kernel's spelling of a None entry of ACTIONS
 _BLOCK = 1000  # passes per pd_run call without a hook: its buffers hold this many rows
-_STAT_FIELDS = 6  # _pass.c's S_FIELDS: one row of IterationStats
 _LIVE, _CONVERGED, _ACC_SLOTS = 1, 2, 3  # _pass.c's A_LIVE and A_CONVERGED slots of acc, and its length
 _INT64_LIMIT = 2**63
 
@@ -194,6 +195,9 @@ class IterationStats(NamedTuple):
     bank_outflow: int
     bank_balance: int | None  # None when the bank is infinite
     total_balance: int
+
+
+_STAT_FIELDS = len(IterationStats._fields)  # _pass.c's S_FIELDS: one row of stats per pass
 
 
 class RunResult(_Record):
@@ -401,17 +405,18 @@ def _kernel_passes(kernel, mt, graph, strategies, balances, cfg, hooked):
     block = 1 if hooked else min(_BLOCK, cfg.iterations)
     rows = array("q", [0]) * (_STAT_FIELDS * block)
     sums = None if hooked else array("Q", [0]) * (4 * block)
+    scratch = None if hooked else array("Q", [0]) * (2 * n)  # the Gini's working memory
     arrays = (order, held, graph.offsets, graph.targets, kinds, last, balances, start, params, acc, mt, rows)
-    pointers = [a.buffer_info()[0] for a in arrays]  # the arrays stay alive in this frame
-    sums_pointer = None if sums is None else sums.buffer_info()[0]
+    arrays += (sums, scratch)  # None when hooked
+    pointers = [None if a is None else a.buffer_info()[0] for a in arrays]  # the arrays stay alive in this frame
     kernel.pd_shuffle(order.buffer_info()[0], n, mt.buffer_info()[0])  # in the state pd_run goes on from
 
     for done in range(0, cfg.iterations, block):
         limit = min(block, cfg.iterations - done)
-        played = kernel.pd_run(limit, *pointers, sums_pointer)
+        played = kernel.pd_run(limit, *pointers)
         fields = [rows[f : _STAT_FIELDS * played : _STAT_FIELDS] for f in range(_STAT_FIELDS)]
         if infinite:
-            fields[4] = [None] * played  # bank_balance
+            fields[IterationStats._fields.index("bank_balance")] = [None] * played
         if hooked:
             ginis = [gini(held[: acc[_LIVE]], n)]
         else:

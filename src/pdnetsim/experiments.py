@@ -263,7 +263,8 @@ def _sample_positions(sizes: list[tuple[int, int]], rng: random.Random) -> list[
     for m, k in sizes:
         setsize = 21 + (4 ** ceil(log(k * 3, 4)) if k > 5 else 0)
         positions = array("q", [0]) * k
-        kernel.pd_sample(positions.buffer_info()[0], m, k, m <= setsize, mt.buffer_info()[0])
+        scratch = array("q", [0]) * m  # the pool, or the mask of positions taken
+        kernel.pd_sample(positions.buffer_info()[0], m, k, m <= setsize, scratch.buffer_info()[0], mt.buffer_info()[0])
         samples.append(positions.tolist())
     _kernel.write_back(rng, mt)
     return samples

@@ -11,8 +11,8 @@ once from the real `run` and `suite --workers 1` commands, so both builds get
 identical inputs. Only the kernel calls, `pd_shuffle`, `pd_sample` and
 `pd_run`, are timed; after each call every buffer it writes (order, the
 sampled positions, held, balances, last, acc, the generator state, the stats
-rows and the Gini sums) is hashed, and the script fails unless both builds
-wrote the same bytes. It prints, per workload, each build's median
+rows and the Gini sums; not the scratch, which is only working memory) is
+hashed, and the script fails unless both builds wrote the same bytes. It prints, per workload, each build's median
 milliseconds and nanoseconds per game. In-process kernel timings are far quieter than
 whole-command timings in fresh processes.
 
@@ -122,27 +122,26 @@ class Timed:
         self.seconds += time.perf_counter() - start
         self._hash((order, 8 * n), (mt, 4 * 625))
 
-    def pd_sample(self, out, m, k, by_pool, mt):
+    def pd_sample(self, out, m, k, by_pool, scratch, mt):
         start = time.perf_counter()
-        status = self.library.pd_sample(out, m, k, by_pool, mt)
+        self.library.pd_sample(out, m, k, by_pool, scratch, mt)
         self.seconds += time.perf_counter() - start
         self._hash((out, 8 * k), (mt, 4 * 625))
-        self.digest.update(status.to_bytes(4, "little", signed=True))
-        return status
 
-    def pd_run(self, limit, order, held, offsets, targets, kinds, last, bal, start, params, acc, mt, stats, sums):
+    def pd_run(
+        self, limit, order, held, offsets, targets, kinds, last, bal, start, params, acc, mt, stats, sums, scratch
+    ):
         # the argument order of _kernel._SIGNATURES["pd_run"]
         began = time.perf_counter()
         played = self.library.pd_run(
-            limit, order, held, offsets, targets, kinds, last, bal, start, params, acc, mt, stats, sums
+            limit, order, held, offsets, targets, kinds, last, bal, start, params, acc, mt, stats, sums, scratch
         )
         self.seconds += time.perf_counter() - began
         n = ctypes.c_int64.from_address(params).value
         live = ctypes.c_int64.from_address(acc + 8 * engine._LIVE).value  # acc[A_LIVE]
-        rows = max(played, 0)
         self._hash(
             (order, 8 * live), (held, 8 * live), (bal, 8 * n), (last, n), (acc, 8 * engine._ACC_SLOTS), (mt, 4 * 625),
-            (stats, 8 * engine._STAT_FIELDS * rows), (sums, 4 * 8 * rows if sums else 0),
+            (stats, 8 * engine._STAT_FIELDS * played), (sums, 4 * 8 * played if sums else 0),
         )
         self.digest.update(played.to_bytes(8, "little", signed=True))
         return played

@@ -215,9 +215,9 @@ def sampled(monkeypatch):
     assert kernel is not None, reason
     calls = []
 
-    def counting(out, m, k, by_pool, mt):
+    def counting(out, m, k, by_pool, scratch, mt):
         calls.append((m, k, by_pool))
-        return kernel.pd_sample(out, m, k, by_pool, mt)
+        kernel.pd_sample(out, m, k, by_pool, scratch, mt)
 
     monkeypatch.setattr(_kernel, "load", lambda: (SimpleNamespace(pd_sample=counting), None))
     return calls
@@ -292,16 +292,17 @@ rng = random.Random(7)
 state = rng.getstate()
 resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 try:
-    _sample_positions([(2**31, 0)], rng)  # the set route callocs a 2 GiB mask
-except MemoryError as exc:
-    print(exc)
+    _sample_positions([(2**31, 0)], rng)  # the set route's 16 GiB scratch
+except MemoryError:
+    print("MemoryError")
 assert rng.getstate() == state
 """
 
 
-def test_an_out_of_memory_status_reaches_python_as_a_memory_error():
-    # In a process of its own under a 1 GiB address-space limit, where the
-    # mask's calloc fails and pd_sample returns -2 with the state untouched.
+def test_an_out_of_memory_sample_raises_memory_error_before_any_draw():
+    # In a process of its own under a 1 GiB address-space limit, where
+    # allocating pd_sample's scratch fails before the kernel is called, so
+    # the generator is left as it was.
     import subprocess
     import sys
 
@@ -309,14 +310,12 @@ def test_an_out_of_memory_status_reaches_python_as_a_memory_error():
         pytest.skip("no C compiler (cc)")
     kernel, reason = _kernel.load()
     assert kernel is not None, reason
-    for name in ("pd_run", "pd_sample", "pd_gini"):
-        assert getattr(kernel, name).errcheck is _kernel._out_of_memory, name
     env = {key: value for key, value in os.environ.items() if key != "LD_PRELOAD"}  # a sanitizer reserves more
     proc = subprocess.run(
         [sys.executable, "-c", OUT_OF_MEMORY], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "pd_sample ran out of memory\n"
+    assert proc.stdout == "MemoryError\n"
 
 
 def test_derive_seed_stable_and_distinct():
