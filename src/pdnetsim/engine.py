@@ -81,7 +81,7 @@ from array import array
 from typing import NamedTuple
 
 from . import _kernel
-from .errors import Check, ConfigError, require
+from .errors import REQUIRED, Check, ConfigError, require
 from .graph import Graph
 from .metrics import gini, gini_of_sums
 from .strategies import ACTIONS, UNRECORDED
@@ -99,21 +99,37 @@ _INT64_LIMIT = 2**63
 class _Record:
     """Value semantics for a record whose slots `__init__` sets once.
 
-    `_fields` names the arguments of `__init__` in order; a record of
-    settings lists them as the keys of `_checks`, each with the
-    `errors.Check` that `__init__` applies first. Equality, hashing and the
-    repr go by the fields, and pickling calls `__init__` again, so an
-    unpickled record has passed the same checks. Assignment after
-    `__init__` raises AttributeError.
+    `_fields` names the arguments of `__init__` in order, given by
+    position or keyword; a record of settings lists them as the keys of
+    `_checks`, whose one `errors.Check` per field gives its default and
+    the check that `__init__` applies first. A field without a default,
+    and each field of a record without checks, must be given. No subclass
+    restates the fields in a signature of its own: one that checks across
+    fields takes `(*args, **kwargs)` and reads `self` after `super()`.
+    Equality, hashing and the repr go by the fields, and pickling calls
+    `__init__` again, so an unpickled record has passed the same checks.
+    Assignment after `__init__` raises AttributeError.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
     _checks: dict[str, Check] = {}
 
-    def __init__(self, *values):
-        given = dict(zip(self._fields, values))
-        for (name, value), (label, kind, least, none_ok, each) in zip(given.items(), self._checks.values()):
+    def __init__(self, *args, **kwargs):
+        fields, record = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{record}() takes at most {len(fields)} arguments ({len(args)} given)")
+        for name in kwargs:
+            if name not in fields:
+                raise TypeError(f"{record}() got an unexpected keyword argument {name!r}")
+            if name in fields[: len(args)]:
+                raise TypeError(f"{record}() got multiple values for argument {name!r}")
+        given = dict.fromkeys(fields, REQUIRED) | {name: check.default for name, check in self._checks.items()}
+        given.update(zip(fields, args), **kwargs)
+        missing = [name for name, value in given.items() if value is REQUIRED]
+        if missing:
+            raise TypeError(f"{record}() missing required arguments: {', '.join(missing)}")
+        for (name, value), (label, kind, least, none_ok, each, _) in zip(given.items(), self._checks.values()):
             if each:
                 require(value, name, tuple)
             if value is not None or not none_ok:
@@ -152,34 +168,24 @@ class PayoffParams(_Record):
     betrayal_transfer: moved from the silent player to the betrayer.
     """
 
-    _checks = {name: Check(f"payoff {name}", int, 1) for name in ("coop_reward", "defect_penalty", "betrayal_transfer")}
+    _checks = {
+        name: Check(f"payoff {name}", int, 1, default=default)
+        for name, default in (("coop_reward", 1), ("defect_penalty", 2), ("betrayal_transfer", 3))
+    }
     __slots__ = _fields = tuple(_checks)
-
-    def __init__(self, coop_reward: int = 1, defect_penalty: int = 2, betrayal_transfer: int = 3):
-        super().__init__(coop_reward, defect_penalty, betrayal_transfer)
 
 
 class SimConfig(_Record):
     _checks = {
-        "iterations": Check("iterations", int, 1),
-        "initial_balance": Check("initial_balance", int, 1),
-        "payoff": Check("payoff", PayoffParams),
-        "bank": Check("finite bank balance", int, 0, none_ok=True),
-        "seed": Check("seed", int),
-        "balance_semantics": Check("balance_semantics", BALANCE_SEMANTICS),
+        "iterations": Check("iterations", int, 1, default=1000),
+        "initial_balance": Check("initial_balance", int, 1, default=100),
+        "payoff": Check("payoff", PayoffParams, default=PayoffParams()),
+        # the bank's starting balance; None when it is infinite
+        "bank": Check("finite bank balance", int, 0, none_ok=True, default=0),
+        "seed": Check("seed", int, default=0),
+        "balance_semantics": Check("balance_semantics", BALANCE_SEMANTICS, default=LIVE),
     }
     __slots__ = _fields = tuple(_checks)
-
-    def __init__(
-        self,
-        iterations: int = 1000,
-        initial_balance: int = 100,
-        payoff: PayoffParams = PayoffParams(),
-        bank: int | None = 0,  # the bank's starting balance; None when it is infinite
-        seed: int = 0,
-        balance_semantics: str = LIVE,
-    ):
-        super().__init__(iterations, initial_balance, payoff, bank, seed, balance_semantics)
 
 
 # The settings every run of a suite or a command shares: SimConfig's fields but bank and seed.
@@ -201,17 +207,8 @@ _STAT_FIELDS = len(IterationStats._fields)  # _pass.c's S_FIELDS: one row of sta
 
 
 class RunResult(_Record):
+    # final_bank is None when the bank is infinite
     __slots__ = _fields = ("gini_series", "converged_at", "final_balances", "final_bank", "iteration_stats")
-
-    def __init__(
-        self,
-        gini_series: list[float],
-        converged_at: int | None,
-        final_balances: list[int],
-        final_bank: int | None,  # None when the bank is infinite
-        iteration_stats: list[IterationStats],
-    ):
-        super().__init__(gini_series, converged_at, final_balances, final_bank, iteration_stats)
 
     @property
     def iterations_executed(self) -> int:

@@ -23,9 +23,14 @@ class ParseError(PDNetSimError):
 _INT_KINDS = {None: "an integer", 0: "a non-negative integer", 1: "a positive integer"}
 PATH = (str, os.PathLike)  # the kind of a file path
 
-# A record's check of a field (engine._Record): require(value, label, kind, least), unless None and
-# none_ok; with each, on every item of the tuple it must be. A label's {name!r} is the field `name`.
-Check = namedtuple("Check", ("label", "kind", "least", "none_ok", "each"), defaults=(None, False, False))
+REQUIRED = object()  # the default of a field that has none: the caller must give it
+
+# One field of a record (engine._Record): its default, and its check, require(value, label, kind, least),
+# unless None and none_ok; with each, on every item of the tuple it must be. A label's {name!r} is the
+# field `name`.
+Check = namedtuple(
+    "Check", ("label", "kind", "least", "none_ok", "each", "default"), defaults=(None, False, False, REQUIRED)
+)
 
 
 def require(value, name: str, kind, least: int | None = None) -> None:

@@ -24,8 +24,8 @@ from math import ceil, log
 from typing import NamedTuple
 
 from . import _kernel
-from .engine import SHARED_SETTINGS, PayoffParams, SimConfig, _Record, shuffle_order, run
-from .errors import PATH, Check, ConfigError, PDNetSimError, require
+from .engine import SHARED_SETTINGS, SimConfig, _Record, shuffle_order, run
+from .errors import PATH, REQUIRED, Check, ConfigError, PDNetSimError, require
 from .graph import GRAPH_FORMATS, Graph, degree_ranked_nodes, load_graph
 from .strategies import KIND_LETTERS, LETTER_OF_KIND, AgentKind
 
@@ -40,8 +40,8 @@ class ProportionGroup(_Record):
     _checks = {name: Check(f"{name} eighths", int, 0) for name in ("defector", "cooperator", "tit_for_tat", "random")}
     __slots__ = _fields = tuple(_checks)
 
-    def __init__(self, defector: int, cooperator: int, tit_for_tat: int, random: int):
-        super().__init__(defector, cooperator, tit_for_tat, random)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if sum(self._values()) != 8:
             raise ConfigError(f"proportions must sum to 8 eighths (100%), got {self._values()}")
 
@@ -72,10 +72,9 @@ class DegreeGroup(_Record):
     _checks = {name: Check(name, AgentKind) for name in ("top", "middle", "bottom")}
     __slots__ = _fields = tuple(_checks)
 
-    def __init__(self, top: AgentKind, middle: AgentKind, bottom: AgentKind):
-        super().__init__(top, middle, bottom)
-        expected = {AgentKind.DEFECTOR, AgentKind.COOPERATOR, AgentKind.TIT_FOR_TAT}
-        if {top, middle, bottom} != expected:
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if set(self._values()) != {AgentKind.DEFECTOR, AgentKind.COOPERATOR, AgentKind.TIT_FOR_TAT}:
             raise ConfigError("degree group must be a permutation of Defector, Cooperator, Tit-for-Tat")
 
     @property
@@ -115,11 +114,8 @@ def experiment_groups(experiment: int) -> tuple:
 
 
 class BankSetting(_Record):
-    _checks = {"label": Check("bank label", str), "bank": SimConfig._checks["bank"]}
+    _checks = {"label": Check("bank label", str), "bank": SimConfig._checks["bank"]._replace(default=REQUIRED)}
     __slots__ = _fields = tuple(_checks)
-
-    def __init__(self, label: str, bank: int | None):  # the bank's starting balance; None when it is infinite
-        super().__init__(label, bank)
 
 
 DEFAULT_BANK_SETTINGS = (BankSetting("0", 0), BankSetting("10000", 10000), BankSetting("inf", None))
@@ -133,15 +129,14 @@ class NetworkSpec(_Record):
     }
     __slots__ = _fields = tuple(_checks)
 
-    def __init__(self, name: str, path: str, fmt: str):
-        super().__init__(name, path, fmt)
-        if fmt not in GRAPH_FORMATS:
-            raise ConfigError(f"unknown graph format {fmt!r} in network {name!r}")
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.fmt not in GRAPH_FORMATS:
+            raise ConfigError(f"unknown graph format {self.fmt!r} in network {self.name!r}")
 
 
 # A suite builds every run's task (some 400 bytes) before the first run plays.
 MAX_SUITE_RUNS = 100_000
-_RUN_DEFAULTS = SimConfig()  # SuiteSpec's defaults of the SHARED_SETTINGS
 
 
 class SuiteSpec(_Record):
@@ -149,48 +144,25 @@ class SuiteSpec(_Record):
         "networks": Check("each network", NetworkSpec, each=True),
         "experiment": Check("experiment", int),
         "groups": Check("groups", tuple),
-        "banks": Check("each bank setting", BankSetting, each=True),
-        "base_seed": Check("base_seed", int),
-        "replicates": Check("replicates", int),
+        "banks": Check("each bank setting", BankSetting, each=True, default=DEFAULT_BANK_SETTINGS),
+        "base_seed": Check("base_seed", int, default=0),
+        "replicates": Check("replicates", int, default=5),
         **{name: SimConfig._checks[name] for name in SHARED_SETTINGS},
     }
     __slots__ = _fields = tuple(_checks)
 
-    def __init__(
-        self,
-        networks: tuple,
-        experiment: int,
-        groups: tuple,
-        banks: tuple = DEFAULT_BANK_SETTINGS,
-        base_seed: int = 0,
-        replicates: int = 5,
-        iterations: int = _RUN_DEFAULTS.iterations,
-        initial_balance: int = _RUN_DEFAULTS.initial_balance,
-        payoff: PayoffParams = _RUN_DEFAULTS.payoff,
-        balance_semantics: str = _RUN_DEFAULTS.balance_semantics,
-    ):
-        super().__init__(
-            networks,
-            experiment,
-            groups,
-            banks,
-            base_seed,
-            replicates,
-            iterations,
-            initial_balance,
-            payoff,
-            balance_semantics,
-        )
-        wanted = experiment_groups(experiment)[0]
-        if not networks or not groups or not banks or replicates < 1:
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        wanted = experiment_groups(self.experiment)[0]
+        if not self.networks or not self.groups or not self.banks or self.replicates < 1:
             raise ConfigError("suite requires at least one network, group, bank setting and replicate")
-        runs = len(networks) * len(groups) * len(banks) * replicates
+        runs = len(self.networks) * len(self.groups) * len(self.banks) * self.replicates
         if runs > MAX_SUITE_RUNS:
             raise ConfigError(
                 f"suite has {runs} runs (networks x groups x banks x replicates), more than {MAX_SUITE_RUNS}"
             )
-        for group in groups:
-            require(group, f"each group of experiment {experiment}", wanted)
+        for group in self.groups:
+            require(group, f"each group of experiment {self.experiment}", wanted)
 
 
 def assign_proportional(node_count: int, group: ProportionGroup, rng: random.Random) -> list[AgentKind]:

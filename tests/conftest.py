@@ -1,5 +1,6 @@
 """Shared fixtures: tiny graph builders, seeded random graphs, the Gini
-oracle, and discovery of the optional real-world dataset files.
+oracle, the engine's two loops, and discovery of the optional real-world
+dataset files.
 
 The three benchmark networks are large public downloads that are not
 bundled with the repository; tests that need them skip with a pointer to
@@ -9,10 +10,11 @@ data directory other than <repo>/data.
 
 import os
 import random
+import shutil
 
 import pytest
 
-from pdnetsim import Graph, graph_from_edges
+from pdnetsim import Graph, _kernel, graph_from_edges
 from pdnetsim.experiments import execute_task
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -111,6 +113,23 @@ def scale_free_graph(n: int, m: int, seed: int) -> Graph:
             endpoint_pool.extend((u, v))
         targets = endpoint_pool
     return graph_from_edges(edges)
+
+
+@pytest.fixture
+def python_loop(monkeypatch):
+    """Every pass played by the Python loop, as where the kernel cannot be built."""
+    monkeypatch.setattr(_kernel, "load", lambda: (None, "forced"))
+
+
+@pytest.fixture
+def kernel():
+    """The compiled kernel. Skips only where no C compiler exists; anywhere
+    else it must load."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc)")
+    library, reason = _kernel.load()
+    assert library is not None, reason
+    return library
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,5 @@
 import ctypes
 import random
-import shutil
 import tracemalloc
 from types import SimpleNamespace
 
@@ -90,23 +89,6 @@ def reference_run(graph, assignment, cfg):
             converged = iteration
             break
     return ginis, balances, bank_balance, converged, stats
-
-
-@pytest.fixture
-def python_loop(monkeypatch):
-    """Every pass played by the Python loop, as where the kernel cannot be built."""
-    monkeypatch.setattr(_kernel, "load", lambda: (None, "forced"))
-
-
-@pytest.fixture
-def kernel():
-    """The compiled kernel. Skips only where no C compiler exists; anywhere
-    else it must load."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler (cc)")
-    library, reason = _kernel.load()
-    assert library is not None, reason
-    return library
 
 
 @pytest.fixture

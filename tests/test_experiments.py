@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from pdnetsim import (
+    LIVE,
     SNAPSHOT,
     _kernel,
     AgentKind,
@@ -35,8 +36,8 @@ from pdnetsim import (
     run,
     run_suite,
 )
-from pdnetsim.engine import _Record
-from pdnetsim.errors import PATH, Check
+from pdnetsim.engine import SHARED_SETTINGS, _Record
+from pdnetsim.errors import PATH, REQUIRED, Check
 from pdnetsim.experiments import RunTask, SuiteRow
 from pdnetsim.output import run_file_name, write_gini_series_csv
 from pdnetsim.suite import suite_tasks
@@ -162,7 +163,9 @@ def test_degree_third_boundaries():
     assert len(ranked[:b1]) == 3 and len(ranked[b1:b2]) == 4 and len(ranked[b2:]) == 3
 
 
-@pytest.mark.parametrize("n", [33, 34, 35])  # n mod 3 = 0, 1, 2: each rounds the cuts its own way
+# n mod 3 = 0, 1, 2: each rounds the cuts its own way. 30's thirds of 10
+# round their quarter, 2.5 Random agents, half up to 3.
+@pytest.mark.parametrize("n", [30, 33, 34, 35])
 def test_degree_assignment_structure(n):
     g = random_graph(n, 4.0, seed=7)
     group = DegreeGroup.parse("C,T,D")
@@ -1090,6 +1093,68 @@ def test_every_record_holds_its_fields_and_nothing_else():
     assert set(_VALID_BUILDS) == records - {RunResult} and RunResult._checks == {}
     for cls in _VALID_BUILDS:
         assert tuple(cls._checks) == cls._fields, cls.__name__
+
+
+# The defaults the records' arguments have always had; every other field
+# must be given.
+_PINNED_DEFAULTS = {
+    PayoffParams: dict(coop_reward=1, defect_penalty=2, betrayal_transfer=3),
+    SimConfig: dict(
+        iterations=1000, initial_balance=100, payoff=PayoffParams(1, 2, 3), bank=0, seed=0, balance_semantics=LIVE
+    ),
+    SuiteSpec: dict(
+        banks=DEFAULT_BANK_SETTINGS,
+        base_seed=0,
+        replicates=5,
+        iterations=1000,
+        initial_balance=100,
+        payoff=PayoffParams(1, 2, 3),
+        balance_semantics=LIVE,
+    ),
+}
+_RECORD_BUILDS = {
+    **_VALID_BUILDS,
+    RunResult: dict(gini_series=[0.5], converged_at=None, final_balances=[7, 3], final_bank=None, iteration_stats=[]),
+}
+
+
+@pytest.mark.parametrize("cls", _RECORD_BUILDS, ids=lambda cls: cls.__name__)
+def test_records_bind_their_arguments_from_their_fields_and_checks(cls):
+    # _Record.__init__ binds the arguments as a signature would, by position
+    # or keyword, and fills each missing field from its check's default. No
+    # record names its fields in an __init__ of its own.
+    code = cls.__init__.__code__
+    assert (code.co_argcount, code.co_kwonlyargcount) == (1, 0)
+    pinned = _PINNED_DEFAULTS.get(cls, {})
+    assert {name: check.default for name, check in cls._checks.items() if check.default is not REQUIRED} == pinned
+    given = {**pinned, **_RECORD_BUILDS[cls]}
+    full = {name: given[name] for name in cls._fields}
+    required = {name: value for name, value in full.items() if name not in pinned}
+    record = cls(**required)
+    assert record == cls(*required.values()) == cls(**required, **pinned) == pickle.loads(pickle.dumps(record))
+    assert cls(*full.values()) == cls(**full)
+    assert {name: getattr(record, name) for name in pinned} == pinned
+    assert repr(record).startswith(f"{cls.__name__}(")
+    first = cls._fields[0]
+    refused = [
+        lambda: cls(*full.values(), full[first]),  # one positional argument too many
+        lambda: cls(**full, unknown=1),
+        lambda: cls(full[first], **full),  # the first field twice
+        *(lambda name=name: cls(**{k: v for k, v in required.items() if k != name}) for name in required),
+    ]
+    for build in refused:
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_a_suite_and_a_bank_setting_take_their_rows_from_simconfig():
+    assert SimConfig() == SimConfig(1000, 100, PayoffParams(1, 2, 3), 0, 0, LIVE)
+    # A suite takes SimConfig's rows of the settings every run shares, and
+    # so their defaults; a bank setting takes its bank check but no default.
+    assert all(SuiteSpec._checks[name] is SimConfig._checks[name] for name in SHARED_SETTINGS)
+    assert BankSetting._checks["bank"] == SimConfig._checks["bank"]._replace(default=REQUIRED)
+    with pytest.raises(TypeError, match="bank"):
+        BankSetting("x")
 
 
 def test_default_bank_settings():
