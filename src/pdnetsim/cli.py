@@ -138,6 +138,7 @@ def _check_outputs(directory: str, *files: str) -> None:
     Raises NotADirectoryError when `directory` or its nearest existing
     ancestor is not a directory, and IsADirectoryError when one of the
     output `files` is a directory, which a finished file could not replace.
+    Every path is read through `os.path.abspath`, as the writers read it.
     """
     probe = os.path.abspath(directory)
     while not os.path.exists(probe):
@@ -145,7 +146,7 @@ def _check_outputs(directory: str, *files: str) -> None:
     if not os.path.isdir(probe):
         raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), probe)
     for path in files:
-        if os.path.isdir(path):
+        if os.path.isdir(os.path.abspath(path)):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 

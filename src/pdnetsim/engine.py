@@ -47,14 +47,16 @@ balances or the pass's start copy.
 Two pass loops: a pass is played either by ``_python_passes`` or,
 through ctypes on ``array`` buffers (int64 balances), by ``_pass.c`` in
 ``_kernel_passes``. Both apply the rules above in the same order, look
-every decision up in ``strategies.ACTIONS`` and yield the same
-``(stats, gini, converged)`` triple per pass; ``run`` alone turns the
-triples into the Gini series, the stats list, the hook calls, the
-convergence iteration and the result. The Python loop plays each game
-through ``resolve_game``, the one Python statement of the payoff rules,
-and writes only the games that move capital; ``_pass.c`` states the same
-rules once in C. The kernel plays on the graph's CSR arrays whenever it
-could be built and loaded (see ``_kernel``) and no balance, bank balance
+every decision up in ``strategies.ACTIONS``, stop at ``iterations``, and
+append each pass's Gini and ``IterationStats`` to the two lists of the
+run's record that ``run`` hands them. Each then yields whether the run has
+converged: the Python loop after every pass, the kernel after every
+``pd_run`` call. ``run`` alone reads the record: the hook's iteration and
+bank, the convergence iteration and the final bank. The Python loop plays
+each game through ``resolve_game``, the one Python statement of the payoff
+rules, and writes only the games that move capital; ``_pass.c`` states the
+same rules once in C. The kernel plays on the graph's CSR arrays whenever
+it could be built and loaded (see ``_kernel``) and no balance, bank balance
 or flow can leave int64 (``_fits_int64``). Otherwise the Python loop runs
 on ``graph.adjacency``; it is also the reference the kernel is tested
 against.
@@ -129,12 +131,12 @@ class _Record:
         missing = [name for name, value in given.items() if value is REQUIRED]
         if missing:
             raise TypeError(f"{record}() missing required arguments: {', '.join(missing)}")
-        for (name, value), (label, kind, least, none_ok, each, _) in zip(given.items(), self._checks.values()):
+        for (name, value), (label, kind, least, most, none_ok, each, _) in zip(given.items(), self._checks.values()):
             if each:
                 require(value, name, tuple)
             if value is not None or not none_ok:
                 for item in value if each else (value,):
-                    require(item, label.format_map(given), kind, least)
+                    require(item, label.format_map(given), kind, least, most)
         for name, value in given.items():
             object.__setattr__(self, name, value)
 
@@ -175,9 +177,13 @@ class PayoffParams(_Record):
     __slots__ = _fields = tuple(_checks)
 
 
+# A run keeps each pass's Gini and IterationStats, about 300 bytes, until it returns.
+MAX_ITERATIONS = 1_000_000
+
+
 class SimConfig(_Record):
     _checks = {
-        "iterations": Check("iterations", int, 1, default=1000),
+        "iterations": Check("iterations", int, 1, MAX_ITERATIONS, default=1000),
         "initial_balance": Check("initial_balance", int, 1, default=100),
         "payoff": Check("payoff", PayoffParams, default=PayoffParams()),
         # the bank's starting balance; None when it is infinite
@@ -284,37 +290,35 @@ def run(graph: Graph, assignment, cfg: SimConfig, iteration_hook=None) -> RunRes
     n = graph.node_count
     strategies = _strategy_codes(n, assignment)
     rng = random.Random(cfg.seed)
+    gini_series: list[float] = []
+    stats: list[IterationStats] = []
     copied = _kernel.generator_copy(rng) if _fits_int64(n, cfg) else None
     if copied is not None:
         balances = array("q", [cfg.initial_balance]) * n
         copy = balances.tolist
-        passes = _kernel_passes(*copied, graph, strategies, balances, cfg, iteration_hook is not None)
+        hooked = iteration_hook is not None
+        passes = _kernel_passes(*copied, graph, strategies, balances, cfg, hooked, gini_series, stats)
     else:
         order = shuffle_order(range(n), rng)
         balances = [cfg.initial_balance] * n
         copy = balances.copy
-        passes = _python_passes(graph.adjacency, strategies, order, balances, cfg, rng)
+        passes = _python_passes(graph.adjacency, strategies, order, balances, cfg, rng, gini_series, stats)
 
-    gini_series: list[float] = []
-    stats: list[IterationStats] = []
-    converged_at = None
-    for iteration, (stat, pass_gini, converged) in zip(range(1, cfg.iterations + 1), passes):
-        gini_series.append(pass_gini)
-        stats.append(stat)
+    for converged in passes:
         if iteration_hook is not None:
-            iteration_hook(iteration, copy(), stat.bank_balance)
+            iteration_hook(len(stats), copy(), stats[-1].bank_balance)
         if converged:
-            converged_at = iteration
             break
-    return RunResult(gini_series, converged_at, copy(), stats[-1].bank_balance, stats)
+    return RunResult(gini_series, len(stats) if converged else None, copy(), stats[-1].bank_balance, stats)
 
 
-def _python_passes(adjacency, strategies, order, balances, cfg, rng):
+def _python_passes(adjacency, strategies, order, balances, cfg, rng, gini_series, stats):
     """The pass loop in Python: the reference for `_pass.c` and its fallback.
 
-    Plays one pass over `balances` (a list, updated in place) per next()
-    and yields (stats, gini, converged): converged is whether the pass left
-    every balance where it began.
+    Plays one pass over `balances` (a list, updated in place) per next(),
+    up to cfg.iterations. Each pass appends its Gini to `gini_series` and
+    its IterationStats to `stats`, and yields whether it left every balance
+    where it began: whether the run has converged.
     """
     n = len(balances)
     payoff = cfg.payoff
@@ -324,7 +328,7 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
     live = cfg.balance_semantics == LIVE
     rng_random = rng.random
 
-    while True:
+    for _ in range(cfg.iterations):
         start = balances[:]
         effective = balances if live else start
         played = 0
@@ -333,15 +337,11 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
         outflow = 0
 
         for v in order:
-            if effective[v] == 0:
-                skipped += 1
-                continue
             neighbors = adjacency[v]
-            degree = len(neighbors)
-            if degree == 0:
+            if effective[v] == 0 or not neighbors:
                 skipped += 1
                 continue
-            o = neighbors[int(rng_random() * degree)]
+            o = neighbors[int(rng_random() * len(neighbors))]
             if effective[o] == 0:
                 skipped += 1
                 continue
@@ -370,18 +370,20 @@ def _python_passes(adjacency, strategies, order, balances, cfg, rng):
 
         order = [v for v in order if balances[v]]
         held = [balances[v] for v in order]
-        stat = IterationStats(played, skipped, inflow, outflow, bank_balance, sum(held))
-        yield stat, gini(held, n), balances == start
+        stats.append(IterationStats(played, skipped, inflow, outflow, bank_balance, sum(held)))
+        gini_series.append(gini(held, n))
+        yield balances == start
 
 
-def _kernel_passes(kernel, mt, graph, strategies, balances, cfg, hooked):
-    """The pass loop in `_pass.c`, yielding what `_python_passes` yields.
+def _kernel_passes(kernel, mt, graph, strategies, balances, cfg, hooked, gini_series, stats):
+    """The pass loop in `_pass.c`, appending to the record as `_python_passes` does.
 
     `balances` is the int64 array played on, and `mt` the copy of the run's
     fresh generator that `kernel` shuffles the order in and every pass draws
-    from. A call plays one pass when `hooked`, else up to _BLOCK,
-    so no buffer grows with cfg.iterations; no call plays past
-    cfg.iterations.
+    from. A call plays one pass when `hooked`, else up to _BLOCK, so no
+    buffer grows with cfg.iterations; no call plays past cfg.iterations.
+    After each call, its passes' Gini values and IterationStats are
+    appended and the loop yields whether the call's last pass converged.
     """
     n = graph.node_count
     payoff = cfg.payoff
@@ -409,20 +411,19 @@ def _kernel_passes(kernel, mt, graph, strategies, balances, cfg, hooked):
     kernel.pd_shuffle(order.buffer_info()[0], n, mt.buffer_info()[0])  # in the state pd_run goes on from
 
     for done in range(0, cfg.iterations, block):
-        limit = min(block, cfg.iterations - done)
-        played = kernel.pd_run(limit, *pointers)
+        played = kernel.pd_run(min(block, cfg.iterations - done), *pointers)
         fields = [rows[f : _STAT_FIELDS * played : _STAT_FIELDS] for f in range(_STAT_FIELDS)]
         if infinite:
             fields[IterationStats._fields.index("bank_balance")] = [None] * played
+        stats.extend(map(IterationStats, *fields))
         if hooked:
-            ginis = [gini(held[: acc[_LIVE]], n)]
+            gini_series.append(gini(held[: acc[_LIVE]], n))
         else:
-            ginis = [
+            gini_series.extend(
                 gini_of_sums(w_hi << 64 | w_lo, t_hi << 64 | t_lo, n)
                 for w_lo, w_hi, t_lo, t_hi in zip(*(sums[f : 4 * played : 4] for f in range(4)))
-            ]
-        converged = [False] * (played - 1) + [bool(acc[_CONVERGED])]
-        yield from zip(map(IterationStats, *fields), ginis, converged)
+            )
+        yield bool(acc[_CONVERGED])
 
 
 def _fits_int64(n: int, cfg: SimConfig) -> bool:

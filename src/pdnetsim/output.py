@@ -53,12 +53,16 @@ def _sanitize(label: str) -> str:
 def _write_atomically(path: str):
     """Write `path` through a text handle; the file appears whole or not at all.
 
-    The parent directory is created, the text goes to a temporary file next
-    to `path` (named for this process, so parallel suite workers never share
-    one) and replaces `path` only once the block has finished. A block that
-    raises leaves any previous file at `path` as it was, and no temporary file.
+    `path` is read as `os.path.abspath` reads it, as `cli._check_outputs`
+    reads it too: a `..` takes away the name before it, whether or not that
+    directory exists. The parent directory is created, the text goes to a
+    temporary file next to `path` (named for this process, so parallel suite
+    workers never share one) and replaces `path` only once the block has
+    finished. A block that raises leaves any previous file at `path` as it
+    was, and no temporary file.
     """
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    path = os.path.abspath(path)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     temporary = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temporary, "w", encoding="utf-8", newline="") as handle:
@@ -113,7 +117,7 @@ def read_gini_series_csv(path: str) -> tuple[list[float], list[float]]:
     """Read (iterations, gini values) back from a series CSV, for plotting."""
     import csv
 
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:  # a spreadsheet may add a byte-order mark
         try:
             text = handle.read()
         except UnicodeDecodeError as exc:

@@ -457,6 +457,30 @@ def test_a_config_with_a_byte_order_mark_writes_what_one_without_writes(request,
     assert _output_files(other) == _output_files(out_dir) != {}
 
 
+@pytest.mark.parametrize("command", ["run", "suite", "plot", "convert"])
+def test_an_output_path_through_a_directory_not_made_yet_lands_where_abspath_puts_it(request, tmp_path, command):
+    # new/sub/../x names new/x, as os.path.abspath reads it and as the check
+    # before any run reads it. The writers made new/x but opened their
+    # temporary files under new/sub/.., which the system cannot follow
+    # while new/sub does not exist, and so failed after every run.
+    through = tmp_path / "new" / "sub" / ".." / "x"
+    landed = tmp_path / "new" / "x"
+    if command in ("run", "suite"):
+        config_path, out_dir = request.getfixturevalue({"run": "two_node_run", "suite": "suite_config"}[command])
+        argv = [command, "--config", str(config_path), "--out"]
+        assert main([*argv, str(out_dir)]) == EXIT_OK
+        assert main([*argv, str(through)]) == EXIT_OK
+    else:
+        source = tmp_path / "input.csv"
+        source.write_text("iteration,gini\n1,0.5\n2,0.25\n" if command == "plot" else "0 1\n1 2\n")
+        argv = ["plot", str(source)] if command == "plot" else ["convert", str(source), "--format", "snap"]
+        out_dir = tmp_path / "plain"
+        assert main([*argv, "--out", str(out_dir / "written")]) == EXIT_OK
+        assert main([*argv, "--out", str(through / "written")]) == EXIT_OK
+    assert _output_files(landed) == _output_files(out_dir) != {}
+    assert not (tmp_path / "new" / "sub").exists()
+
+
 def test_a_suite_network_path_may_contain_spaces(suite_config, tmp_path):
     config_path, out_dir = suite_config
     assert main(["suite", "--config", str(config_path)]) == EXIT_OK
@@ -521,35 +545,69 @@ def test_suite_rejects_fewer_than_one_worker_before_any_run(suite_config, monkey
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("where", ["flag", "config"])
-def test_a_suite_of_too_many_runs_exits_2_before_building_a_task(suite_config, where):
-    # In a process of its own, under a 1 GiB address-space limit and a
-    # timeout, so that a suite which builds its tasks anyway fails the test
-    # with a MemoryError instead of filling the machine's memory.
+def _under_one_gib(*argv):
+    """`python -m pdnetsim *argv` in a process of its own, under a 1 GiB
+    address-space limit and a timeout, so that a command which fills memory
+    fails the test with a MemoryError instead of filling the machine's."""
     import os
     import resource
 
-    config_path, out_dir = suite_config
-    huge = "9999999999999999999999999"
-    argv = [sys.executable, "-m", "pdnetsim", "suite", "--config", str(config_path)]
-    if where == "flag":
-        argv += ["--replicates", huge]
-    else:
-        config_path.write_text(config_path.read_text().replace("replicates = 1", f"replicates = {huge}"))
     env = {key: value for key, value in os.environ.items() if key != "LD_PRELOAD"}  # a sanitizer reserves more
     limit = (2**30, 2**30)
-    proc = subprocess.run(
-        argv,
+    return subprocess.run(
+        [sys.executable, "-m", "pdnetsim", *argv],
         env=env,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, limit),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_a_suite_of_too_many_runs_exits_2_before_building_a_task(suite_config, where):
+    # A suite that built its tasks anyway would fill memory.
+    config_path, out_dir = suite_config
+    huge = "9999999999999999999999999"
+    argv = ["suite", "--config", str(config_path)]
+    if where == "flag":
+        argv += ["--replicates", huge]
+    else:
+        config_path.write_text(config_path.read_text().replace("replicates = 1", f"replicates = {huge}"))
+    proc = _under_one_gib(*argv)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert proc.stderr.startswith(f"error: suite has {2 * 7 * 3 * int(huge)} runs "), proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out_dir.exists()
+
+
+def test_a_run_of_more_passes_than_the_bound_exits_2_before_any_pass(tmp_path):
+    # A run that played its passes anyway would keep about 300 bytes a pass
+    # and end in a MemoryError traceback, having written nothing.
+    graph_path = tmp_path / "triangle.txt"
+    graph_path.write_text("0 1\n1 2\n0 2\n")
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(
+        textwrap.dedent(
+            f"""\
+            graph = {graph_path}
+            graph_format = snap
+            experiment = 1
+            group = 0:8:0:0
+            bank = inf
+            iterations = 10000000
+            seed = 1
+            out = {tmp_path / 'out'}
+            """
+        )
+    )
+    proc = _under_one_gib("run", "--config", str(config_path))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    from pdnetsim.engine import MAX_ITERATIONS
+
+    bound = f"iterations must be a positive integer no greater than {MAX_ITERATIONS}"
+    assert proc.stderr == f"error: {bound}, got 10000000\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg", "triangle.txt"]
 
 
 @pytest.mark.parametrize("key", ["out", "network"])
@@ -822,6 +880,18 @@ def test_plot_skips_blank_lines_but_counts_them(tmp_path, capsys):
     capsys.readouterr()
     assert main(["plot", str(blanks / "series.csv"), "--out", str(blanks / "chart.svg")]) == EXIT_PARSE
     assert "line 5: malformed series row" in capsys.readouterr().err
+
+
+def test_a_series_with_a_byte_order_mark_plots_to_the_same_svg(tmp_path):
+    # A spreadsheet that saves a CSV as UTF-8 puts a byte-order mark before
+    # the header, which then named no 'iteration' column.
+    text = b"iteration,gini\n1,0.5\n2,0.25\n3,0.125\n"
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        (tmp_path / name).mkdir()
+        series = tmp_path / name / "series.csv"
+        series.write_bytes(mark + text)
+        assert main(["plot", str(series), "--out", str(tmp_path / name / "chart.svg")]) == EXIT_OK
+    assert (tmp_path / "marked" / "chart.svg").read_bytes() == (tmp_path / "plain" / "chart.svg").read_bytes()
 
 
 def test_plot_rejects_empty_csv(tmp_path, capsys):

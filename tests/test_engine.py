@@ -919,9 +919,12 @@ def test_the_hook_sees_the_same_passes_on_the_kernel_and_the_python_loop(
 
 
 def test_a_run_allocates_no_buffer_by_its_iteration_limit(kernel_calls):
+    # The largest limit a config may give: a buffer of its rows would hold 48 MB.
+    from pdnetsim.engine import MAX_ITERATIONS
+
     tracemalloc.start()
     try:
-        result = run(path_graph(2), [D, D], SimConfig(iterations=10**9, bank=0, seed=5))
+        result = run(path_graph(2), [D, D], SimConfig(iterations=MAX_ITERATIONS, bank=0, seed=5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -866,7 +866,11 @@ def _table_refuses(check, value) -> bool:
     if value is None:
         return not check.none_ok
     if check.kind is int:
-        return type(value) is not int or (check.least is not None and value < check.least)
+        return (
+            type(value) is not int
+            or (check.least is not None and value < check.least)
+            or (check.most is not None and value > check.most)
+        )
     if check.kind is PATH:
         return not isinstance(value, (str, os.PathLike))
     if isinstance(check.kind, tuple):
@@ -981,6 +985,21 @@ def test_a_suite_of_more_runs_than_the_bound_is_a_config_error(tiny_networks):
         runs = per_replicate * replicates
         with pytest.raises(ConfigError, match=f"suite has {runs} runs .* more than {MAX_SUITE_RUNS}"):
             SuiteSpec(networks=tiny_networks, experiment=1, groups=EXPERIMENT1_GROUPS, replicates=replicates)
+
+
+def test_a_run_of_more_passes_than_the_bound_is_a_config_error(tiny_networks):
+    # A run keeps each pass's Gini and stats, about 300 bytes, until it
+    # returns; a suite shares SimConfig's check, so both refuse the same.
+    from pdnetsim.engine import MAX_ITERATIONS
+
+    suite = dict(networks=tiny_networks, experiment=1, groups=EXPERIMENT1_GROUPS)
+    assert SimConfig(iterations=MAX_ITERATIONS).iterations == SuiteSpec(**suite, iterations=MAX_ITERATIONS).iterations
+    for iterations in (MAX_ITERATIONS + 1, 10**25):
+        message = f"^iterations must be a positive integer no greater than {MAX_ITERATIONS}, got {iterations}$"
+        with pytest.raises(ConfigError, match=message):
+            SimConfig(iterations=iterations)
+        with pytest.raises(ConfigError, match=message):
+            SuiteSpec(**suite, iterations=iterations)
 
 
 @pytest.mark.parametrize("experiment", [1, 2])

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from pdnetsim import LIVE, SNAPSHOT, PayoffParams, ProportionGroup, SimConfig, assign_proportional, run
+from pdnetsim import LIVE, SNAPSHOT, AgentKind, PayoffParams, ProportionGroup, SimConfig, assign_proportional, run
 
 from conftest import random_graph
 
@@ -62,3 +62,28 @@ def test_scaling_every_amount_of_money_scales_the_run_exactly(request, loop, sem
             None if bank_balance is None else SCALE * bank_balance,
             SCALE * total,
         )
+
+
+@pytest.mark.parametrize("loop", ["kernel", "python_loop"])
+@pytest.mark.parametrize("semantics", [LIVE, SNAPSHOT])
+@pytest.mark.parametrize("bank", [0, 50, 2000, None], ids=["bank-0", "bank-50", "bank-2000", "bank-inf"])
+@pytest.mark.parametrize("group", ["0:7:1:0", "0:4:4:0", "0:1:7:0"])
+def test_tit_for_tat_among_cooperators_plays_as_a_cooperator(request, loop, semantics, bank, group):
+    """Make every Tit-for-Tat of a Cooperator/Tit-for-Tat mix a Cooperator:
+    the run is the same, record for record.
+
+    A Cooperator always stays silent. Tit-for-Tat stays silent against an
+    opponent that has not played yet, and otherwise repeats the last action
+    the opponent took, in any game. By induction on the games, every action
+    of the mix is silence: each Tit-for-Tat either opens silent or repeats
+    a silence, so it acts as a Cooperator would. Neither kind draws, so the
+    neighbour draws come from the same generator state in both runs, every
+    game is the same mutual silence with the same payout or blocked payout,
+    and balances, bank, Gini series, stats and convergence all agree.
+    """
+    request.getfixturevalue(loop)
+    graph = random_graph(48, 4.0, seed=31)
+    mix = assign_proportional(graph.node_count, ProportionGroup.parse(group), random.Random(5))
+    assert {AgentKind.COOPERATOR, AgentKind.TIT_FOR_TAT} == set(mix)
+    cfg = SimConfig(200, 20, PayoffParams(1, 2, 3), bank, 17, semantics)
+    assert run(graph, mix, cfg) == run(graph, [AgentKind.COOPERATOR] * graph.node_count, cfg)
