@@ -1,9 +1,10 @@
 """Command-line entry point: run, suite, plot, and convert subcommands.
 
 Config files are strict key=value text: '#' starts a comment, unknown
-keys are rejected, and every required key must be present. Exit codes
-are 0 on success, 2 for configuration errors, 3 for input parse errors,
-and 4 for I/O failures.
+keys are rejected, every required key must be present, and no key but a
+suite's `network` may be given twice. Exit codes are 0 on success, 2 for
+configuration errors, 3 for input parse errors, and 4 for I/O failures
+and for running out of memory.
 """
 
 import argparse
@@ -16,10 +17,13 @@ import sys
 from . import _kernel
 from .engine import SHARED_SETTINGS, PayoffParams, SimConfig, run
 from .errors import ConfigError, ParseError
-# suite.cmd_suite calls run_suite and write_suite_summary_csv through this
-# module, so a wrapper set on either attribute here runs.
 from .experiments import (
+    DEFAULT_BANK_SETTINGS,
+    BankSetting,
+    DegreeGroup,
+    NetworkSpec,
     ProportionGroup,
+    SuiteSpec,
     assign_by_degree,
     assign_proportional,
     derive_seed,
@@ -31,6 +35,7 @@ from .output import (
     _write_atomically,
     format_gini,
     read_gini_series_csv,
+    run_file_name,
     write_gini_series_csv,
     write_suite_summary_csv,
     write_summary_txt,
@@ -44,10 +49,20 @@ EXIT_IO = 4
 # The config keys of the SHARED_SETTINGS: payoff is given as PayoffParams' fields.
 _SIM_KEYS = set(SHARED_SETTINGS) - {"payoff"} | set(PayoffParams._fields)
 _RUN_REQUIRED = {"graph", "graph_format", "experiment", "group", "bank", "seed", "out"}
+_SUITE_REQUIRED = {"experiment", "network", "seed", "out"}
+_SUITE_OPTIONAL = _SIM_KEYS | {"groups", "banks", "replicates", "workers"}
 
 
-def parse_kv_config(path: str) -> dict[str, list[str]]:
-    """Parse 'key = value' lines; repeated keys accumulate in file order."""
+def read_config(args, required: set, optional: set) -> dict:
+    """The config file `args.config` as {key: value}, each flag the command
+    was given (`--seed`, `--out`, ...) in its key's place.
+
+    Each line is checked, then the keys: an unknown or missing one, or one
+    given twice, is a ConfigError, whatever flags are given. A suite lists
+    one `network` per line, so that key may repeat, and its value is the
+    list of its lines in file order.
+    """
+    path = args.config
     values: dict[str, list[str]] = {}
     with open(path, "r", encoding="utf-8-sig") as handle:  # a byte-order mark is not part of the first key
         try:
@@ -68,32 +83,23 @@ def parse_kv_config(path: str) -> dict[str, list[str]]:
         if not key or not value:
             raise ConfigError(f"{path}: line {lineno}: empty key or value")
         values.setdefault(key, []).append(value)
-    return values
-
-
-def _check_keys(values: dict, required: set, optional: set, path: str) -> None:
-    present = set(values)
-    unknown = present - required - optional
+    unknown = values.keys() - required - optional
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-    missing = required - present
+    missing = required - values.keys()
     if missing:
         raise ConfigError(f"{path}: missing required config keys: {', '.join(sorted(missing))}")
-
-
-def _single(values: dict, key: str) -> str | None:
-    entries = values.get(key)
-    if entries is None:
-        return None
-    if len(entries) > 1:
-        raise ConfigError(f"config key {key!r} given {len(entries)} times")
-    return entries[0]
+    for key, entries in values.items():
+        if len(entries) > 1 and key != "network":
+            raise ConfigError(f"config key {key!r} given {len(entries)} times")
+    flags = {key: flag for key, flag in vars(args).items() if key in required | optional and flag is not None}
+    return {key: entries if key == "network" else entries[0] for key, entries in values.items()} | flags
 
 
 def _int_value(values: dict, key: str, default: int | None = None) -> int | None:
-    text = _single(values, key)
+    text = values.get(key, default)
     if text is None:
-        return default
+        return None
     try:
         return int(text)
     except ValueError:
@@ -110,7 +116,7 @@ def _sim_settings(values: dict) -> dict:
             if payoff:
                 settings[name] = PayoffParams(**payoff)
         elif name in values:
-            settings[name] = _int_value(values, name) if SimConfig._checks[name].kind is int else _single(values, name)
+            settings[name] = _int_value(values, name) if SimConfig._checks[name].kind is int else values[name]
     return settings
 
 
@@ -151,16 +157,15 @@ def _check_outputs(directory: str, *files: str) -> None:
 
 
 def cmd_run(args) -> int:
-    values = parse_kv_config(args.config)
-    _check_keys(values, _RUN_REQUIRED, _SIM_KEYS, args.config)
+    values = read_config(args, _RUN_REQUIRED, _SIM_KEYS)
 
     group_type = experiment_groups(_int_value(values, "experiment"))[0]
-    graph_path = _single(values, "graph")
-    fmt = _single(values, "graph_format")
-    group = group_type.parse(_single(values, "group"))
-    bank = _bank_from_label(_single(values, "bank"))
-    seed = args.seed if args.seed is not None else _int_value(values, "seed")
-    out_dir = args.out if args.out is not None else _single(values, "out")
+    graph_path = values["graph"]
+    fmt = values["graph_format"]
+    group = group_type.parse(values["group"])
+    bank = _bank_from_label(values["bank"])
+    seed = _int_value(values, "seed")
+    out_dir = values["out"]
     cfg = SimConfig(**_sim_settings(values), bank=bank, seed=seed)
     series_path = os.path.join(out_dir, "gini_series.csv")
     summary_path = os.path.join(out_dir, "summary.txt")
@@ -185,10 +190,78 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_suite(args) -> int:
-    from .suite import cmd_suite  # only a suite compiles the sweep code
+def _parse_network_entries(entries: list[str]) -> tuple[NetworkSpec, ...]:
+    networks = []
+    for entry in entries:
+        fields = entry.split(None, 2)  # the path may hold spaces, as a run's graph = may
+        if len(fields) != 3:
+            raise ConfigError(f"network entry must be 'NAME FORMAT PATH', got {entry!r}")
+        name, fmt, path = fields
+        networks.append(NetworkSpec(name=name, path=path, fmt=fmt))
+    return tuple(networks)
 
-    return cmd_suite(args)
+
+def _parse_groups(experiment: int, text: str | None):
+    group_type, defaults = experiment_groups(experiment)
+    if text is None or text.strip().lower() == "default":
+        return defaults
+    # Degree-group labels contain commas, so entries are separated by ';'.
+    separator = ";" if group_type is DegreeGroup else ","
+    return tuple(group_type.parse(part) for part in text.split(separator) if part.strip())
+
+
+def _parse_banks(text: str | None) -> tuple[BankSetting, ...]:
+    if text is None or text.strip().lower() == "default":
+        return DEFAULT_BANK_SETTINGS
+    settings = []
+    for part in text.split(","):
+        label = part.strip()
+        if label:
+            settings.append(BankSetting(label=label, bank=_bank_from_label(label)))
+    if not settings:
+        raise ConfigError("banks list is empty")
+    return tuple(settings)
+
+
+def cmd_suite(args) -> int:
+    values = read_config(args, _SUITE_REQUIRED, _SUITE_OPTIONAL)
+
+    experiment = _int_value(values, "experiment")
+    settings = {
+        "groups": _parse_groups(experiment, values.get("groups")),
+        "networks": _parse_network_entries(values["network"]),
+        "banks": _parse_banks(values.get("banks")),
+        "base_seed": _int_value(values, "seed"),
+        "replicates": _int_value(values, "replicates"),
+        **_sim_settings(values),
+    }  # replicates is None when neither the file nor a flag gives it: SuiteSpec's default applies
+    spec = SuiteSpec(experiment=experiment, **{key: value for key, value in settings.items() if value is not None})
+    workers = _int_value(values, "workers", 1)
+    out_dir = values["out"]
+
+    runs_dir = os.path.join(out_dir, "runs")
+    summary_path = os.path.join(out_dir, "suite_summary.csv")
+    _check_outputs(runs_dir, summary_path)
+
+    def series_path_for(network, group_label, bank_label, replicate):
+        return os.path.join(runs_dir, run_file_name(network, group_label, bank_label, replicate))
+
+    def progress(done, total, row):
+        if args.verbose:
+            print(
+                f"[{done}/{total}] {row.network} {row.group} b={row.bank} r{row.replicate}: {row.status}",
+                file=sys.stderr,
+            )
+
+    _note_python_fallback()
+    rows = run_suite(spec, series_path_for=series_path_for, workers=workers, progress=progress)
+    write_suite_summary_csv(summary_path, rows)
+    failed = sum(1 for row in rows if row.status != "ok")
+    print(f"suite: {len(rows) - failed}/{len(rows)} runs ok -> {out_dir}")
+    if failed == len(rows):
+        print("error: all suite runs failed; see suite_summary.csv", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
 
 
 def cmd_plot(args) -> int:
@@ -265,6 +338,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:  # a graph, say, too large for this machine
+        print("error: out of memory; the input may be too large for the memory this process can use", file=sys.stderr)
         return EXIT_IO
 
 

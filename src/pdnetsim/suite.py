@@ -1,34 +1,18 @@
-"""The `suite` command and sweep orchestration: expand a suite spec into
-tasks and run them in this process or on forked workers.
+"""The sweep: expand a suite spec into tasks and run them in this process
+or on forked workers.
 
-Only the `suite` command and `run_suite` import this module, so a `run`
-compiles none of it. The worker looks `experiments.execute_task` up through
-its module at call time, so a wrapper set on that attribute runs.
+Only `run_suite` imports this module, so a `run` compiles none of it. The
+worker looks `experiments.execute_task` up through its module at call time,
+so a wrapper set on that attribute runs.
 """
 
 import os
-import sys
 from collections import deque
 
-from . import _kernel, cli, experiments
+from . import _kernel, experiments
 from .engine import SHARED_SETTINGS, SimConfig
 from .errors import ConfigError, require
-from .experiments import (
-    DEFAULT_BANK_SETTINGS,
-    BankSetting,
-    DegreeGroup,
-    NetworkSpec,
-    RunTask,
-    SuiteRow,
-    SuiteSpec,
-    _task_row,
-    derive_seed,
-    experiment_groups,
-)
-from .output import run_file_name
-
-_SUITE_REQUIRED = {"experiment", "network", "seed", "out"}
-_SUITE_OPTIONAL = cli._SIM_KEYS | {"groups", "banks", "replicates", "workers"}
+from .experiments import RunTask, SuiteRow, SuiteSpec, _task_row, derive_seed
 
 
 def suite_tasks(spec: SuiteSpec, series_path_for=None) -> list[RunTask]:
@@ -181,80 +165,3 @@ def _reap(conn, process) -> str:
     process.join()
     code = process.exitcode
     return f"exit code {code}" if code >= 0 else f"signal {-code}"
-
-
-def _parse_network_entries(entries: list[str]) -> tuple[NetworkSpec, ...]:
-    networks = []
-    for entry in entries:
-        fields = entry.split(None, 2)  # the path may hold spaces, as a run's graph = may
-        if len(fields) != 3:
-            raise ConfigError(f"network entry must be 'NAME FORMAT PATH', got {entry!r}")
-        name, fmt, path = fields
-        networks.append(NetworkSpec(name=name, path=path, fmt=fmt))
-    return tuple(networks)
-
-
-def _parse_groups(experiment: int, text: str | None):
-    group_type, defaults = experiment_groups(experiment)
-    if text is None or text.strip().lower() == "default":
-        return defaults
-    # Degree-group labels contain commas, so entries are separated by ';'.
-    separator = ";" if group_type is DegreeGroup else ","
-    return tuple(group_type.parse(part) for part in text.split(separator) if part.strip())
-
-
-def _parse_banks(text: str | None) -> tuple[BankSetting, ...]:
-    if text is None or text.strip().lower() == "default":
-        return DEFAULT_BANK_SETTINGS
-    settings = []
-    for part in text.split(","):
-        label = part.strip()
-        if label:
-            settings.append(BankSetting(label=label, bank=cli._bank_from_label(label)))
-    if not settings:
-        raise ConfigError("banks list is empty")
-    return tuple(settings)
-
-
-def cmd_suite(args) -> int:
-    """The `suite` command. `cli.run_suite` and `cli.write_suite_summary_csv`
-    are looked up through `cli` at call time, so a wrapper set there runs."""
-    values = cli.parse_kv_config(args.config)
-    cli._check_keys(values, _SUITE_REQUIRED, _SUITE_OPTIONAL, args.config)
-
-    experiment = cli._int_value(values, "experiment")
-    settings = {
-        "groups": _parse_groups(experiment, cli._single(values, "groups")),
-        "networks": _parse_network_entries(values["network"]),
-        "banks": _parse_banks(cli._single(values, "banks")),
-        "base_seed": args.seed if args.seed is not None else cli._int_value(values, "seed"),
-        "replicates": args.replicates if args.replicates is not None else cli._int_value(values, "replicates"),
-        **cli._sim_settings(values),
-    }  # replicates is None when neither the file nor a flag gives it: SuiteSpec's default applies
-    spec = SuiteSpec(experiment=experiment, **{key: value for key, value in settings.items() if value is not None})
-    workers = args.workers if args.workers is not None else cli._int_value(values, "workers", 1)
-    out_dir = args.out if args.out is not None else cli._single(values, "out")
-
-    runs_dir = os.path.join(out_dir, "runs")
-    summary_path = os.path.join(out_dir, "suite_summary.csv")
-    cli._check_outputs(runs_dir, summary_path)
-
-    def series_path_for(network, group_label, bank_label, replicate):
-        return os.path.join(runs_dir, run_file_name(network, group_label, bank_label, replicate))
-
-    def progress(done, total, row):
-        if args.verbose:
-            print(
-                f"[{done}/{total}] {row.network} {row.group} b={row.bank} r{row.replicate}: {row.status}",
-                file=sys.stderr,
-            )
-
-    cli._note_python_fallback()
-    rows = cli.run_suite(spec, series_path_for=series_path_for, workers=workers, progress=progress)
-    cli.write_suite_summary_csv(summary_path, rows)
-    failed = sum(1 for row in rows if row.status != "ok")
-    print(f"suite: {len(rows) - failed}/{len(rows)} runs ok -> {out_dir}")
-    if failed == len(rows):
-        print("error: all suite runs failed; see suite_summary.csv", file=sys.stderr)
-        return cli.EXIT_CONFIG
-    return cli.EXIT_OK

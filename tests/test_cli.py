@@ -174,6 +174,10 @@ def _append(line):
         ("run", _append("= 5"), EXIT_CONFIG, "line 11: empty key or value"),
         ("run", _append("iterations ="), EXIT_CONFIG, "line 11: empty key or value"),
         ("run", _append("seed = 6"), EXIT_CONFIG, "config key 'seed' given 2 times"),
+        ("run --seed 9", _append("seed = 6"), EXIT_CONFIG, "config key 'seed' given 2 times"),
+        ("suite --replicates 1", _append("replicates = 2"), EXIT_CONFIG, "config key 'replicates' given 2 times"),
+        ("suite --workers 1", _append("workers = 1\nworkers = 2"), EXIT_CONFIG, "config key 'workers' given 2 times"),
+        ("run --seed 9", lambda text: text.replace("seed = 5\n", ""), EXIT_CONFIG, "missing required config keys: seed"),
         (
             "run",
             lambda text: text.replace("iterations = 1000", "iterations = many"),
@@ -203,6 +207,10 @@ def _append(line):
         "empty-key",
         "empty-value",
         "key-given-twice",
+        "key-given-twice-and-its-seed-flag",
+        "key-given-twice-and-its-replicates-flag",
+        "key-given-twice-and-its-workers-flag",
+        "missing-key-and-its-seed-flag",
         "non-integer-iterations",
         "bad-proportion-group",
         "bad-degree-group",
@@ -215,7 +223,10 @@ def _append(line):
 )
 def test_a_bad_input_exits_with_its_code_and_one_error_line(request, tmp_path, command, edit, code, message):
     # Through `python -m pdnetsim`, as a user runs it: the exit code the
-    # module docstring documents, one error line and no traceback.
+    # module docstring documents, one error line and no traceback. A flag
+    # after the command is given too: it must not hide a key given twice,
+    # nor stand in for a required key the file lacks.
+    command, *flags = command.split()
     if command == "plot":
         series = tmp_path / "series.csv"
         series.write_text(edit)
@@ -223,7 +234,7 @@ def test_a_bad_input_exits_with_its_code_and_one_error_line(request, tmp_path, c
     else:
         config_path, _ = request.getfixturevalue({"run": "two_node_run", "suite": "suite_config"}[command])
         config_path.write_text(edit(config_path.read_text()))
-        argv = [command, "--config", str(config_path)]
+        argv = [command, "--config", str(config_path), *flags]
     proc = subprocess.run([sys.executable, "-m", "pdnetsim", *argv], capture_output=True, text=True)
     assert proc.returncode == code
     errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
@@ -608,6 +619,56 @@ def test_a_run_of_more_passes_than_the_bound_exits_2_before_any_pass(tmp_path):
     bound = f"iterations must be a positive integer no greater than {MAX_ITERATIONS}"
     assert proc.stderr == f"error: {bound}, got 10000000\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg", "triangle.txt"]
+
+
+# Run by `python -c`, with the command's argv after it: load the kernel
+# (which may compile it), then lower the address-space limit to a fixed
+# margin above what the process holds, and run the command as
+# `python -m pdnetsim` does.
+_UNDER_A_MARGIN = """\
+import os, resource
+from pdnetsim import _kernel, cli
+_kernel.load()
+with open("/proc/self/statm") as statm:
+    limit = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE") + 32 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+cli.entry()
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "convert"])
+def test_a_graph_too_big_for_memory_exits_4_with_one_error_line(two_node_run, tmp_path, command):
+    # A million labels need far more than the 32 MiB margin, in the C reader
+    # and in the Python one; the two-node graph fits in it. A graph the
+    # process cannot hold is a bad input: it ends with an exit code and one
+    # line, not a MemoryError traceback.
+    import os
+
+    config_path, out_dir = two_node_run
+    pair = tmp_path / "pair.txt"
+    big = tmp_path / "big.txt"
+    big.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(500_000)))
+    env = {key: value for key, value in os.environ.items() if key != "LD_PRELOAD"}  # a sanitizer reserves more
+
+    def under_a_margin(graph):
+        if command == "run":
+            config_path.write_text(config_path.read_text().replace(str(pair), str(graph)))
+            argv = ["run", "--config", str(config_path)]
+        else:
+            argv = ["convert", str(graph), "--format", "snap", "--out", str(out_dir / "edges.txt")]
+        return subprocess.run(
+            [sys.executable, "-c", _UNDER_A_MARGIN, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    fits = under_a_margin(pair)
+    assert fits.returncode == EXIT_OK, fits.stderr
+    for path in out_dir.iterdir():
+        path.unlink()
+    out_dir.rmdir()
+    proc = under_a_margin(big)
+    assert proc.returncode == EXIT_IO, proc.stderr
+    assert proc.stderr == "error: out of memory; the input may be too large for the memory this process can use\n"
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("key", ["out", "network"])

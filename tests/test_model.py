@@ -7,15 +7,20 @@ from the rules in its docstring and holds on both loops. Every seed, graph
 and group is fixed before the first run.
 """
 
+import math
 import random
 
 import pytest
 
 from pdnetsim import LIVE, SNAPSHOT, AgentKind, PayoffParams, ProportionGroup, SimConfig, assign_proportional, run
 
-from conftest import random_graph
+from conftest import random_graph, scale_free_graph
 
 SCALE = 7
+# The mean-balance identity's sample, fixed with its bound before the first run.
+MEAN_SEEDS = range(400)
+MEAN_PASSES = 10
+Z_BOUND = 4
 
 
 @pytest.mark.parametrize("loop", ["kernel", "python_loop"])
@@ -87,3 +92,40 @@ def test_tit_for_tat_among_cooperators_plays_as_a_cooperator(request, loop, sema
     assert {AgentKind.COOPERATOR, AgentKind.TIT_FOR_TAT} == set(mix)
     cfg = SimConfig(200, 20, PayoffParams(1, 2, 3), bank, 17, semantics)
     assert run(graph, mix, cfg) == run(graph, [AgentKind.COOPERATOR] * graph.node_count, cfg)
+
+
+@pytest.mark.parametrize("loop", ["kernel", "python_loop"])
+def test_all_cooperators_with_an_infinite_bank_gain_one_payout_per_game_they_play(request, loop):
+    """With every node a Cooperator and an infinite bank, the mean balance of
+    node v after k passes is initial + k * reward * (1 + sum(1 / deg(u) for u
+    in N(v))).
+
+    Every game is mutual silence, and an infinite bank pays both players the
+    reward in full. No balance falls, so no turn is skipped, and every pass
+    moves money, so the run does not converge early. In each pass v plays its
+    own turn once, and each neighbour u's turn draws v with probability
+    1 / deg(u), independently of every other draw. Under the live semantics
+    each payout adds to the balance as it stands, so v ends at
+    initial + reward * (k + X), where X, the times v was drawn, is a sum of
+    k independent Bernoulli(1 / deg(u)) per neighbour u: its mean is
+    k * sum(1 / deg(u)) and its variance k * sum(1 / deg(u) * (1 - 1 / deg(u))).
+    (The snapshot semantics keeps only a node's last game of a pass, so the
+    identity is the live rule's.) Over the seeds, each node's mean balance
+    lies within Z_BOUND standard errors of the identity's value.
+    """
+    request.getfixturevalue(loop)
+    graph = scale_free_graph(40, 2, seed=7)
+    degrees = graph.degrees()
+    assert min(degrees) >= 2  # so that every node's draw count varies, and its z is defined
+    cooperators = [AgentKind.COOPERATOR] * graph.node_count
+    totals = [0] * graph.node_count
+    for seed in MEAN_SEEDS:
+        result = run(graph, cooperators, SimConfig(MEAN_PASSES, 20, PayoffParams(3, 2, 1), None, seed, LIVE))
+        assert result.converged_at is None
+        totals = [total + balance for total, balance in zip(totals, result.final_balances)]
+    for v, neighbors in enumerate(graph.adjacency):
+        p = [1 / degrees[u] for u in neighbors]
+        expected = 20 + MEAN_PASSES * 3 * (1 + sum(p))
+        standard_error = 3 * math.sqrt(MEAN_PASSES * sum(q * (1 - q) for q in p) / len(MEAN_SEEDS))
+        z = (totals[v] / len(MEAN_SEEDS) - expected) / standard_error
+        assert abs(z) < Z_BOUND, (v, z)
