@@ -444,10 +444,14 @@ void pd_sample(int64_t *out, int64_t m, int64_t k, int64_t by_pool, int64_t *scr
  * makes pd_read_edges return nonzero, and the caller reruns the Python
  * reader, which builds the graph or raises the exact error.
  *
- * pd_read_edges maps each label to an int32 id, in order of first
- * appearance, as it parses it; a self-loop is skipped before its labels are
- * registered. pd_edges_csr then writes the labels, the CSR offsets and the
- * sorted, deduplicated targets into the caller's buffers, sized from the
+ * pd_read_edges first counts the lines, in a plain loop the compiler
+ * vectorizes, to size the pairs. It then parses each line in one scan that
+ * finds the line's end as it goes, reads each label a word at a time (see
+ * parse_label), and maps each label to an int32 id, in order of first
+ * appearance; a self-loop is skipped before its labels are registered. It
+ * keeps no state between calls: ctypes releases the GIL, so two threads may
+ * parse at once. pd_edges_csr then writes the labels, the CSR offsets and
+ * the sorted, deduplicated targets into the caller's buffers, sized from the
  * counts the first call returned. */
 
 enum { FORMAT_SNAP, FORMAT_BITCOIN_OTC };
@@ -480,24 +484,59 @@ static const char *skip_blanks(const char *s, const char *end)
     return s;
 }
 
+/* s[0..8) as one word, s[0] in the lowest byte, whatever the byte order. */
+static uint64_t word_at(const char *s)
+{
+    const unsigned char *b = (const unsigned char *)s;
+
+    return (uint64_t)b[0] | (uint64_t)b[1] << 8 | (uint64_t)b[2] << 16 | (uint64_t)b[3] << 24
+           | (uint64_t)b[4] << 32 | (uint64_t)b[5] << 40 | (uint64_t)b[6] << 48 | (uint64_t)b[7] << 56;
+}
+
+/* The number the 8 bytes of `digits` spell, each a digit's value (0-9),
+ * the most significant in the lowest byte. */
+static uint64_t eight_digits(uint64_t digits)
+{
+    digits = (digits * 2561) >> 8 & 0x00ff00ff00ff00ffu;
+    digits = (digits * 6553601) >> 16 & 0x0000ffff0000ffffu;
+    return (digits * 42949672960001u) >> 32;
+}
+
 /* Parse a label at s; return the byte after it, or NULL when there is none
- * or it leaves int64. */
+ * or it leaves int64. When 8 bytes are left, its first 8 digits are read as
+ * one word: each byte's digit value is its xor with '0', and the first byte
+ * whose value is 10 or more (its low 7 bits plus 0x76, or its own top bit,
+ * reach 0x80) ends them. The digit loop reads the rest, and tests for
+ * overflow only from the 19th digit on: 18 digits fit int64. */
 static const char *parse_label(const char *s, const char *end, int64_t *label)
 {
     const int negative = s < end && *s == '-';
     const uint64_t limit = (uint64_t)INT64_MAX + (uint64_t)negative;
+    const char *first;
     uint64_t value = 0;
 
     if (s < end && (*s == '-' || *s == '+'))
         s++;
-    if (s == end || !is_digit(*s))
-        return NULL;
+    first = s;
+    if (end - s >= 8) {
+        const uint64_t values = word_at(s) ^ 0x3030303030303030u;
+        const uint64_t stops = (((values & 0x7f7f7f7f7f7f7f7fu) + 0x7676767676767676u) | values)
+                               & 0x8080808080808080u;
+        const int digits = stops ? __builtin_ctzll(stops) >> 3 : 8;
+
+        if (digits > 0) {
+            value = eight_digits(values << (64 - 8 * digits));
+            s += digits;
+        }
+    }
     for (; s < end && is_digit(*s); s++) {
         const unsigned digit = (unsigned)(*s - '0');
-        if (value > (limit - digit) / 10)
+        if (s - first >= 18 && value > (limit - digit) / 10)
             return NULL;
         value = value * 10 + digit;
     }
+    if (s == first)
+        return NULL;
     *label = negative && value ? -(int64_t)(value - 1) - 1 : (int64_t)value;
     return s;
 }
@@ -547,41 +586,55 @@ static int64_t intern(struct edge_reader *r, int64_t label)
     return id;
 }
 
-/* Parse the line [s, end) without its line end into its two labels.
- * Returns 1 for an edge, 0 for a blank or comment line, -1 off the grammar. */
-static int parse_line(const char *s, const char *end, int format, int64_t *u, int64_t *v)
+/* The first byte of the next line when s is at a line end ("\n", "\r\n" or
+ * the end of the data), else NULL. */
+static const char *line_end(const char *s, const char *end)
 {
+    if (s == end)
+        return s;
+    if (*s == '\n')
+        return s + 1;
+    return *s == '\r' && end - s > 1 && s[1] == '\n' ? s + 2 : NULL;
+}
+
+/* Parse the line at s, up to its line end, into its two labels; *edge
+ * tells an edge from a blank or comment line. Returns the first byte of
+ * the next line, or NULL off the grammar. */
+static const char *parse_line(const char *s, const char *end, int format, int *edge, int64_t *u,
+                              int64_t *v)
+{
+    const char *next;
     int field;
 
+    *edge = 0;
     s = skip_blanks(s, end);
-    if (s == end)
-        return 0;
+    if ((next = line_end(s, end)) != NULL)
+        return next;
     if (format == FORMAT_SNAP) {
         if (*s == '#') {
-            for (; s < end; s++)
-                if (!is_text(*s))
-                    return -1;
-            return 0;
+            while (s < end && is_text(*s))
+                s++;
+            return line_end(s, end);
         }
         s = parse_label(s, end, u);
         if (s == NULL || s == end || !is_blank(*s))
-            return -1;
+            return NULL;
         s = parse_label(skip_blanks(s, end), end, v);
-        return s != NULL && skip_blanks(s, end) == end ? 1 : -1;
+        if (s == NULL)
+            return NULL;
+        *edge = 1;
+        return line_end(skip_blanks(s, end), end);
     }
     s = parse_label(s, end, u);
     if (s == NULL || (s = skip_blanks(s, end)) == end || *s != ',')
-        return -1;
+        return NULL;
     s = parse_label(skip_blanks(s + 1, end), end, v);
     if (s == NULL || (s = skip_blanks(s, end)) == end || *s != ',')
-        return -1;
-    for (field = 0, s++; s < end; s++) { /* the rating and time fields */
-        if (*s == ',')
-            field++;
-        else if (!is_text(*s))
-            return -1;
-    }
-    return field == 1 ? 1 : -1;
+        return NULL;
+    for (field = 0, s++; s < end && (*s == ',' || is_text(*s)); s++) /* the rating and time fields */
+        field += *s == ',';
+    *edge = 1;
+    return field == 1 ? line_end(s, end) : NULL;
 }
 
 /* Parse data[0..size) in `format`. On success writes the label count and
@@ -590,13 +643,13 @@ static int parse_line(const char *s, const char *end, int format, int64_t *u, in
  * nothing allocated. */
 int pd_read_edges(const char *data, int64_t size, int64_t format, int64_t *counts, void **out)
 {
-    const char *line = data, *end = data + size, *stop, *newline, *next;
+    const char *s = data, *end = data + size;
     struct edge_reader *r = calloc(1, sizeof *r);
-    int64_t rows = 1, u, v, id_u, id_v;
-    int status = READ_OK, parsed;
+    int64_t rows = 1, i, u, v, id_u, id_v;
+    int status = READ_OK, edge;
 
-    for (newline = data; (newline = memchr(newline, '\n', (size_t)(end - newline))) != NULL; newline++)
-        rows++;
+    for (i = 0; i < size; i++) /* a plain loop, which the compiler vectorizes */
+        rows += data[i] == '\n';
     if (r == NULL)
         return READ_NO_MEMORY;
     r->label_cap = 1024;
@@ -607,14 +660,11 @@ int pd_read_edges(const char *data, int64_t size, int64_t format, int64_t *count
     if (r->labels == NULL || r->slots == NULL || r->ends == NULL)
         status = READ_NO_MEMORY;
 
-    for (; status == READ_OK && line < end; line = next) {
-        newline = memchr(line, '\n', (size_t)(end - line));
-        stop = newline != NULL ? newline - (newline > line && newline[-1] == '\r') : end;
-        next = newline != NULL ? newline + 1 : end;
-        parsed = parse_line(line, stop, (int)format, &u, &v);
-        if (parsed == -1) {
+    while (status == READ_OK && s < end) {
+        s = parse_line(s, end, (int)format, &edge, &u, &v);
+        if (s == NULL) {
             status = READ_GRAMMAR;
-        } else if (parsed == 1 && u != v) { /* a self-loop's labels are not registered: they are no nodes */
+        } else if (edge && u != v) { /* a self-loop's labels are not registered: they are no nodes */
             id_u = intern(r, u);
             id_v = id_u == -1 ? -1 : intern(r, v);
             if (id_v == -1) {

@@ -8,7 +8,8 @@ an identical graph on any platform.
 
 Two readers apply these rules. `load_graph` first hands the file's bytes
 to the C reader in `_pass.c` (when `_kernel` can build it), which parses a
-strict ASCII grammar straight into the CSR arrays every Graph holds. On
+strict ASCII grammar straight into the CSR arrays every Graph holds and the
+label of each id, from which `Graph.id_map` is built when first read. On
 any other input, or without a C compiler, the Python reader
 (`_label_pairs` and `graph_from_edges`) reads the file as UTF-8 text: it
 builds the graph or raises the ParseError, and it is the reference the C
@@ -41,14 +42,16 @@ class Graph:
     The graph is its CSR arrays: the neighbors of node v are
     targets[offsets[v]:offsets[v + 1]] (int64 offsets, int32 targets), and
     `adjacency` is the same rows as lists, built on first access. id_map
-    maps original dataset labels to ids 0..node_count-1. The constructor
+    maps original dataset labels to ids 0..node_count-1; a graph the C
+    reader built keeps the label of each id and builds this dict on first
+    access, since no run or suite reads it. The constructor
     takes adjacency lists and raises ConfigError on a neighbor that is not
     an integer in [0, node_count), so the kernel never reads out of bounds,
     on a self-loop, which the kernel and the Python loop play apart, or on
     an empty list: a run has no Gini of zero balances.
     """
 
-    __slots__ = ("offsets", "targets", "id_map", "_adjacency", "_ranked")
+    __slots__ = ("offsets", "targets", "_labels", "_id_map", "_adjacency", "_ranked")
 
     def __init__(self, adjacency: list[list[int]], id_map: dict[int, int]):
         n = len(adjacency)
@@ -63,16 +66,23 @@ class Graph:
             raise _bad_neighbor(adjacency)
         self.offsets = array("q", accumulate(map(len, adjacency), initial=0))
         self.targets = targets
-        self.id_map = id_map
+        self._labels, self._id_map = None, id_map
         self._adjacency = self._ranked = None
 
     @classmethod
-    def _from_csr(cls, offsets: array, targets: array, id_map: dict[int, int]) -> "Graph":
-        """A graph of CSR arrays the caller has checked (the C reader's)."""
+    def _from_csr(cls, offsets: array, targets: array, labels: array) -> "Graph":
+        """A graph of CSR arrays the caller has checked and the label of each
+        id (the C reader's)."""
         graph = cls.__new__(cls)
-        graph.offsets, graph.targets, graph.id_map = offsets, targets, id_map
-        graph._adjacency = graph._ranked = None
+        graph.offsets, graph.targets, graph._labels = offsets, targets, labels
+        graph._id_map = graph._adjacency = graph._ranked = None
         return graph
+
+    @property
+    def id_map(self) -> dict[int, int]:
+        if self._id_map is None:
+            self._id_map = dict(zip(self._labels, range(self.node_count)))
+        return self._id_map
 
     @property
     def node_count(self) -> int:
@@ -214,7 +224,7 @@ def _read_csr(path: str, fmt: str) -> Graph | None:
     if library.pd_edges_csr(reader, *(a.buffer_info()[0] for a in (labels, offsets, targets))):
         return None
     del targets[offsets[n]:]
-    return Graph._from_csr(offsets, targets, dict(zip(labels, range(n))))
+    return Graph._from_csr(offsets, targets, labels)
 
 
 def write_edge_list(graph: Graph, stream: TextIO) -> None:

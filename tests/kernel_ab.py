@@ -8,13 +8,17 @@ suite_exp2's 36 degree-ranked assignments, each from the generator state it
 started from, through `experiments.assign_by_degree` (the row
 suite_exp2.assign). The runs, the assignments and their inputs are recorded
 once from the real `run` and `suite --workers 1` commands, so both builds get
-identical inputs. Only the kernel calls, `pd_shuffle`, `pd_sample` and
-`pd_run`, are timed; after each call every buffer it writes (order, the
-sampled positions, held, balances, last, acc, the generator state, the stats
-rows and the Gini sums; not the scratch, which is only working memory) is
-hashed, and the script fails unless both builds wrote the same bytes. It prints, per workload, each build's median
-milliseconds and nanoseconds per game. In-process kernel timings are far quieter than
-whole-command timings in fresh processes.
+identical inputs. The row graph.load replays `load_graph` on the SNAP
+and the bitcoin_otc stand-in. Only the kernel calls, `pd_shuffle`,
+`pd_sample`, `pd_run`, `pd_read_edges` and `pd_edges_csr`, are timed; after
+each call every buffer it writes (order, the sampled positions, held,
+balances, last, acc, the generator state, the stats rows and the Gini sums;
+the reader's status and counts, and the labels, offsets and targets of the
+graph it read; not the scratch, which is only working memory) is hashed, and
+the script fails unless both builds wrote the same bytes. It prints, per
+workload, each build's median milliseconds and nanoseconds per game.
+In-process kernel timings are far quieter than whole-command timings in
+fresh processes.
 
     PYTHONPATH=src python tests/kernel_ab.py --a-flags "-O2 -fPIC -shared -ffp-contract=off"
     PYTHONPATH=src python tests/kernel_ab.py --b-source /path/to/other/_pass.c --reps 15
@@ -38,7 +42,7 @@ import tempfile
 import time
 from unittest import mock
 
-from pdnetsim import _kernel, cli, engine, experiments
+from pdnetsim import _kernel, cli, engine, experiments, load_graph
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "perfbench"))
 import inputs  # noqa: E402  (perfbench/inputs.py: the benchmark's seeded stand-ins)
@@ -70,11 +74,18 @@ def assign(graph, group, state) -> int:
     return 0
 
 
+def load(path, fmt) -> int:
+    """Load one stand-in graph; it plays no game."""
+    load_graph(path, fmt)
+    return 0
+
+
 def recorded_runs(work_dir: str, seed: int) -> dict[str, list]:
     """Per workload, a (play, (graph, assignment, cfg)) for every `engine.run`
     call its command makes and, under `<workload>.assign`, an (assign,
     (graph, group, generator state)) for every `experiments.assign_by_degree`
-    call, recorded from the command itself."""
+    call, recorded from the command itself; and under graph.load a (load,
+    (path, format)) for each stand-in graph file."""
     inputs.generate(work_dir, seed, inputs.FULL)
     real_run, real_assign = engine.run, experiments.assign_by_degree
     runs = {}
@@ -104,17 +115,22 @@ def recorded_runs(work_dir: str, seed: int) -> dict[str, list]:
                 sys.exit(f"recording {name} failed")
         if assigned:
             runs[f"{name}.assign"] = assigned
+    runs["graph.load"] = [
+        (load, (os.path.join(work_dir, inputs.SNAP_FILE), "snap")),
+        (load, (os.path.join(work_dir, inputs.BITCOIN_FILE), "bitcoin_otc")),
+    ]
     return runs
 
 
 class Timed:
-    """`library` with pd_shuffle, pd_sample and pd_run timed, and the bytes
-    each call writes hashed into `digest`."""
+    """`library` with pd_shuffle, pd_sample, pd_run, pd_read_edges and
+    pd_edges_csr timed, and the bytes each call writes hashed into `digest`."""
 
     def __init__(self, library):
         self.library = library
         self.seconds = 0.0
         self.digest = hashlib.sha256()
+        self.nodes = 0  # the node count the last pd_read_edges call read, which sizes what pd_edges_csr writes
 
     def pd_shuffle(self, order, n, mt):
         start = time.perf_counter()
@@ -145,6 +161,26 @@ class Timed:
         )
         self.digest.update(played.to_bytes(8, "little", signed=True))
         return played
+
+    def pd_read_edges(self, data, size, fmt, counts, reader):
+        start = time.perf_counter()
+        status = self.library.pd_read_edges(data, size, fmt, counts, reader)
+        self.seconds += time.perf_counter() - start
+        self.digest.update(status.to_bytes(8, "little", signed=True))
+        if status == 0:
+            self.nodes = ctypes.c_int64.from_address(counts).value  # counts[0]
+            self._hash((counts, 16))
+        return status
+
+    def pd_edges_csr(self, reader, labels, offsets, targets):
+        start = time.perf_counter()
+        status = self.library.pd_edges_csr(reader, labels, offsets, targets)
+        self.seconds += time.perf_counter() - start
+        self.digest.update(status.to_bytes(8, "little", signed=True))
+        n = self.nodes
+        kept = ctypes.c_int64.from_address(offsets + 8 * n).value  # offsets[n]
+        self._hash((labels, 8 * n), (offsets, 8 * (n + 1)), (targets, 4 * kept))
+        return status
 
     def _hash(self, *buffers):
         for address, size in buffers:

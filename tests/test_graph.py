@@ -375,3 +375,103 @@ def test_c_reader_leaves_other_input_to_the_python_reader(c_reader, tmp_path, fm
             return f"ParseError: {exc}"
 
     assert outcome(load_graph) == outcome(_python_load)
+
+
+def _line(fmt, a, b):
+    return f"{a} {b}" if fmt == "snap" else f"{a},{b},1,0"
+
+
+_WORD_LABELS = {
+    # id: (label, whether it fits int64); the C reader reads a label's first 8 bytes as one word
+    "digits-1": ("7", True),
+    "digits-7": ("1234567", True),
+    "digits-8": ("12345678", True),
+    "digits-9": ("123456789", True),
+    "digits-16": ("1234567890123456", True),
+    "digits-17": ("12345678901234567", True),
+    "digits-18": ("123456789012345678", True),
+    "digits-19": ("1234567890123456789", True),
+    "digits-19-nines": ("9" * 19, False),
+    "zeros-to-8-bytes": ("00000005", True),
+    "zeros-to-9-bytes": ("000000005", True),
+    "zeros-to-26-bytes": ("-0000000000000000000000001", True),
+    "plus": ("+5", True),
+    "minus": ("-5", True),
+    "minus-zero": ("-0", True),
+    "int64-max": (str(2**63 - 1), True),
+    "int64-min": (str(-(2**63)), True),
+    "past-int64-max": (str(2**63), False),
+    "past-int64-min": (str(-(2**63) - 1), False),
+    "zeros-before-int64-max": ("0" * 30 + str(2**63 - 1), True),
+    "zeros-before-past-int64-max": ("0" * 30 + str(2**63), False),
+}
+
+_SHORT_AND_LINE_END_CASES = {
+    # id: (snap bytes, whether the C reader reads them, the same for bitcoin_otc)
+    "1-byte": (b"1", False, b"1", False),
+    "2-bytes": (b"12", False, b"1,", False),
+    "3-bytes": (b"1 2", True, b"1,2", False),
+    "4-bytes": (b"1 2\n", True, b"1,2,", False),
+    "5-bytes": (b"-1 +2", True, b"1,2,,", True),
+    "6-bytes": (b"12 345", True, b"1,2,3,", True),
+    "7-bytes": (b"123 456", True, b"1,2,3,4", True),
+    "7-bytes-one-label": (b"1234567", False, b"1234567", False),
+    "colon-after-digit": (b"1:2 3\n4 5\n", False, b"1:2,3,4,5\n", False),  # ':' follows '9'
+    "slash-after-digit": (b"1/2 3\n4 5\n", False, b"1/2,3,4,5\n", False),  # '/' precedes '0'
+    "crlf": (b"1 2\r\n3 4\r\n", True, b"1,2,3,4\r\n3,4,5,6\r\n", True),
+    "crlf-then-last-byte": (b"1 2\r\n3 4", True, b"1,2,3,4\r\n3,4,5,6", True),
+    "blank-crlf-lines": (b"\r\n1 2\r\n\r\n", True, b"\r\n1,2,3,4\r\n\r\n", True),
+    "lone-cr-after-label": (b"1 2\r3 4\n", False, b"1,2\r,3,4\n", False),
+    "lone-cr-at-end": (b"1 2\r", False, b"1,2,3,4\r", False),
+    "lone-cr-before-crlf": (b"1 2\r\r\n", False, b"1,2,3,4\r\r\n", False),
+    "sign-alone": (b"- 2\n", False, b"-,2,3,4\n", False),
+    "two-signs": (b"+-5 2\n", False, b"+-5,2,3,4\n", False),
+    "minus-zero-self-loop": (b"-0 0\n", False, b"-0,0,3,4\n", False),
+}
+
+
+def _boundary_case(fmt, case):
+    """(file bytes, whether the C reader reads them) of a `case` in `fmt`. A
+    label is put first on one line and second on the last, where in snap it
+    ends on the file's last byte."""
+    if case in _WORD_LABELS:
+        label, fits = _WORD_LABELS[case]
+        return f"{_line(fmt, label, 2)}\n{_line(fmt, 3, label)}".encode(), fits
+    snap, snap_reads, csv, csv_reads = _SHORT_AND_LINE_END_CASES[case]
+    return (snap, snap_reads) if fmt == "snap" else (csv, csv_reads)
+
+
+@pytest.mark.parametrize("fmt", ["snap", "bitcoin_otc"])
+@pytest.mark.parametrize("case", [*_WORD_LABELS, *_SHORT_AND_LINE_END_CASES])
+def test_c_reader_matches_the_python_reader_at_word_boundaries(c_reader, tmp_path, fmt, case):
+    data, c_reads = _boundary_case(fmt, case)
+    path = tmp_path / "graph"
+    path.write_bytes(data)
+
+    def outcome(read):
+        try:
+            g = read(str(path), fmt)
+        except ParseError as exc:
+            return f"ParseError: {exc}"
+        return _as_tuple(g), g.offsets, g.targets
+
+    read_in_c = graph_module._read_csr(str(path), fmt)
+    assert (read_in_c is not None) == c_reads
+    expected = outcome(_python_load)
+    if c_reads:
+        assert (_as_tuple(read_in_c), read_in_c.offsets, read_in_c.targets) == expected
+    assert outcome(load_graph) == expected
+
+
+def test_a_graph_from_the_c_reader_builds_id_map_on_first_read(c_reader, tmp_path):
+    path = tmp_path / "graph"
+    path.write_bytes(b"5 7\n7 -9\n")
+    g = graph_module._read_csr(str(path), "snap")
+    assert g._id_map is None
+    expected = _python_load(path, "snap")
+    assert g.id_map == expected.id_map == {5: 0, 7: 1, -9: 2}
+    assert g.id_map is g.id_map and g == expected
+    path.write_bytes(b"6 7\n7 -9\n")
+    relabeled = graph_module._read_csr(str(path), "snap")
+    assert (relabeled.offsets, relabeled.targets) == (g.offsets, g.targets)
+    assert relabeled != g  # __eq__ compares the labels too
