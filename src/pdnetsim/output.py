@@ -123,7 +123,15 @@ def read_gini_series_csv(path: str) -> tuple[list[float], list[float]]:
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
+
+    def read_rows():
+        try:
+            yield from reader
+        except csv.Error:  # a field over csv's size limit, or a NUL byte before CPython 3.11
+            raise ParseError(f"{path}: line {reader.line_num}: malformed series row") from None
+
+    rows = read_rows()
+    header = next(rows, None)
     if header is None:
         raise ParseError(f"{path}: empty series CSV")
     try:
@@ -133,15 +141,15 @@ def read_gini_series_csv(path: str) -> tuple[list[float], list[float]]:
         raise ParseError(f"{path}: missing 'iteration'/'gini' columns") from None
     xs: list[float] = []
     ys: list[float] = []
-    for lineno, fields in enumerate(reader, start=2):
+    for fields in rows:
         if not fields:
             continue
         try:
             x, y = float(fields[iter_col]), float(fields[gini_col])
         except (ValueError, IndexError):
-            raise ParseError(f"{path}: line {lineno}: malformed series row") from None
+            raise ParseError(f"{path}: line {reader.line_num}: malformed series row") from None
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"{path}: line {lineno}: iteration and gini must be finite numbers")
+            raise ParseError(f"{path}: line {reader.line_num}: iteration and gini must be finite numbers")
         xs.append(x)
         ys.append(y)
     if not xs:

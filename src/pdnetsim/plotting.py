@@ -54,35 +54,24 @@ def render_line_chart(series) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0 + plot_w:.2f}" y2="{y0:.2f}" '
-        'stroke="black" stroke-width="1"/>',
-        f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{_MARGIN_TOP:.2f}" '
-        'stroke="black" stroke-width="1"/>',
     ]
 
-    for i in range(5):
-        frac = i / 4
-        tx = px(frac * x_hi)
-        parts.append(
-            f'<line x1="{tx:.2f}" y1="{y0:.2f}" x2="{tx:.2f}" y2="{y0 + 5:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{tx:.2f}" y="{y0 + 20:.2f}" font-size="12" text-anchor="middle">'
-            f"{frac * x_hi:.0f}</text>"
-        )
-        ty = py(frac * y_hi)
-        parts.append(
-            f'<line x1="{x0 - 5:.2f}" y1="{ty:.2f}" x2="{x0:.2f}" y2="{ty:.2f}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 9:.2f}" y="{ty + 4:.2f}" font-size="12" text-anchor="end">'
-            f"{frac * y_hi:.3f}</text>"
-        )
+    def line(x1: float, y1: float, x2: float, y2: float, stroke: str) -> None:
+        parts.append(f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" {stroke}/>')
 
-    parts.append(
-        f'<text x="{x0 + plot_w / 2:.2f}" y="{_HEIGHT - 12:.2f}" font-size="14" '
-        f'text-anchor="middle">iteration</text>'
-    )
+    def text(x: float, y: float, style: str, body: str) -> None:
+        parts.append(f'<text x="{x:.2f}" y="{y:.2f}" {style}>{body}</text>')
+
+    line(x0, y0, x0 + plot_w, y0, 'stroke="black" stroke-width="1"')
+    line(x0, y0, x0, _MARGIN_TOP, 'stroke="black" stroke-width="1"')
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        tx, ty = px(frac * x_hi), py(frac * y_hi)
+        line(tx, y0, tx, y0 + 5, 'stroke="black"')
+        text(tx, y0 + 20, 'font-size="12" text-anchor="middle"', f"{frac * x_hi:.3f}".rstrip("0").rstrip("."))
+        line(x0 - 5, ty, x0, ty, 'stroke="black"')
+        text(x0 - 9, ty + 4, 'font-size="12" text-anchor="end"', f"{frac * y_hi:.3f}")
+
+    text(x0 + plot_w / 2, _HEIGHT - 12, 'font-size="14" text-anchor="middle"', "iteration")
     parts.append(
         f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.2f}" font-size="14" text-anchor="middle" '
         f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.2f})">Gini Coefficient</text>'
@@ -91,18 +80,11 @@ def render_line_chart(series) -> str:
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
-        )
+        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         ly = _MARGIN_TOP + 16 + idx * 18
         lx = x0 + plot_w + 14
-        parts.append(
-            f'<line x1="{lx:.2f}" y1="{ly - 4:.2f}" x2="{lx + 22:.2f}" y2="{ly - 4:.2f}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28:.2f}" y="{ly:.2f}" font-size="12">{escape(str(label), quote=False)}</text>'
-        )
+        line(lx, ly - 4, lx + 22, ly - 4, f'stroke="{color}" stroke-width="2"')
+        text(lx + 28, ly, 'font-size="12"', escape(str(label), quote=False))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

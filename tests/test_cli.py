@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -200,6 +202,7 @@ def _append(line):
         ("suite", lambda text: text.replace("banks = default", "banks = ,"), EXIT_CONFIG, "banks list is empty"),
         ("plot", "iter,value\n1,0.5\n", EXIT_PARSE, "missing 'iteration'/'gini' columns"),
         ("plot", "iteration,gini\n1,0.5\n2\n", EXIT_PARSE, "line 3: malformed series row"),
+        ("plot", 'iteration,gini\n"1\n",0.5\n2\n', EXIT_PARSE, "line 4: malformed series row"),
         ("plot", "iteration,gini\n", EXIT_PARSE, "series CSV holds no data rows"),
     ],
     ids=[
@@ -218,6 +221,7 @@ def _append(line):
         "empty-banks",
         "plot-without-columns",
         "plot-malformed-row",
+        "plot-malformed-row-after-a-quoted-line-break",
         "plot-header-only",
     ],
 )
@@ -986,6 +990,60 @@ def test_plot_is_byte_deterministic(tmp_path, two_node_run):
     main(["plot", str(series), "--out", str(first)])
     main(["plot", str(series), "--out", str(second)])
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["1," + "9" * 200000, "1,0.5\0"],
+    ids=["field-over-the-limit", "nul-byte"],
+)
+def test_plot_rejects_a_series_csv_that_csv_cannot_read(tmp_path, capsys, row):
+    # csv raises its own error for a field over its size limit, and on
+    # CPython 3.10 for a NUL byte, where float() would have refused the row.
+    series = tmp_path / "series.csv"
+    series.write_text(f"iteration,gini\n{row}\n")
+    out = tmp_path / "x.svg"
+    assert main(["plot", str(series), "--out", str(out)]) == EXIT_PARSE
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {series}: line 2: malformed series row"]
+    assert not out.exists()
+
+
+def _chart(x_max, count):
+    xs = [float(i) for i in range(1, x_max + 1)]
+    series = [("a<b & c>d", xs, [0.0] * x_max)]
+    for k in range(1, count):
+        series.append((k, xs, [((i * (k + 2)) % 101) / 100 for i in range(x_max)]))
+    return series
+
+
+@pytest.mark.parametrize(
+    ("x_max", "labels"),
+    [(2, ["0", "0.5", "1", "1.5", "2"]), (30, ["0", "7.5", "15", "22.5", "30"]), (1000, ["0", "250", "500", "750", "1000"])],
+    ids=["2", "30", "1000"],
+)
+def test_plot_labels_each_x_tick_with_the_value_at_its_position(x_max, labels):
+    from pdnetsim.plotting import render_line_chart
+
+    svg = render_line_chart(_chart(x_max, 2))
+    assert re.findall(r'font-size="12" text-anchor="middle">([^<]*)</text>', svg) == labels
+
+
+@pytest.mark.parametrize(
+    ("x_max", "count", "digest"),
+    [
+        (1000, 10, "259692381f1ae68b3fabea39504e61d59a40a855fa90fa54a29e876251da8411"),
+        (20, 3, "f52fc37a88c047f3d0aaf82d84c088e7a6c53c2e3ad443cb2fafa9e41a9b83b2"),
+    ],
+    ids=["1000-iterations-10-series", "20-iterations-3-series"],
+)
+def test_plot_writes_the_pinned_svg_bytes(x_max, count, digest):
+    # Digests of charts that hold an all-zero series, a label that escape()
+    # changes and, with ten series, a palette that wraps. A change to the
+    # renderer that should keep the bytes must keep these.
+    from pdnetsim.plotting import render_line_chart
+
+    assert hashlib.sha256(render_line_chart(_chart(x_max, count)).encode()).hexdigest() == digest
 
 
 def test_convert_bitcoin_to_edge_list(tmp_path):

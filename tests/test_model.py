@@ -17,7 +17,7 @@ from pdnetsim import LIVE, SNAPSHOT, AgentKind, PayoffParams, ProportionGroup, S
 from conftest import random_graph, scale_free_graph
 
 SCALE = 7
-# The mean-balance identity's sample, fixed with its bound before the first run.
+# The two mean identities' sample, fixed with its bound before the first run.
 MEAN_SEEDS = range(400)
 MEAN_PASSES = 10
 Z_BOUND = 4
@@ -94,6 +94,21 @@ def test_tit_for_tat_among_cooperators_plays_as_a_cooperator(request, loop, sema
     assert run(graph, mix, cfg) == run(graph, [AgentKind.COOPERATOR] * graph.node_count, cfg)
 
 
+def assert_mean_per_draw(graph, sums, base, amount):
+    """Each node v's sum over MEAN_SEEDS, averaged, lies within Z_BOUND
+    standard errors of base + amount * (k + X) with k = MEAN_PASSES and X the
+    times v was drawn in k passes: a sum of k independent Bernoulli(1 / deg(u))
+    per neighbour u, with mean k * sum(1 / deg(u)) and the variance the rules
+    give, k * sum(1 / deg(u) * (1 - 1 / deg(u))), not a sample variance."""
+    degrees = graph.degrees()
+    for v, neighbors in enumerate(graph.adjacency):
+        p = [1 / degrees[u] for u in neighbors]
+        expected = base + MEAN_PASSES * amount * (1 + sum(p))
+        standard_error = amount * math.sqrt(MEAN_PASSES * sum(q * (1 - q) for q in p) / len(MEAN_SEEDS))
+        z = (sums[v] / len(MEAN_SEEDS) - expected) / standard_error
+        assert abs(z) < Z_BOUND, (v, z)
+
+
 @pytest.mark.parametrize("loop", ["kernel", "python_loop"])
 def test_all_cooperators_with_an_infinite_bank_gain_one_payout_per_game_they_play(request, loop):
     """With every node a Cooperator and an infinite bank, the mean balance of
@@ -123,9 +138,44 @@ def test_all_cooperators_with_an_infinite_bank_gain_one_payout_per_game_they_pla
         result = run(graph, cooperators, SimConfig(MEAN_PASSES, 20, PayoffParams(3, 2, 1), None, seed, LIVE))
         assert result.converged_at is None
         totals = [total + balance for total, balance in zip(totals, result.final_balances)]
-    for v, neighbors in enumerate(graph.adjacency):
-        p = [1 / degrees[u] for u in neighbors]
-        expected = 20 + MEAN_PASSES * 3 * (1 + sum(p))
-        standard_error = 3 * math.sqrt(MEAN_PASSES * sum(q * (1 - q) for q in p) / len(MEAN_SEEDS))
-        z = (totals[v] / len(MEAN_SEEDS) - expected) / standard_error
-        assert abs(z) < Z_BOUND, (v, z)
+    assert_mean_per_draw(graph, totals, 20, 3)
+
+
+@pytest.mark.parametrize("loop", ["kernel", "python_loop"])
+def test_all_defectors_before_any_clamp_pay_the_penalty_for_every_game_they_play(request, loop):
+    """With every node a Defector and balances too large to clamp, each pass
+    plays n games, each moves 2 * penalty into the bank, and the mean loss of
+    node v after k passes is k * penalty * (1 + sum(1 / deg(u) for u in N(v))).
+
+    Every game is mutual betrayal, in which each player surrenders the
+    penalty, clamped to its balance, to the bank; nothing is ever paid out.
+    In a pass v plays its own turn once and is drawn at most once by each
+    neighbour's, so after k passes it has played at most k * (1 + max degree)
+    games. An initial balance of penalty * (k * (1 + max degree) + 1) thus
+    covers every penalty in full and never reaches zero: no transfer clamps
+    and no turn is skipped, and every pass moves money, so the run does not
+    converge early. Each pass therefore plays n games, with an inflow of
+    2 * penalty * n that leaves the nodes and enters the finite bank. Under
+    the live semantics v ends at initial - penalty * (k + X), with X the
+    times v was drawn, as in the all-Cooperator identity, so over the seeds
+    each node's mean loss lies within Z_BOUND standard errors of the
+    identity's value.
+    """
+    request.getfixturevalue(loop)
+    graph = scale_free_graph(40, 2, seed=7)
+    n, degrees = graph.node_count, graph.degrees()
+    payoff = PayoffParams()
+    penalty = payoff.defect_penalty
+    initial = penalty * (MEAN_PASSES * (1 + max(degrees)) + 1)
+    defectors = [AgentKind.DEFECTOR] * n
+    losses = [0] * n
+    for seed in MEAN_SEEDS:
+        result = run(graph, defectors, SimConfig(MEAN_PASSES, initial, payoff, 0, seed, LIVE))
+        assert result.converged_at is None
+        total, bank = n * initial, 0
+        for played, skipped, inflow, outflow, bank_balance, total_balance in result.iteration_stats:
+            assert (played, skipped, inflow, outflow) == (n, 0, 2 * penalty * n, 0)
+            total, bank = total - inflow, bank + inflow
+            assert (total_balance, bank_balance) == (total, bank)
+        losses = [loss + initial - balance for loss, balance in zip(losses, result.final_balances)]
+    assert_mean_per_draw(graph, losses, 0, penalty)
