@@ -11,10 +11,11 @@ import argparse
 import atexit
 import errno
 import os
-import random
 import sys
 
 from . import _kernel
+# `run`, `assign_*` and `write_gini_series_csv` are not called here: `run` plays through `play_task`.
+# They stay cli attributes because perfbench/tracing.py wraps them by name.
 from .engine import SHARED_SETTINGS, PayoffParams, SimConfig, run
 from .errors import ConfigError, ParseError
 from .experiments import (
@@ -22,12 +23,13 @@ from .experiments import (
     BankSetting,
     DegreeGroup,
     NetworkSpec,
-    ProportionGroup,
+    RunTask,
     SuiteSpec,
     assign_by_degree,
     assign_proportional,
     derive_seed,
     experiment_groups,
+    play_task,
     run_suite,
 )
 from .graph import GRAPH_FORMATS, load_graph, write_edge_list
@@ -120,16 +122,6 @@ def _sim_settings(values: dict) -> dict:
     return settings
 
 
-def _bank_from_label(label: str) -> int | None:
-    """The bank's starting balance, or None for 'inf'; BankSetting and SimConfig reject a negative one."""
-    if label.lower() in ("inf", "infinite"):
-        return None
-    try:
-        return int(label)
-    except ValueError:
-        raise ConfigError(f"bank must be a non-negative integer or 'inf', got {label!r}") from None
-
-
 def _note_python_fallback() -> None:
     """Say on stderr, once per command, when engine passes cannot use the
     compiled kernel."""
@@ -157,30 +149,23 @@ def _check_outputs(directory: str, *files: str) -> None:
 
 
 def cmd_run(args) -> int:
+    """Play the config's run as a one-row task, through `play_task` as a suite row plays."""
     values = read_config(args, _RUN_REQUIRED, _SIM_KEYS)
 
     group_type = experiment_groups(_int_value(values, "experiment"))[0]
-    graph_path = values["graph"]
-    fmt = values["graph_format"]
+    network = NetworkSpec(values["graph"], values["graph"], values["graph_format"])
     group = group_type.parse(values["group"])
-    bank = _bank_from_label(values["bank"])
+    bank = BankSetting.parse(values["bank"])
     seed = _int_value(values, "seed")
     out_dir = values["out"]
-    cfg = SimConfig(**_sim_settings(values), bank=bank, seed=seed)
-    series_path = os.path.join(out_dir, "gini_series.csv")
+    cfg = SimConfig(**_sim_settings(values), bank=bank.bank, seed=seed)
+    task = RunTask(network, group, bank, 0, derive_seed(seed, "assign"), cfg, os.path.join(out_dir, "gini_series.csv"))
     summary_path = os.path.join(out_dir, "summary.txt")
-    _check_outputs(out_dir, series_path, summary_path)
+    _check_outputs(out_dir, task.series_path, summary_path)
 
-    graph = load_graph(graph_path, fmt)
-    rng = random.Random(derive_seed(seed, "assign"))
-    if isinstance(group, ProportionGroup):
-        assignment = assign_proportional(graph.node_count, group, rng)
-    else:
-        assignment = assign_by_degree(graph, group, rng)
-
+    graph = load_graph(network.path, network.fmt)  # not _cached_graph: a later run may read a changed file
     _note_python_fallback()
-    result = run(graph, assignment, cfg)
-    write_gini_series_csv(series_path, result)
+    result = play_task(task, graph)
     write_summary_txt(summary_path, result, seed)
     converged = "none" if result.converged_at is None else str(result.converged_at)
     print(
@@ -213,11 +198,7 @@ def _parse_groups(experiment: int, text: str | None):
 def _parse_banks(text: str | None) -> tuple[BankSetting, ...]:
     if text is None or text.strip().lower() == "default":
         return DEFAULT_BANK_SETTINGS
-    settings = []
-    for part in text.split(","):
-        label = part.strip()
-        if label:
-            settings.append(BankSetting(label=label, bank=_bank_from_label(label)))
+    settings = [BankSetting.parse(part.strip()) for part in text.split(",") if part.strip()]
     if not settings:
         raise ConfigError("banks list is empty")
     return tuple(settings)

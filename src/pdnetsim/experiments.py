@@ -24,7 +24,7 @@ from math import ceil, log
 from typing import NamedTuple
 
 from . import _kernel
-from .engine import SHARED_SETTINGS, SimConfig, _Record, shuffle_order, run
+from .engine import SHARED_SETTINGS, RunResult, SimConfig, _Record, shuffle_order, run
 from .errors import PATH, REQUIRED, Check, ConfigError, PDNetSimError, require
 from .graph import GRAPH_FORMATS, Graph, degree_ranked_nodes, load_graph
 from .strategies import KIND_LETTERS, LETTER_OF_KIND, AgentKind
@@ -60,6 +60,9 @@ class ProportionGroup(_Record):
             raise ConfigError(f"non-integer proportion in {text!r}") from None
         return cls(d, c, t, r)
 
+    def assign(self, graph: Graph, rng: random.Random) -> list[AgentKind]:
+        return assign_proportional(graph.node_count, self, rng)
+
 
 class DegreeGroup(_Record):
     """Kinds for the top, middle, and bottom degree-ranked thirds.
@@ -87,6 +90,9 @@ class DegreeGroup(_Record):
         if len(letters) != 3 or any(l not in ("D", "C", "T") for l in letters):
             raise ConfigError(f"expected a permutation of D,C,T like 'C,T,D', got {text!r}")
         return cls(*(KIND_LETTERS[l] for l in letters))
+
+    def assign(self, graph: Graph, rng: random.Random) -> list[AgentKind]:
+        return assign_by_degree(graph, self, rng)
 
 
 EXPERIMENT1_GROUPS = tuple(
@@ -116,6 +122,14 @@ def experiment_groups(experiment: int) -> tuple:
 class BankSetting(_Record):
     _checks = {"label": Check("bank label", str), "bank": SimConfig._checks["bank"]._replace(default=REQUIRED)}
     __slots__ = _fields = tuple(_checks)
+
+    @classmethod
+    def parse(cls, label: str) -> "BankSetting":
+        """The setting `label` names: a starting balance, or 'inf' or 'infinite' (any case) for an infinite bank."""
+        try:
+            return cls(label, None if label.lower() in ("inf", "infinite") else int(label))
+        except ValueError:
+            raise ConfigError(f"bank must be a non-negative integer or 'inf', got {label!r}") from None
 
 
 DEFAULT_BANK_SETTINGS = (BankSetting("0", 0), BankSetting("10000", 10000), BankSetting("inf", None))
@@ -250,13 +264,12 @@ def derive_seed(base_seed: int, *parts) -> int:
 
 
 class RunTask(NamedTuple):
-    """One suite run, as the objects that describe it; all of them pickle.
+    """One run, as the objects that describe it; all of them pickle.
 
-    The run is `run(graph, assignment, cfg)` on the network's graph, with
-    the assignment for `group` drawn from `random.Random(assign_seed)`.
-    `cfg` holds the suite's shared settings, this row's bank and its run
-    sub-seed as `cfg.seed`; both sub-seeds hash the run key (network name,
-    group label, bank label, replicate).
+    `play_task` plays it. `cfg` holds the suite's shared settings, this
+    row's bank and its run sub-seed as `cfg.seed`; in a suite both
+    sub-seeds hash the run key (network name, group label, bank label,
+    replicate). The `run` command plays its run as a one-row task.
     """
 
     network: NetworkSpec
@@ -289,27 +302,28 @@ def _cached_graph(path: str, fmt: str) -> Graph:
     return load_graph(path, fmt)
 
 
-def execute_task(task: RunTask) -> SuiteRow:
-    """Run one suite task, trapping any per-run failure into the row status.
+def play_task(task: RunTask, graph: Graph) -> RunResult:
+    """Play `task` on `graph`, its network's graph: draw the group's assignment
+    from `random.Random(task.assign_seed)`, run with `task.cfg`, and write the
+    series file if the task names one. Any error propagates."""
+    result = run(graph, task.group.assign(graph, random.Random(task.assign_seed)), task.cfg)
+    if task.series_path is not None:
+        from .output import write_gini_series_csv
 
-    Loads the network (cached per process), draws the group's assignment,
-    runs with `task.cfg` and writes the series file if the task names one;
-    the task's objects were validated when the suite was built. Input and
-    I/O errors read `error: <message>`; any other exception reads
+        write_gini_series_csv(task.series_path, result)
+    return result
+
+
+def execute_task(task: RunTask) -> SuiteRow:
+    """Play one suite task, trapping any per-run failure into the row status.
+
+    The network's graph is loaded once per process (`_cached_graph`); the
+    task's objects were validated when the suite was built. Input and I/O
+    errors read `error: <message>`; any other exception reads
     `error: <Type>: <message>`.
     """
     try:
-        graph = _cached_graph(task.network.path, task.network.fmt)
-        rng = random.Random(task.assign_seed)
-        if isinstance(task.group, ProportionGroup):
-            assignment = assign_proportional(graph.node_count, task.group, rng)
-        else:
-            assignment = assign_by_degree(graph, task.group, rng)
-        result = run(graph, assignment, task.cfg)
-        if task.series_path is not None:
-            from .output import write_gini_series_csv
-
-            write_gini_series_csv(task.series_path, result)
+        result = play_task(task, _cached_graph(task.network.path, task.network.fmt))
     except Exception as exc:  # a failed run must not lose its siblings
         known = isinstance(exc, (PDNetSimError, OSError))
         return _task_row(task, f"error: {exc}" if known else f"error: {type(exc).__name__}: {exc}")

@@ -194,10 +194,13 @@ def load_graph(path: str, fmt: str) -> Graph:
     if graph is not None:
         return graph
     with open(path, "r", encoding="utf-8") as handle:
+        pairs = _label_pairs(handle, fmt)
         try:
-            return graph_from_edges(_label_pairs(handle, fmt))
+            return graph_from_edges(pairs)
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+        finally:
+            pairs.close()
 
 
 def _read_csr(path: str, fmt: str) -> Graph | None:

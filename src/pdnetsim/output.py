@@ -148,8 +148,8 @@ def read_gini_series_csv(path: str) -> tuple[list[float], list[float]]:
             x, y = float(fields[iter_col]), float(fields[gini_col])
         except (ValueError, IndexError):
             raise ParseError(f"{path}: line {reader.line_num}: malformed series row") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(f"{path}: line {reader.line_num}: iteration and gini must be finite numbers")
+        if not (math.isfinite(x) and math.isfinite(y) and x >= 0 and y >= 0):  # the chart's axes start at 0
+            raise ParseError(f"{path}: line {reader.line_num}: iteration and gini must be finite numbers of at least 0")
         xs.append(x)
         ys.append(y)
     if not xs:

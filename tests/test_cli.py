@@ -198,6 +198,8 @@ def _append(line):
             EXIT_CONFIG,
             "expected a permutation of D,C,T like 'C,T,D', got 'C,X,D'",
         ),
+        ("run", lambda text: text.replace("= snap", "= gml"), EXIT_CONFIG, "unknown graph format 'gml'"),
+        ("run", lambda text: text.replace("bank = 3", "bank = lots"), EXIT_CONFIG, "integer or 'inf', got 'lots'"),
         ("suite", _append("network = gamma snap"), EXIT_CONFIG, "network entry must be 'NAME FORMAT PATH'"),
         ("suite", lambda text: text.replace("banks = default", "banks = ,"), EXIT_CONFIG, "banks list is empty"),
         ("plot", "iter,value\n1,0.5\n", EXIT_PARSE, "missing 'iteration'/'gini' columns"),
@@ -217,6 +219,8 @@ def _append(line):
         "non-integer-iterations",
         "bad-proportion-group",
         "bad-degree-group",
+        "bad-graph-format",
+        "bad-bank",
         "malformed-network",
         "empty-banks",
         "plot-without-columns",
@@ -342,6 +346,32 @@ def test_run_experiment_2_assigns_kinds_by_degree(tmp_path):
     assert (tmp_path / "out" / "gini_series.csv").read_bytes() == expected.read_bytes()
 
 
+@pytest.mark.parametrize(("experiment", "group"), [(1, "3:1:2:2"), (2, "C,T,D")])
+def test_a_run_writes_what_play_task_writes_for_its_one_row_task(tmp_path, experiment, group):
+    from pdnetsim import BankSetting, NetworkSpec, derive_seed, load_graph
+    from pdnetsim.engine import SimConfig
+    from pdnetsim.experiments import RunTask, experiment_groups, play_task
+
+    graph_path = _write_network(tmp_path, "g", 3)
+    config_path = _experiment_2_config(tmp_path, graph_path)
+    text = config_path.read_text()
+    config_path.write_text(text.replace("experiment = 2", f"experiment = {experiment}").replace("C,T,D", group))
+    assert main(["run", "--config", str(config_path)]) == EXIT_OK
+
+    expected = tmp_path / "expected.csv"
+    task = RunTask(
+        NetworkSpec(str(graph_path), str(graph_path), "snap"),
+        experiment_groups(experiment)[0].parse(group),
+        BankSetting.parse("50"),
+        0,
+        derive_seed(9, "assign"),
+        SimConfig(30, 10, bank=50, seed=9),
+        str(expected),
+    )
+    play_task(task, load_graph(str(graph_path), "snap"))
+    assert (tmp_path / "out" / "gini_series.csv").read_bytes() == expected.read_bytes()
+
+
 def test_run_experiment_2_on_fewer_than_12_nodes_is_a_config_error(tmp_path, capsys):
     graph_path = tmp_path / "path.txt"
     graph_path.write_text("".join(f"{v} {v + 1}\n" for v in range(10)))  # 11 nodes
@@ -431,7 +461,7 @@ _SHARED_KEYS = {
 @pytest.mark.parametrize("given", [False, True], ids=["omitted", "given"])
 @pytest.mark.parametrize("command", ["run", "suite"])
 def test_both_commands_take_every_sim_config_field_but_bank_and_seed(request, monkeypatch, command, given):
-    from pdnetsim import cli, experiments
+    from pdnetsim import experiments
     from pdnetsim.engine import PayoffParams, SimConfig
 
     assert set(_SHARED_KEYS) == set(SimConfig._fields) - {"bank", "seed", "payoff"} | set(PayoffParams._fields)
@@ -443,12 +473,8 @@ def test_both_commands_take_every_sim_config_field_but_bank_and_seed(request, mo
         lines += [f"{key} = {value}" for key, value in _SHARED_KEYS.items()]
     config_path.write_text("\n".join(lines) + "\n")
     configs = []
-    if command == "run":
-        real_run = cli.run
-        monkeypatch.setattr(cli, "run", lambda graph, kinds, cfg: configs.append(cfg) or real_run(graph, kinds, cfg))
-    else:
-        real_task = experiments.execute_task
-        monkeypatch.setattr(experiments, "execute_task", lambda task: configs.append(task.cfg) or real_task(task))
+    real_run = experiments.run  # both commands play through experiments.play_task
+    monkeypatch.setattr(experiments, "run", lambda g, kinds, cfg: configs.append(cfg) or real_run(g, kinds, cfg))
     assert main([command, "--config", str(config_path)]) == EXIT_OK
     expected = SimConfig(7, 11, PayoffParams(2, 4, 5), balance_semantics="snapshot") if given else SimConfig()
     shared = [name for name in SimConfig._fields if name not in ("bank", "seed")]
@@ -982,6 +1008,18 @@ def test_plot_rejects_non_finite_values(tmp_path, capsys, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("row", ["-5,0.5", "2,-0.2", "-10,-0.5", "-1e-300,0.5"])
+def test_plot_rejects_negative_values(tmp_path, capsys, row):
+    # The chart's axes start at 0, so a negative point would be drawn outside them.
+    series = tmp_path / "series.csv"
+    series.write_text(f"iteration,gini\n1,0.5\n\n{row}\n")
+    out = tmp_path / "x.svg"
+    assert main(["plot", str(series), "--out", str(out)]) == EXIT_PARSE
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {series}: line 4: iteration and gini must be finite numbers of at least 0"]
+    assert not out.exists()
+
+
 def test_plot_is_byte_deterministic(tmp_path, two_node_run):
     config_path, out_dir = two_node_run
     main(["run", "--config", str(config_path)])
@@ -1019,13 +1057,19 @@ def _chart(x_max, count):
 
 @pytest.mark.parametrize(
     ("x_max", "labels"),
-    [(2, ["0", "0.5", "1", "1.5", "2"]), (30, ["0", "7.5", "15", "22.5", "30"]), (1000, ["0", "250", "500", "750", "1000"])],
-    ids=["2", "30", "1000"],
+    [
+        (2, ["0", "0.5", "1", "1.5", "2"]),
+        (30, ["0", "7.5", "15", "22.5", "30"]),
+        (1000, ["0", "250", "500", "750", "1000"]),
+        (0.5, ["0", "0.125", "0.25", "0.375", "0.5"]),  # three decimals: .2f would write 0.12
+    ],
+    ids=["2", "30", "1000", "0.5"],
 )
 def test_plot_labels_each_x_tick_with_the_value_at_its_position(x_max, labels):
     from pdnetsim.plotting import render_line_chart
 
-    svg = render_line_chart(_chart(x_max, 2))
+    chart = _chart(x_max, 2) if isinstance(x_max, int) else [("fractional", [0.25, x_max], [0.1, 0.2])]
+    svg = render_line_chart(chart)
     assert re.findall(r'font-size="12" text-anchor="middle">([^<]*)</text>', svg) == labels
 
 

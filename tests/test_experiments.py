@@ -2,6 +2,7 @@ import math
 import os
 import pickle
 import random
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -38,7 +39,7 @@ from pdnetsim import (
 )
 from pdnetsim.engine import SHARED_SETTINGS, _Record
 from pdnetsim.errors import PATH, REQUIRED, Check
-from pdnetsim.experiments import RunTask, SuiteRow
+from pdnetsim.experiments import RunTask, SuiteRow, execute_task, play_task
 from pdnetsim.output import run_file_name, write_gini_series_csv
 from pdnetsim.suite import suite_tasks
 
@@ -787,6 +788,48 @@ def test_any_suite_row_can_be_rebuilt_through_the_api(tiny_networks, tmp_path, e
     assert rebuilt.read_bytes() == Path(task.series_path).read_bytes()
 
 
+@pytest.mark.parametrize("experiment", [1, 2])
+def test_play_task_is_readmes_one_call_recipe_for_a_suite_row(tiny_networks, tmp_path, experiment):
+    # README's recipe; the long form above is its oracle.
+    spec = _tiny_suite(tiny_networks, experiment, replicates=2)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+
+    def series_path_for(*key):
+        return str(runs / run_file_name(*key))
+
+    assert all(row.status == "ok" for row in run_suite(spec, series_path_for=series_path_for))
+    for task in suite_tasks(spec, series_path_for)[::5]:
+        rebuilt = tmp_path / "row.csv"
+        play_task(task._replace(series_path=str(rebuilt)), load_graph(task.network.path, task.network.fmt))
+        assert rebuilt.read_bytes() == Path(task.series_path).read_bytes()
+
+
+@pytest.mark.parametrize("case", ["series-path-under-a-file", "degree-groups-on-5-nodes", "missing-graph"])
+def test_play_task_raises_where_execute_task_marks_its_row(tmp_path, case):
+    graph_path = tmp_path / "g.txt"
+    _write_edge_file(graph_path, random_graph(16, 3.0, seed=5))
+    group, series_path = EXPERIMENT1_GROUPS[1], str(tmp_path / "row.csv")
+    if case == "series-path-under-a-file":
+        series_path = str(graph_path / "row.csv")
+        error, message = OSError, f"{graph_path}"
+    elif case == "degree-groups-on-5-nodes":
+        graph_path.write_text("0 1\n1 2\n2 3\n3 4\n")
+        group = EXPERIMENT2_GROUPS[0]
+        error, message = ConfigError, "degree-ranked assignment needs at least 12 nodes, got 5"
+    else:
+        graph_path = tmp_path / "missing.txt"
+        error, message = OSError, "missing.txt"
+    network, bank = NetworkSpec("g", str(graph_path), "snap"), DEFAULT_BANK_SETTINGS[0]
+    task = RunTask(network, group, bank, 0, 11, SimConfig(iterations=4, seed=12), series_path)
+    with pytest.raises(error, match=re.escape(message)):
+        play_task(task, load_graph(str(graph_path), "snap"))
+    row = execute_task(task)
+    assert row.status.startswith("error: ") and message in row.status
+    assert (row.final_gini, row.converged_at) == (None, None)
+    assert not os.path.exists(series_path)
+
+
 def test_suite_spec_validation(tiny_networks):
     with pytest.raises(ConfigError):
         SuiteSpec(networks=tiny_networks, experiment=3, groups=EXPERIMENT1_GROUPS)
@@ -1002,6 +1045,15 @@ def test_a_run_of_more_passes_than_the_bound_is_a_config_error(tiny_networks):
             SuiteSpec(**suite, iterations=iterations)
 
 
+def test_readme_states_the_iteration_bound():
+    # README gives the bound as a number; a change to engine.MAX_ITERATIONS must change it too.
+    from pdnetsim.engine import MAX_ITERATIONS
+
+    readme = " ".join((Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8").split())
+    stated = re.findall(r"`iterations` is at most ([\d,]+) \(`engine\.MAX_ITERATIONS`\)", readme)
+    assert [int(number.replace(",", "")) for number in stated] == [MAX_ITERATIONS]
+
+
 @pytest.mark.parametrize("experiment", [1, 2])
 def test_suite_tasks_pickle_and_carry_the_spec_settings(tiny_networks, experiment):
     # Workers inherit the tasks through the fork and pickle only the rows
@@ -1174,6 +1226,28 @@ def test_a_suite_and_a_bank_setting_take_their_rows_from_simconfig():
     assert BankSetting._checks["bank"] == SimConfig._checks["bank"]._replace(default=REQUIRED)
     with pytest.raises(TypeError, match="bank"):
         BankSetting("x")
+
+
+@pytest.mark.parametrize(
+    ("label", "bank"),
+    [("inf", None), ("infinite", None), ("INF", None), ("Infinite", None), ("0", 0), ("10000", 10000)],
+)
+def test_bank_setting_parse_reads_a_starting_balance_or_inf(label, bank):
+    assert BankSetting.parse(label) == BankSetting(label, bank)
+
+
+@pytest.mark.parametrize(
+    ("label", "message"),
+    [
+        ("-1", "finite bank balance must be a non-negative integer, got -1"),
+        ("x", "bank must be a non-negative integer or 'inf', got 'x'"),
+        ("1.5", "bank must be a non-negative integer or 'inf', got '1.5'"),
+    ],
+)
+def test_bank_setting_parse_refuses_a_label_that_names_no_bank(label, message):
+    with pytest.raises(ConfigError) as raised:
+        BankSetting.parse(label)
+    assert str(raised.value) == message
 
 
 def test_default_bank_settings():

@@ -221,6 +221,29 @@ def test_a_path_that_is_not_a_path_is_refused_and_its_descriptor_left_open(tmp_p
     assert NetworkSpec("g", path, "snap").path == path
 
 
+def test_the_python_reader_closes_its_line_reader_before_an_error_leaves_load_graph(tmp_path, monkeypatch):
+    # Left open, the label reader would be closed only when the traceback
+    # that holds it is freed, while the partly built graph still holds the
+    # memory; out of memory, that close fails, and the interpreter prints
+    # "Exception ignored" besides the command's one error line.
+    import inspect
+
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n")
+    readers = []
+
+    def fail_after_one_pair(pairs):
+        readers.append(pairs)
+        next(pairs)
+        raise MemoryError
+
+    monkeypatch.setattr(graph_module, "_read_csr", lambda path, fmt: None)
+    monkeypatch.setattr(graph_module, "graph_from_edges", fail_after_one_pair)
+    with pytest.raises(MemoryError):
+        load_graph(str(path), "snap")
+    assert inspect.getgeneratorstate(readers[0]) == inspect.GEN_CLOSED
+
+
 def test_facebook_dataset_counts():
     path, fmt = require_dataset("facebook")
     g = load_graph(path, fmt)
